@@ -20,7 +20,8 @@
 //   --engine NAME         device-program engine: bytecode (default) | legacy
 //   --layout RxC          force the shard grid (R tile rows x C tile cols;
 //                         0 lets the cost model pick that dimension; the
-//                         default is the full cost-model 2D choice)
+//                         default is automatic: one shard at one thread,
+//                         the cost-model 2D tiles at two or more)
 //   --check-layout-identity
 //                         additionally solve each workload under the auto
 //                         2D layout, forced 1D row strips and a serial
@@ -60,6 +61,7 @@
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
 #include "telemetry/host_profiler.hpp"
+#include "wse/shard_layout.hpp"
 
 using namespace fvdf;
 
@@ -100,7 +102,7 @@ struct Run {
 };
 
 core::SimEngine g_engine = core::SimEngine::Bytecode;
-wse::ShardGrid g_grid{}; // {0,0} = cost model; --layout overrides
+wse::ShardGrid g_grid{}; // {0,0} = automatic; --layout overrides
 
 core::DataflowResult solve(const Workload& w, u32 threads,
                            telemetry::HostProfiler* profiler,
@@ -233,17 +235,20 @@ std::vector<Run> measure(const Workload& w, const std::vector<u32>& sweep,
   return runs;
 }
 
-// The layout-invariance gate: the same workload solved under the auto 2D
-// tiling, forced 1D row strips and a serial single shard must agree bit
-// for bit (scripts/check_scaling.sh runs this on hosts that cannot
-// demonstrate scaling — correctness is checkable even where speed is not).
+// The layout-invariance gate: the same workload solved under the
+// cost-model 2D tiling, forced 1D row strips and a serial single shard
+// must agree bit for bit (scripts/check_scaling.sh runs this on hosts that
+// cannot demonstrate scaling — correctness is checkable even where speed
+// is not). The tiles are named explicitly so that a one-thread check still
+// runs them.
 bool check_layout_identity(const Workload& w, u32 threads) {
   struct Named {
     const char* name;
     wse::ShardGrid grid;
   };
+  const wse::ShardLayout tiles = wse::choose_shard_layout(w.nx, w.ny);
   const Named layouts[] = {
-      {"auto-2d", wse::ShardGrid{}},
+      {"auto-2d", wse::ShardGrid{tiles.tile_rows, tiles.tile_cols}},
       {"1d-strips", wse::ShardGrid{0, 1}},
       {"serial", wse::ShardGrid{1, 1}},
   };

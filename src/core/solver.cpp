@@ -227,10 +227,11 @@ solve_program_cache(const std::shared_ptr<CaseArtifacts>& artifacts) {
   return artifacts->programs;
 }
 
-/// Lookahead planning with the CaseArtifacts memo: the realized tile grid
-/// is a function of geometry and the ShardGrid override only, and the
-/// planner is deterministic, so a cached table is byte-identical to a
-/// fresh plan for the same fabric.
+/// Lookahead planning with the CaseArtifacts memo: the planner is a
+/// deterministic function of the program and the realized tile grid, so a
+/// cached table is byte-identical to a fresh plan for the same fabric. A
+/// one-shard fabric (every one-worker run with the automatic layout) has
+/// no boundary to plan.
 void install_lookahead(wse::Fabric& fabric, const wse::ProgramFactory& factory,
                        const std::shared_ptr<CaseArtifacts>& artifacts) {
   if (fabric.shard_count() <= 1) return;

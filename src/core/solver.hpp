@@ -62,8 +62,9 @@ struct CaseArtifacts {
   std::shared_ptr<ProgramCache> programs;
 
   /// Planned lookahead tables keyed by the realized tile grid
-  /// (tile_rows, tile_cols) — the layout is a function of geometry and
-  /// the ShardGrid override only, so one entry per distinct layout.
+  /// (tile_rows, tile_cols) — the layout is a function of geometry, the
+  /// ShardGrid override and whether more than one worker runs it, so one
+  /// entry per distinct layout.
   std::mutex mutex;
   std::map<std::pair<u32, u32>, wse::ChannelLookahead> lookahead;
 };

@@ -2,14 +2,14 @@
 // Sharded fabric telemetry collector.
 //
 // The fabric's parallel engine partitions the PE grid into spatial shards
-// whose boundaries depend only on the geometry (see wse/fabric.hpp), and
-// during a window each shard touches only its own rows' state. The
-// collector mirrors that discipline: per-PE activity cells are written
-// exclusively by the owning shard, and append-only streams (phase marks,
-// progress samples) plus histograms live in per-shard slots that
-// finalize() merges in shard-id order. Every merged artifact is therefore
-// bitwise identical at any --sim-threads value — the same argument that
-// makes FabricStats and the trace stream deterministic.
+// (see wse/fabric.hpp), and during a window each shard touches only its
+// own rectangle's state. The collector mirrors that discipline: per-PE
+// activity cells are written exclusively by the owning shard, and
+// append-only streams (phase marks, progress samples) plus histograms live
+// in per-shard slots that finalize() merges into per-PE order. Every
+// merged artifact is therefore bitwise identical under any shard layout,
+// and so at any --sim-threads value (which picks the layout) — the same
+// argument that makes FabricStats and the trace stream deterministic.
 //
 // This header deliberately depends only on common/ so that wse can link
 // against it from below; all fabric-specific typing (directions, colors)

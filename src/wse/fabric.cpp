@@ -49,12 +49,14 @@ namespace {
 constexpr std::size_t link_slot(Dir dir) { return static_cast<std::size_t>(dir); }
 constexpr f64 kInfCycles = std::numeric_limits<f64>::infinity();
 // Worker requests far beyond the hardware's parallelism lose more to
-// barrier latency than the extra shards can win back (measured: ~13% at 8
-// workers on one core, BENCH_sim_throughput.json); degrade to the best
-// smaller configuration. Up to this many workers the futex-parked pool's
-// overhead stays negligible even oversubscribed, which keeps multi-worker
-// engine paths exercised on small CI hosts.
+// barrier latency than the extra shards can win back; degrade to the best
+// smaller configuration. The cap keeps multi-worker engine paths exercised
+// on small CI hosts. Its basis (~13% lost at 8 workers) was measured on a
+// one-hardware-thread host, where every extra worker is oversubscribed; it
+// has not been re-measured on a host with more cores.
 constexpr u32 kMaxOversubscribedWorkers = 4;
+// Trace records a one-shard window buffers before releasing a batch.
+constexpr std::size_t kTraceReleaseBatch = 4096;
 } // namespace
 
 /// PeContext implementation handed to program handlers for the duration of
@@ -123,7 +125,8 @@ private:
 
 Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
                ShardGrid grid)
-    : width_(width), height_(height), timing_(timing), mem_params_(mem) {
+    : width_(width), height_(height), timing_(timing), mem_params_(mem),
+      grid_(grid) {
   FVDF_CHECK_MSG(width >= 1 && height >= 1, "fabric dims must be positive");
   pes_.reserve(static_cast<std::size_t>(width * height));
   for (i64 y = 0; y < height; ++y)
@@ -132,16 +135,21 @@ Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
       pes_.back()->router.set_coord(PeCoord{x, y});
     }
 
+  apply_layout();
+}
+
+void Fabric::apply_layout() {
   // Rectangular tile shards (wse/shard_layout.hpp): a tensor product of
   // row and column bands chosen by the area/perimeter cost model (or the
   // explicit override). Row-major tile ids, so a 1D row-strip layout is
   // the degenerate tile_cols == 1 case with identical ids to the old
   // engine.
-  const ShardLayout layout = choose_shard_layout(width_, height_, grid);
+  const ShardLayout layout = choose_shard_layout(
+      width_, height_, resolve_shard_grid(grid_, threads_));
   tile_rows_ = layout.tile_rows;
   tile_cols_ = layout.tile_cols;
   // Shard holds atomics (SpscChannel) and is neither copyable nor movable:
-  // size the vector once, never resize it.
+  // size the vector once per layout, never resize it.
   shards_ = std::vector<Shard>(layout.tiles());
   row_tile_.resize(static_cast<std::size_t>(height_));
   col_tile_.resize(static_cast<std::size_t>(width_));
@@ -151,6 +159,7 @@ Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
   for (u32 tc = 0; tc < tile_cols_; ++tc)
     for (i64 col = layout.col_splits[tc]; col < layout.col_splits[tc + 1]; ++col)
       col_tile_[static_cast<std::size_t>(col)] = tc;
+  payload_pools_.clear();
   payload_pools_.reserve(shards_.size());
   for (u32 s = 0; s < static_cast<u32>(shards_.size()); ++s) {
     Shard& shard = shards_[s];
@@ -174,14 +183,19 @@ Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
     for (std::size_t side = 0; side < 4; ++side)
       if (neighbor_shard(shard, side) < 0)
         lookahead_.out[shard.id][side] = ChannelLookahead::Edge{false, 0};
+  if (telemetry_ != nullptr) telemetry_->bind(width_, height_, shard_count());
 }
 
 Fabric::~Fabric() = default;
 
 void Fabric::set_threads(u32 threads) {
+  const u32 before = threads_;
   threads_ = threads == 0
                  ? std::max(1u, std::thread::hardware_concurrency())
                  : threads;
+  if (!loaded_ && resolve_shard_grid(grid_, before) !=
+                      resolve_shard_grid(grid_, threads_))
+    apply_layout();
 }
 
 void Fabric::set_channel_lookahead(ChannelLookahead table) {
@@ -353,6 +367,9 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
     for (;;) {
       f64 tmin = kInfCycles;
       for (const Shard& shard : shards_) tmin = std::min(tmin, shard.tmin);
+      // After the merge every pending event sits in a heap, so no record
+      // below the global minimum can still appear.
+      if (trace_) release_traces(tmin);
       if (tmin == kInfCycles) break; // drained
       if (tmin > max_cycles) {
         result.hit_cycle_limit = true;
@@ -392,16 +409,17 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
 #endif
       }
       FVDF_HPROF(hprof.accumulate_round());
-      if (trace_) flush_traces();
     }
   } catch (...) {
     // Surface whatever the window produced before the throw (kernel
     // FVDF_CHECKs propagate to the caller, as in the serial engine).
-    if (trace_) flush_traces();
+    if (trace_) release_traces(kInfCycles);
     FVDF_HPROF(hprof.end_run());
     throw;
   }
-  if (trace_) flush_traces();
+  // A cycle-limited run stops with events pending; what it traced is
+  // complete up to the limit, and a later run() continues after it.
+  if (trace_) release_traces(kInfCycles);
   FVDF_HPROF(hprof.end_run());
 
   stats_ = FabricStats{};
@@ -598,10 +616,16 @@ void Fabric::round_phase_b(Shard& shard) {
 }
 
 void Fabric::process_window(Shard& shard, f64 horizon, f64 max_cycles) {
+  // A one-shard run is a single window: release its trace records as it
+  // goes, below the heap top (no later event is earlier), so the buffer
+  // stays bounded. Multi-shard windows wait for the barrier's watermark.
+  const bool stream_trace = trace_ && shards_.size() == 1;
   bool any = false;
   while (!shard.events.empty()) {
     const Event& top = shard.events.top();
     if (top.t >= horizon || top.t > max_cycles) break;
+    if (stream_trace && shard.trace.size() >= kTraceReleaseBatch)
+      release_traces(top.t);
     Event event = shard.events.pop();
     shard.now = std::max(shard.now, event.t);
     ++shard.stats.events_processed;
@@ -750,21 +774,28 @@ void Fabric::update_shard_bounds(Shard& shard) {
     shard.bounds_changed = true;
 }
 
-void Fabric::flush_traces() {
-  trace_scratch_.clear();
+void Fabric::release_traces(f64 watermark) {
+  const auto trace_order = [](const PendingTrace& a, const PendingTrace& b) {
+    if (a.record.cycles != b.record.cycles) return a.record.cycles < b.record.cycles;
+    if (a.pe != b.pe) return a.pe < b.pe;
+    return a.seq < b.seq;
+  };
+  // Gather the shards' new records behind the sorted remainder of the last
+  // release, sort them and merge the two runs.
+  const auto held = static_cast<std::ptrdiff_t>(trace_pending_.size());
   for (Shard& shard : shards_) {
-    trace_scratch_.insert(trace_scratch_.end(), shard.trace.begin(),
+    trace_pending_.insert(trace_pending_.end(), shard.trace.begin(),
                           shard.trace.end());
     shard.trace.clear();
   }
-  if (trace_scratch_.empty()) return;
-  // Stable: same-time records keep shard-major order, so the merged stream
-  // is deterministic and identical at any thread count.
-  std::stable_sort(trace_scratch_.begin(), trace_scratch_.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.cycles < b.cycles;
-                   });
-  for (const TraceRecord& record : trace_scratch_) trace_(record);
+  std::sort(trace_pending_.begin() + held, trace_pending_.end(), trace_order);
+  std::inplace_merge(trace_pending_.begin(), trace_pending_.begin() + held,
+                     trace_pending_.end(), trace_order);
+  const auto cut = std::partition_point(
+      trace_pending_.begin(), trace_pending_.end(),
+      [watermark](const PendingTrace& p) { return p.record.cycles < watermark; });
+  for (auto it = trace_pending_.begin(); it != cut; ++it) trace_(it->record);
+  trace_pending_.erase(trace_pending_.begin(), cut);
 }
 
 void Fabric::advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t) {
@@ -777,7 +808,9 @@ void Fabric::advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t) {
     // re-park directly — never through the event queue — so a switch
     // program cycling through rejecting positions cannot inflate
     // events_processed or the trace volume.
-    std::deque<Pe::StalledFlit> retry;
+    // Dispatching may advance switches again and re-enter this function,
+    // so walk a detached queue.
+    Fifo<Pe::StalledFlit> retry;
     retry.swap(parked);
     while (!retry.empty()) {
       Pe::StalledFlit entry = std::move(retry.front());
@@ -790,6 +823,8 @@ void Fabric::advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t) {
                      .stall_cycles += t - entry.parked_at);
       dispatch_flit(shard, pe, entry.from, std::move(entry.flit), t);
     }
+    // Hand the drained buffer back so the color's next stall reuses it.
+    if (parked.empty()) parked.swap(retry);
   }
 }
 
@@ -800,7 +835,7 @@ void Fabric::handle_flit_arrive(Shard& shard, Event&& event) {
   // current rx set waits on that link until the switch advances.
   if (!pe.router.accepts(flit.color, event.from)) {
     ++shard.stats.flits_stalled;
-    emit_trace(shard, TraceEvent::FlitStalled, event.t, pe.coord, flit.color,
+    emit_trace(shard, TraceEvent::FlitStalled, event.t, pe, flit.color,
                flit.data ? static_cast<u32>(flit.data->size()) : 0);
     FVDF_TELEM(++collector.activity(event.pe_index).stalls);
     pe.stalled[flit.color].push_back(
@@ -848,7 +883,7 @@ void Fabric::dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t) {
       a.tx_words[link_slot(dir)] += words;
       ++a.tx_messages[link_slot(dir)];
     });
-    emit_trace(shard, TraceEvent::LinkHop, t, pe.coord, flit.color,
+    emit_trace(shard, TraceEvent::LinkHop, t, pe, flit.color,
                static_cast<u32>(words));
   }
 
@@ -861,7 +896,7 @@ void Fabric::dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t) {
     flit = Flit{}; // release the payload before re-dispatching parked flits
     advance_and_release(shard, pe, advance, t);
     ++shard.stats.control_wavelets;
-    emit_trace(shard, TraceEvent::SwitchAdvance, t, pe.coord, color, 0);
+    emit_trace(shard, TraceEvent::SwitchAdvance, t, pe, color, 0);
   }
 }
 
@@ -869,7 +904,7 @@ void Fabric::deliver_to_ramp(Shard& shard, Pe& pe, const Flit& flit, f64 t) {
   if (!flit.data) return; // control-only wavelets carry no payload
   const std::vector<f32>& words = *flit.data;
   pe.inbox[flit.color].append(words.data(), words.size());
-  emit_trace(shard, TraceEvent::RampDelivery, t, pe.coord, flit.color,
+  emit_trace(shard, TraceEvent::RampDelivery, t, pe, flit.color,
              static_cast<u32>(words.size()));
   feed_recv_descriptors(shard, pe, flit.color, t);
 }
@@ -932,7 +967,7 @@ void Fabric::run_task(Shard& shard, Pe& pe, Color color, f64 t) {
   f64 cursor = t + timing_.task_dispatch_cycles;
   FabricPeContext ctx(*this, shard, pe, cursor);
   ++shard.stats.tasks_run;
-  emit_trace(shard, TraceEvent::TaskRun, t, pe.coord, color, 0);
+  emit_trace(shard, TraceEvent::TaskRun, t, pe, color, 0);
   if (color == kInvalidColor) {
     pe.program->on_start(ctx);
     // Bytecode-compiled programs expose their instruction stream after
@@ -995,7 +1030,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
   if (faults_.drop_message_index != 0 || faults_.corrupt_message_index != 0) {
     ++injected_data_messages_;
     if (injected_data_messages_ == faults_.drop_message_index) {
-      emit_trace(shard, TraceEvent::FaultDrop, cursor, pe.coord, color, src.length);
+      emit_trace(shard, TraceEvent::FaultDrop, cursor, pe, color, src.length);
       // The message vanishes on the link; the send "completes" locally (the
       // sender cannot tell), but no receiver will ever see the data.
       cursor += timing_.send_setup_cycles;
@@ -1004,7 +1039,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
       return;
     }
     if (injected_data_messages_ == faults_.corrupt_message_index) {
-      emit_trace(shard, TraceEvent::FaultCorrupt, cursor, pe.coord, color,
+      emit_trace(shard, TraceEvent::FaultCorrupt, cursor, pe, color,
                  src.length);
       std::vector<f32>& words = payload.mutate();
       if (!words.empty()) {
@@ -1016,7 +1051,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
     }
   }
 
-  emit_trace(shard, TraceEvent::MessageInjected, cursor, pe.coord, color,
+  emit_trace(shard, TraceEvent::MessageInjected, cursor, pe, color,
              src.length);
   cursor += timing_.send_setup_cycles;
   f64& ramp_free = pe.link_free_at[link_slot(Dir::Ramp)];

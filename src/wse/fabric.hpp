@@ -13,29 +13,31 @@
 // while preserving per-word bandwidth accounting.
 //
 // Execution engine (docs/simulator.md, "Parallel execution model"): the PE
-// grid is partitioned into rectangular tile shards — a pure function of
-// the fabric geometry (wse/shard_layout.hpp cost model, or an explicit
-// ShardGrid override), never of the thread count — each owning the event
+// grid is partitioned into rectangular tile shards, each owning the event
 // queue, payload arena, statistics and trace buffer of its rows x cols
-// rectangle. run() is a conservative parallel DES in the Chandy–Misra
-// channel-lookahead family: each round every shard processes events below
-// its own horizon, derived from its neighbors' per-event emission bounds
-// (earliest cycle a neighbor's pending work could place a wavelet across
-// the shared boundary) propagated min-plus over the tile adjacency graph,
-// and the static channel-lookahead table (which colors can cross each
-// directed tile boundary at all, see set_channel_lookahead).
-// Boundary-crossing flits travel through per-directed-boundary SPSC
-// channels and merge at a deterministic barrier under the engine's total
-// event order (time, emitting PE, per-PE emission index). Results —
-// memory contents, FabricStats, trace streams — are bitwise identical at
-// any thread count, including 1, because the round schedule depends only
-// on the event state, never on the worker count; and because the event
-// order is stamped at emission rather than at arrival, they are also
-// bitwise identical under any shard layout (2D tiles, 1D strips, serial).
+// rectangle. The layout is resolved when the fabric is loaded: an explicit
+// ShardGrid is honoured at any thread count, and the automatic layout
+// ({0, 0}) is one shard for a one-worker run and the wse/shard_layout.hpp
+// cost-model tiles for two or more workers (see resolve_shard_grid). A
+// one-shard run drains in a single round with no lookahead, bound rescans
+// or merges. A multi-shard run() is a conservative parallel DES in the
+// Chandy–Misra channel-lookahead family: each round every shard processes
+// events below its own horizon, derived from its neighbors' per-event
+// emission bounds (earliest cycle a neighbor's pending work could place a
+// wavelet across the shared boundary) propagated min-plus over the tile
+// adjacency graph, and the static channel-lookahead table (which colors
+// can cross each directed tile boundary at all, see
+// set_channel_lookahead). Boundary-crossing flits travel through
+// per-directed-boundary SPSC channels and merge at a deterministic barrier
+// under the engine's total event order (time, emitting PE, per-PE emission
+// index). Because that order is stamped at emission rather than at
+// arrival, results — memory contents, FabricStats, trace streams — are
+// bitwise identical under any shard layout (2D tiles, 1D strips, one
+// shard) and, since a layout's round schedule depends only on the event
+// state, at any thread count.
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -118,9 +120,11 @@ enum class LookaheadSource : u8 { Bytecode, ManifestOnly };
 class Fabric {
 public:
   /// `grid` optionally overrides the shard layout's tile grid (see
-  /// wse::ShardGrid; {0, 0} — the default — picks by the cost model).
-  /// Tests and benchmarks use it to force the 1D strip layout ({0, 1}), a
-  /// serial run ({1, 1}) or a specific tile grid; results are bitwise
+  /// wse::ShardGrid). The default {0, 0} is resolved against the thread
+  /// count set before load(): one shard at one worker, the cost-model
+  /// tiles at two or more (resolve_shard_grid). Tests and benchmarks force
+  /// the 1D strip layout ({0, 1}), a single shard ({1, 1}) or a specific
+  /// tile grid, honoured at any thread count; results are bitwise
   /// independent of the choice for programs whose event schedule is
   /// confluent (everything the solvers ship — tested), but round counts
   /// and per-shard diagnostics follow the layout.
@@ -177,21 +181,24 @@ public:
   RunResult run(f64 max_cycles = 1e15);
 
   /// Sets the number of worker threads run() may use (0 = hardware
-  /// concurrency, 1 = serial; the default). Thread counts beyond
-  /// shard_count() are clamped — extra workers would own no shard — and
-  /// requests far beyond the hardware's parallelism degrade to the best
-  /// smaller configuration instead of paying barrier overhead for workers
-  /// with no core to run on (see run()). The thread count never changes
-  /// results: the round schedule depends only on the fabric geometry and
-  /// event state.
+  /// concurrency, 1 = serial; the default). Before load() this also
+  /// re-resolves an automatic layout (see the constructor): the layout
+  /// switches between one shard and the cost-model tiles, which resets an
+  /// installed channel-lookahead table to the default and rebinds an
+  /// attached telemetry collector — call it right after construction.
+  /// After load() the layout is fixed. Thread counts beyond shard_count()
+  /// are clamped — extra workers would own no shard — and requests far
+  /// beyond the hardware's parallelism degrade to the best smaller
+  /// configuration (see run()). The thread count never changes results.
   void set_threads(u32 threads);
   u32 threads() const { return threads_; }
 
   /// Number of spatial shards the engine partitioned this fabric into — a
-  /// function of the grid (and the constructor's ShardGrid override), not
-  /// of threads (for tests and diagnostics). This is the cost model's
-  /// *useful* shard count: tiles own at least kMinTilePes PEs unless an
-  /// explicit override forces more, so it also caps the worker count.
+  /// function of the grid, the constructor's ShardGrid override and
+  /// whether more than one worker was requested before load() (for tests
+  /// and diagnostics). This is the cost model's *useful* shard count:
+  /// tiles own at least kMinTilePes PEs unless an explicit override
+  /// forces more, so it also caps the worker count.
   u32 shard_count() const { return static_cast<u32>(shards_.size()); }
 
   /// The tile grid of the shard layout: shard id s is tile
@@ -220,8 +227,9 @@ public:
   }
 
   /// Window rounds (merge barriers) the last run() executed — a
-  /// determinism-safe diagnostic: identical at any thread count. A fabric
-  /// whose shards never exchange traffic drains in a single round.
+  /// determinism-safe diagnostic: identical at any thread count for a
+  /// given layout. A one-shard fabric, or one whose shards never exchange
+  /// traffic, drains in a single round.
   u64 last_run_rounds() const { return last_run_rounds_; }
 
   // --- host-side access (the "memcpy" path: the host can read and write PE
@@ -239,9 +247,11 @@ public:
   f64 seconds(f64 cycles) const { return timing_.seconds(cycles); }
 
   /// Installs a trace sink (pass nullptr to disable). Must be set before
-  /// run(). Records are gathered per shard and merge-sorted by time at
-  /// every window barrier before reaching the sink, so the stream is
-  /// identical at any thread count.
+  /// run(). The sink sees records in a defined total order — by cycle,
+  /// then PE index, then the PE's own record index — released once no
+  /// pending event can emit an earlier one (at window barriers, and inside
+  /// a one-shard window at the event heap's top). The stream is therefore
+  /// identical under any shard layout and thread count.
   void set_trace(TraceSink sink) { trace_ = std::move(sink); }
 
   /// Installs a deterministic fault schedule (see wse/trace.hpp). Fault
@@ -308,26 +318,42 @@ private:
     Color completion = kInvalidColor;
   };
 
-  // Per-color word FIFO between ramp and recv descriptors. Payloads append
-  // as one span and descriptors drain in bulk — the seed engine moved one
-  // deque<f32> word at a time through push_back/pop_front.
-  struct WordFifo {
-    std::vector<f32> buf;
-    std::size_t head = 0;
-
-    bool empty() const { return head == buf.size(); }
-    std::size_t size() const { return buf.size() - head; }
-    const f32* data() const { return buf.data() + head; }
-    void append(const f32* words, std::size_t count) {
-      buf.insert(buf.end(), words, words + count);
+  // FIFO over a vector and a head index, used for every per-PE, per-color
+  // queue (inbox words, receive descriptors, parked flits). An unused
+  // queue is an empty vector and allocates nothing — most of a PE's 24
+  // colors never see traffic — and a drained one keeps its buffer for the
+  // next burst. Words append as one span and descriptors drain in bulk.
+  template <typename T>
+  class Fifo {
+  public:
+    bool empty() const { return head_ == buf_.size(); }
+    std::size_t size() const { return buf_.size() - head_; }
+    T& front() { return buf_[head_]; }
+    const T* data() const { return buf_.data() + head_; }
+    void push_back(T&& item) { buf_.push_back(std::move(item)); }
+    void append(const T* items, std::size_t count) {
+      buf_.insert(buf_.end(), items, items + count);
     }
+    void pop_front() { consume(1); }
     void consume(std::size_t count) {
-      head += count;
-      if (head == buf.size()) {
-        buf.clear();
-        head = 0;
+      head_ += count;
+      if (head_ == buf_.size()) {
+        buf_.clear();
+        head_ = 0;
+      } else if (head_ >= 64 && 2 * head_ >= buf_.size()) {
+        // A queue that never fully drains compacts instead of growing.
+        buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
       }
     }
+    void swap(Fifo& other) noexcept {
+      buf_.swap(other.buf_);
+      std::swap(head_, other.head_);
+    }
+
+  private:
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
   };
 
   struct Pe {
@@ -342,8 +368,8 @@ private:
     bc::VmState* bc_state = nullptr;
     f64 busy_until = 0;
     bool halted = false;
-    std::array<std::deque<RecvDesc>, kNumRoutableColors> recv_queues;
-    std::array<WordFifo, kNumRoutableColors> inbox;
+    std::array<Fifo<RecvDesc>, kNumRoutableColors> recv_queues;
+    std::array<Fifo<f32>, kNumRoutableColors> inbox;
     // Backpressure: flits whose arrival link is not in the color's current
     // rx set park here (keyed by color) and re-dispatch when a control
     // advances that color's switch position.
@@ -352,12 +378,14 @@ private:
       Flit flit;
       f64 parked_at = 0; // arrival time, for telemetry stall-cycle accounting
     };
-    std::array<std::deque<StalledFlit>, kNumRoutableColors> stalled;
+    std::array<Fifo<StalledFlit>, kNumRoutableColors> stalled;
     // Outbound link occupancy: [0]=ramp injection, [1..4]=N,E,S,W.
     std::array<f64, 5> link_free_at{};
     // Emission counter for the layout-invariant event order (see Event):
     // every event this PE emits is stamped (pe_index, emit_seq++).
     u64 emit_seq = 0;
+    // Trace records this PE emitted: the last key of the trace order.
+    u64 trace_seq = 0;
 
     Pe(PeCoord c, const PeMemoryParams& mem)
         : coord(c), memory(mem.capacity_bytes, mem.reserved_bytes) {}
@@ -389,6 +417,13 @@ private:
       if (a.src != b.src) return a.src > b.src;
       return a.seq > b.seq; // unique per (src, seq): a strict total order
     }
+  };
+
+  /// A trace record with the rest of its trace-order key (see set_trace).
+  struct PendingTrace {
+    TraceRecord record;
+    i64 pe = 0;  // emitting PE index
+    u64 seq = 0; // the PE's record index
   };
 
   /// Single-producer single-consumer hand-off of one window's
@@ -429,7 +464,7 @@ private:
     FabricStats stats;
     PayloadPool* payloads = nullptr;    // this shard's arena (see payload_pools_)
     std::array<SpscChannel, 4> out;     // emissions per cardinal side this window
-    std::vector<TraceRecord> trace;     // window-local
+    std::vector<PendingTrace> trace;    // not yet gathered for release
     std::vector<Event*> merge_scratch;  // merge-phase gather/sort buffer
     std::vector<Event> merge_sorted;    // merge-phase bulk-load staging
     // Engine scheduling state, recomputed after every merge:
@@ -462,6 +497,10 @@ private:
     }
   }
   void check_host_coord(i64 x, i64 y) const;
+  /// (Re)builds the shards, payload arenas and default lookahead table for
+  /// the layout `grid_` resolves to at `threads_` workers. Only valid
+  /// before load(): shards own the pending events.
+  void apply_layout();
 
   /// Stamps the layout-invariant event-order key (see Event): the emitting
   /// PE's index and its next emission counter value. Every event enters the
@@ -495,7 +534,10 @@ private:
   /// (the host profiler's backpressure-vs-window-limited discriminator).
   u32 merge_inbound(Shard& dest);
   void update_shard_bounds(Shard& shard);
-  void flush_traces();
+  /// Hands the sink every trace record below `watermark` in trace order
+  /// (see set_trace). Sound whenever no pending event is earlier than the
+  /// watermark: every record an event emits is stamped at or after it.
+  void release_traces(f64 watermark);
 
   void handle_flit_arrive(Shard& shard, Event&& event);
   /// Forwards/delivers an accepted flit (the post-backpressure half of
@@ -522,9 +564,12 @@ private:
   void ctx_note_progress(Shard& shard, Pe& pe, u64 iteration, f64 value,
                          f64 cursor);
 
-  void emit_trace(Shard& shard, TraceEvent event, f64 t, PeCoord at, Color color,
+  void emit_trace(Shard& shard, TraceEvent event, f64 t, Pe& pe, Color color,
                   u32 words) {
-    if (trace_) shard.trace.push_back(TraceRecord{event, t, at, color, words});
+    if (trace_)
+      shard.trace.push_back(PendingTrace{TraceRecord{event, t, pe.coord, color, words},
+                                         pe_index(pe.coord.x, pe.coord.y),
+                                         pe.trace_seq++});
   }
 
   i64 width_;
@@ -540,6 +585,7 @@ private:
   // (PEs' parked flits, shard queues, channels): keep them declared first.
   std::vector<std::unique_ptr<PayloadPool>> payload_pools_;
   std::vector<std::unique_ptr<Pe>> pes_;
+  ShardGrid grid_;    // the constructor's layout request
   u32 tile_rows_ = 1; // shard layout: tile grid dimensions
   u32 tile_cols_ = 1;
   std::vector<u32> row_tile_; // PE row -> tile row
@@ -553,7 +599,7 @@ private:
   // tile graph (min-plus fixed point over directed boundary edges).
   std::vector<std::array<f64, 4>> reach_;
   bool horizons_valid_ = false; // stored horizons match the current bounds
-  std::vector<TraceRecord> trace_scratch_;
+  std::vector<PendingTrace> trace_pending_; // gathered, in trace order
   std::unique_ptr<FabricWorkerPool> pool_; // persists across run() calls
   u32 pool_workers_ = 0; // worker count worker_shards_ was computed for
   u32 threads_ = 1;

@@ -7,8 +7,10 @@
 // neighbors and the shard adjacency graph is a grid — which is what lets
 // the engine's per-boundary channels, merge order and min-plus horizon
 // propagation stay simple (wse/fabric.hpp). The layout is a pure function
-// of the fabric geometry (and an optional explicit override), never of the
-// thread count: that is the engine's determinism invariant.
+// of the fabric geometry, an optional explicit override and one bit of the
+// thread count — one worker or more (resolve_shard_grid). Results never
+// depend on it: the engine's event order makes every layout bitwise
+// equivalent.
 //
 // Cost model (choose_shard_layout): among all (tile_rows, tile_cols) with
 // enough PEs per tile to amortize the per-round window bookkeeping, take
@@ -27,13 +29,25 @@ namespace fvdf::wse {
 
 /// Explicit shard-grid override for Fabric's constructor. A zero dimension
 /// means "choose by the cost model"; a nonzero one is clamped to the
-/// fabric extent but otherwise honored (tests and benchmarks use this to
-/// force the 1D layout {0 rows, 1 col}, a serial run {1, 1}, or a specific
-/// tile grid). {0, 0} — the default — is the full cost-model choice.
+/// fabric extent but otherwise honored at any thread count (tests and
+/// benchmarks use this to force the 1D layout {0 rows, 1 col}, a single
+/// shard {1, 1}, or a specific tile grid). {0, 0} — the default — is
+/// automatic: see resolve_shard_grid.
 struct ShardGrid {
   u32 rows = 0;
   u32 cols = 0;
+
+  bool operator==(const ShardGrid&) const = default;
 };
+
+/// The grid a fabric run by `workers` threads uses for the request `grid`:
+/// the automatic layout is one shard ({1, 1}) at one worker — tiles would
+/// only add window rounds, bound rescans and merges that no second thread
+/// overlaps — and the full cost-model choice at two or more. Explicit
+/// requests pass through unchanged.
+inline ShardGrid resolve_shard_grid(ShardGrid grid, u32 workers) {
+  return grid == ShardGrid{} && workers <= 1 ? ShardGrid{1, 1} : grid;
+}
 
 /// A planned tile partition: row_splits/col_splits are the band edges
 /// (size tile_rows+1 / tile_cols+1, starting at 0 and ending at

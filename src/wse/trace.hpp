@@ -47,8 +47,8 @@ struct TraceRecord {
   u32 words = 0;
 };
 
-/// Receives every record as it happens. Keep it cheap: it runs inside the
-/// event loop.
+/// Receives every record, in the fabric's trace order (see
+/// Fabric::set_trace). Keep it cheap: it runs inside the event loop.
 using TraceSink = std::function<void(const TraceRecord&)>;
 
 /// A bounded in-memory sink with simple querying, for tests and tools.
@@ -56,9 +56,10 @@ using TraceSink = std::function<void(const TraceRecord&)>;
 /// Thread-safety: appends through sink() are serialized by an internal
 /// mutex, so one buffer may back several fabrics running on different
 /// host threads. Within a single fabric the engine already guarantees the
-/// sink only runs at window merge barriers, in deterministic order —
-/// records are gathered per shard during a window and merge-sorted before
-/// delivery (see wse/fabric.hpp) — so the lock is uncontended there. The
+/// sink only runs on the driving thread, in the defined trace order —
+/// records are gathered per shard and released sorted by (cycle, PE, the
+/// PE's record index) at window barriers (see Fabric::set_trace) — so the
+/// lock is uncontended there. The
 /// records()/total()/count()/summary() accessors take the same lock;
 /// records() returns a snapshot copy for that reason.
 class TraceBuffer {

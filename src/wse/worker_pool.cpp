@@ -33,24 +33,26 @@ void SpinBarrier::arrive_and_wait() {
   const u32 sense = sense_.load(std::memory_order_relaxed);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     arrived_.store(0, std::memory_order_relaxed);
-    sense_.store(sense + 1, std::memory_order_release);
-    sense_.notify_all();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      sense_.store(sense + 1, std::memory_order_release);
+    }
+    flipped_.notify_all();
     return;
   }
   for (u32 i = 0; i < spin_iters_; ++i) {
     if (sense_.load(std::memory_order_acquire) != sense) return;
     cpu_relax();
   }
-  u32 cur = sense_.load(std::memory_order_acquire);
-  while (cur == sense) {
-    sense_.wait(cur, std::memory_order_acquire);
-    cur = sense_.load(std::memory_order_acquire);
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  flipped_.wait(lock, [&] {
+    return sense_.load(std::memory_order_acquire) != sense;
+  });
 }
 
 FabricWorkerPool::FabricWorkerPool(u32 workers, WorkerPlacement placement)
     : workers_(workers), placement_(std::move(placement)),
-      barrier_(workers, pick_spin_iters(workers)) {
+      spin_iters_(pick_spin_iters(workers)), barrier_(workers, spin_iters_) {
   threads_.reserve(workers_ - 1);
   for (u32 id = 1; id < workers_; ++id)
     threads_.emplace_back([this, id] { worker_loop(id); });
@@ -58,15 +60,21 @@ FabricWorkerPool::FabricWorkerPool(u32 workers, WorkerPlacement placement)
 
 FabricWorkerPool::~FabricWorkerPool() {
   stop_.store(true, std::memory_order_relaxed);
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+    epoch_.fetch_add(1, std::memory_order_release);
+  }
+  wake_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
 void FabricWorkerPool::run_round(const PhaseFn& fn) {
   fn_ = &fn;
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(wake_mutex_);
+    epoch_.fetch_add(1, std::memory_order_release);
+  }
+  wake_.notify_all();
   run_phases(0);
   if (error_) {
     std::exception_ptr error = error_;
@@ -83,8 +91,15 @@ void FabricWorkerPool::worker_loop(u32 id) {
   u64 seen = 0;
   for (;;) {
     u64 epoch = epoch_.load(std::memory_order_acquire);
-    while (epoch == seen) {
-      epoch_.wait(epoch, std::memory_order_acquire);
+    for (u32 i = 0; i < spin_iters_ && epoch == seen; ++i) {
+      cpu_relax();
+      epoch = epoch_.load(std::memory_order_acquire);
+    }
+    if (epoch == seen) {
+      std::unique_lock<std::mutex> lock(wake_mutex_);
+      wake_.wait(lock, [&] {
+        return epoch_.load(std::memory_order_acquire) != seen;
+      });
       epoch = epoch_.load(std::memory_order_acquire);
     }
     seen = epoch;

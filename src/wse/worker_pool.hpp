@@ -8,10 +8,18 @@
 // mutex + condition-variable round trip per dispatch and re-spawned
 // threads whenever the worker count changed; at the fabric's round rates
 // (thousands per run) that dominated the multi-thread profile. This pool
-// keeps its workers parked on a futex (std::atomic::wait) between rounds,
-// runs the calling thread as worker 0, and separates the two phases with a
-// sense-reversing spin-then-wait barrier — a round costs two atomic
+// keeps its workers between rounds, runs the calling thread as worker 0,
+// and separates the two phases with a sense-reversing spin-then-sleep
+// barrier — a round with every worker on its own core costs two atomic
 // round-trips per worker and zero allocations.
+//
+// Every wait (the round start and the barrier) spins a bounded number of
+// times, then sleeps on a mutex + condition_variable with a predicate; the
+// waker flips the word under the mutex before notifying. Sleeping on the
+// atomic itself (std::atomic::wait / notify_all) lost wakeups under
+// libstdc++ 12: notify_all reads the waiter count after the releasing
+// store without a full fence, so it could skip the futex wake while a
+// waiter was going to sleep, and the whole pool then slept forever.
 //
 // The first exception thrown by any phase call is captured and rethrown
 // from run_round() on the calling thread after the round completes, so a
@@ -19,6 +27,7 @@
 // engine.
 
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -43,9 +52,9 @@ struct WorkerPlacement {
 };
 
 /// Sense-reversing barrier: spins briefly (skipped when the host is
-/// oversubscribed), then parks on the atomic. Reusable back-to-back —
-/// the sense is a monotonic counter, so a late waker that missed several
-/// flips still falls through.
+/// oversubscribed), then sleeps on a condition variable until the sense
+/// flips. Reusable back-to-back — the sense is a monotonic counter, so a
+/// late waker that missed several flips still falls through.
 class SpinBarrier {
 public:
   SpinBarrier(u32 parties, u32 spin_iters)
@@ -58,6 +67,8 @@ private:
   const u32 spin_iters_;
   std::atomic<u32> arrived_{0};
   std::atomic<u32> sense_{0};
+  std::mutex mutex_; // guards sense_ flips against sleepers' predicate checks
+  std::condition_variable flipped_;
 };
 
 class FabricWorkerPool {
@@ -99,7 +110,10 @@ private:
 
   const u32 workers_;
   const WorkerPlacement placement_;
-  std::atomic<u64> epoch_{0};
+  const u32 spin_iters_;
+  std::atomic<u64> epoch_{0}; // bumped under wake_mutex_ to start a round
+  std::mutex wake_mutex_;
+  std::condition_variable wake_;
   std::atomic<bool> stop_{false};
   const PhaseFn* fn_ = nullptr; // valid for the duration of one round
   telemetry::HostProfiler* profiler_ = nullptr; // null = no host profiling

@@ -6,18 +6,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <future>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
+#include "telemetry/collector.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/session.hpp"
 #include "wse/fabric.hpp"
 #include "wse/shard_layout.hpp"
 #include "wse/trace.hpp"
+#include "wse/worker_pool.hpp"
 
 namespace fvdf::wse {
 namespace {
@@ -502,25 +512,362 @@ TEST(HostProfiler, SurvivesReuseAcrossRuns) {
   EXPECT_NE(json.find("fvdf.telemetry.host_profile/2"), std::string::npos);
 }
 
-TEST(ParallelFabric, ShardCountIsGeometryNotThreads) {
+TEST(ParallelFabric, AutoLayoutIsOneShardAtOneWorker) {
+  // The automatic layout resolves against the worker count set before
+  // load(): one worker runs one shard, two or more the cost-model tiles.
   Fabric tall(1, 40);
-  EXPECT_EQ(tall.shard_count(), 2u); // budget 40/16 -> two row strips
+  EXPECT_EQ(tall.shard_count(), 1u); // default threads = 1
   tall.set_threads(7);
-  EXPECT_EQ(tall.shard_count(), 2u);
+  EXPECT_EQ(tall.shard_count(), 2u); // budget 40/16 -> two row strips
+  EXPECT_EQ(tall.tile_rows(), 2u);
   EXPECT_EQ(tall.threads(), 7u);
+  tall.set_threads(2);
+  EXPECT_EQ(tall.shard_count(), 2u); // any count >= 2 picks the same tiles
+  tall.set_threads(1);
+  EXPECT_EQ(tall.shard_count(), 1u);
 
   Fabric flat(40, 1);
+  flat.set_threads(2);
   EXPECT_EQ(flat.shard_count(), 2u); // one row -> two column strips
+  EXPECT_EQ(flat.tile_cols(), 2u);
 
   Fabric mid(4, 6);
+  mid.set_threads(4);
   EXPECT_EQ(mid.shard_count(), 1u); // 24 PEs < 2*kMinTilePes -> serial
 
-  Fabric forced(3, 4, {}, {}, ShardGrid{4, 1});
-  EXPECT_EQ(forced.shard_count(), 4u); // explicit override beats the budget
+  // Explicit grids are honoured at any thread count.
+  for (u32 threads : {1u, 4u}) {
+    Fabric forced(3, 4, {}, {}, ShardGrid{4, 1});
+    forced.set_threads(threads);
+    EXPECT_EQ(forced.shard_count(), 4u) << "threads=" << threads;
+    Fabric strips(2, 40, {}, {}, ShardGrid{0, 1});
+    strips.set_threads(threads);
+    EXPECT_EQ(strips.shard_count(), 5u) << "threads=" << threads; // 80/16
+    EXPECT_EQ(strips.tile_cols(), 1u);
+  }
+
+  // The layout is fixed once loaded: a later thread count only changes
+  // how many workers run() uses.
+  Fabric loaded(1, 40);
+  loaded.load([](PeCoord) {
+    return std::make_unique<LambdaProgram>([](PeContext& ctx) { ctx.halt(); },
+                                           nullptr);
+  });
+  loaded.set_threads(4);
+  EXPECT_EQ(loaded.shard_count(), 1u);
+  EXPECT_TRUE(loaded.run().all_halted);
+  EXPECT_EQ(loaded.last_run_rounds(), 1u);
 
   Fabric any(2, 2);
   any.set_threads(0); // hardware concurrency
   EXPECT_GE(any.threads(), 1u);
+
+  EXPECT_EQ(resolve_shard_grid(ShardGrid{}, 1), (ShardGrid{1, 1}));
+  EXPECT_EQ(resolve_shard_grid(ShardGrid{}, 2), ShardGrid{});
+  EXPECT_EQ(resolve_shard_grid(ShardGrid{0, 1}, 1), (ShardGrid{0, 1}));
+  EXPECT_EQ(resolve_shard_grid(ShardGrid{2, 3}, 1), (ShardGrid{2, 3}));
+}
+
+TEST(ParallelFabric, RelayoutResetsLookaheadAndRebindsTelemetry) {
+  // Changing the layout before load() replaces the shards, so whatever was
+  // sized for the old layout follows: the lookahead table reverts to the
+  // (always safe) default and an attached collector is rebound to the new
+  // shard slots.
+  Fabric fabric(8, 8);
+  telemetry::FabricCollector collector(telemetry::Level::Metrics);
+  fabric.set_telemetry(&collector);
+  EXPECT_EQ(fabric.channel_lookahead().out.size(), 1u);
+  fabric.set_threads(4);
+  ASSERT_EQ(fabric.shard_count(), 4u); // 8x8 -> 2x2 tiles
+  EXPECT_EQ(fabric.channel_lookahead().out.size(), 4u);
+  fabric.load([](PeCoord) {
+    return std::make_unique<LambdaProgram>(
+        [](PeContext& ctx) {
+          ctx.mark_phase(1);
+          ctx.halt();
+        },
+        nullptr);
+  });
+  const auto result = fabric.run();
+  EXPECT_TRUE(result.all_halted);
+  collector.finalize(result.cycles);
+  EXPECT_EQ(collector.phase_marks().size(), 64u);
+}
+
+// A 1x2 fabric where PE (0,1) queues three receive descriptors on one
+// color before any data arrives, and the one data flit sent to it parks on
+// a rejecting switch position, is re-parked by a first advance that still
+// rejects it, and is released by a second. Exercises the per-PE FIFOs'
+// reuse: several descriptors drained by one delivery, and the stall queue
+// handed back and refilled inside one advance.
+struct FifoRun {
+  f64 cycles = 0;
+  FabricStats stats;
+  std::vector<f32> words;
+  std::vector<TraceRecord> trace;
+};
+
+FifoRun run_fifo_program(ShardGrid grid, u32 threads) {
+  constexpr Color kData = 0;
+  constexpr Color kCtl = 1;
+  constexpr Color kDone = 24;
+  constexpr u32 kWords = 6; // split 1 + 2 + 3 across the descriptors
+  Fabric fabric(1, 2, {}, {}, grid);
+  fabric.set_threads(threads);
+  TraceBuffer buffer;
+  fabric.set_trace(buffer.sink());
+  fabric.load([&](PeCoord coord) {
+    auto completions = std::make_shared<u32>(0);
+    return std::make_unique<LambdaProgram>(
+        [coord](PeContext& ctx) {
+          if (coord.y == 0) {
+            ColorConfig south;
+            south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                              DirMask::of(Dir::South)}};
+            ctx.configure_router(kData, south);
+            ctx.configure_router(kCtl, south);
+            const MemSpan src = ctx.memory().alloc_f32("src", kWords);
+            for (u32 i = 0; i < kWords; ++i)
+              ctx.memory().store(src.offset_words + i, static_cast<f32>(10 + i));
+            ctx.send(kData, dsd(src));
+            ctx.send_control(kCtl, color_bit(kData)); // still rejecting
+            ctx.send_control(kCtl, color_bit(kData)); // accepting
+            ctx.halt();
+          } else {
+            const SwitchPosition reject{DirMask::of(Dir::Ramp),
+                                        DirMask::of(Dir::South)};
+            ColorConfig data;
+            data.positions = {reject, reject,
+                              SwitchPosition{DirMask::of(Dir::North),
+                                             DirMask::of(Dir::Ramp)}};
+            ctx.configure_router(kData, data);
+            ColorConfig from_north;
+            from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                                   DirMask::of(Dir::Ramp)}};
+            ctx.configure_router(kCtl, from_north);
+            const MemSpan dst = ctx.memory().alloc_f32("dst", kWords);
+            ctx.recv(kData, Dsd{dst.offset_words, 1, 1}, kDone);
+            ctx.recv(kData, Dsd{dst.offset_words + 1, 2, 1}, kDone);
+            ctx.recv(kData, Dsd{dst.offset_words + 3, 3, 1}, kDone);
+          }
+        },
+        [completions](PeContext& ctx, Color color) {
+          EXPECT_EQ(color, Color{kDone});
+          if (++*completions == 3) ctx.halt();
+        });
+  });
+  const auto result = fabric.run();
+  EXPECT_TRUE(result.all_halted);
+  FifoRun out;
+  out.cycles = result.cycles;
+  out.stats = fabric.stats();
+  for (u32 i = 0; i < kWords; ++i) out.words.push_back(fabric.pe_memory(0, 1).load(i));
+  out.trace = buffer.records();
+  return out;
+}
+
+TEST(ParallelFabric, QueuedDescriptorsAndReparkedFlitsMatchAcrossLayouts) {
+  const FifoRun serial = run_fifo_program(ShardGrid{1, 1}, 1);
+  EXPECT_EQ(serial.words, (std::vector<f32>{10, 11, 12, 13, 14, 15}));
+  EXPECT_EQ(serial.stats.flits_stalled, 1u);
+  // The flit was released by the second advance, not the first: its ramp
+  // delivery coincides with the receiver's last switch advance.
+  std::vector<f64> advances;
+  f64 delivered_at = -1;
+  for (const TraceRecord& r : serial.trace) {
+    if (r.at != PeCoord{0, 1}) continue;
+    if (r.event == TraceEvent::SwitchAdvance) advances.push_back(r.cycles);
+    if (r.event == TraceEvent::RampDelivery && r.words == 6) delivered_at = r.cycles;
+  }
+  ASSERT_EQ(advances.size(), 2u);
+  EXPECT_LT(advances[0], advances[1]);
+  EXPECT_EQ(delivered_at, advances[1]);
+
+  for (u32 threads : {1u, 2u}) {
+    const FifoRun split = run_fifo_program(ShardGrid{2, 1}, threads);
+    EXPECT_EQ(split.cycles, serial.cycles) << "threads=" << threads;
+    EXPECT_TRUE(split.stats == serial.stats) << "threads=" << threads;
+    EXPECT_EQ(split.words, serial.words) << "threads=" << threads;
+    ASSERT_EQ(split.trace.size(), serial.trace.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < split.trace.size(); ++i) {
+      const TraceRecord& got = split.trace[i];
+      const TraceRecord& want = serial.trace[i];
+      EXPECT_TRUE(got.event == want.event && got.cycles == want.cycles &&
+                  got.at == want.at && got.color == want.color &&
+                  got.words == want.words)
+          << "trace record " << i << " differs at threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelFabric, LongDescriptorQueueDrainsInOrder) {
+  // 200 one-word receive descriptors queued on one color, filled by a
+  // 150-word and then a 50-word message: the descriptor FIFO pops most of
+  // its entries without ever emptying in between, which is the case its
+  // in-place compaction exists for.
+  constexpr Color kData = 0;
+  constexpr Color kDone = 24;
+  constexpr u32 kSlots = 200;
+  const auto run = [&](ShardGrid grid, u32 threads) {
+    Fabric fabric(1, 2, {}, {}, grid);
+    fabric.set_threads(threads);
+    fabric.load([&](PeCoord coord) {
+      auto completions = std::make_shared<u32>(0);
+      return std::make_unique<LambdaProgram>(
+          [coord](PeContext& ctx) {
+            if (coord.y == 0) {
+              ColorConfig south;
+              south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                                DirMask::of(Dir::South)}};
+              ctx.configure_router(kData, south);
+              const MemSpan src = ctx.memory().alloc_f32("src", kSlots);
+              for (u32 i = 0; i < kSlots; ++i)
+                ctx.memory().store(src.offset_words + i, static_cast<f32>(i));
+              ctx.send(kData, Dsd{src.offset_words, 150, 1});
+              ctx.send(kData, Dsd{src.offset_words + 150, kSlots - 150, 1});
+              ctx.halt();
+            } else {
+              ColorConfig from_north;
+              from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                                     DirMask::of(Dir::Ramp)}};
+              ctx.configure_router(kData, from_north);
+              const MemSpan dst = ctx.memory().alloc_f32("dst", kSlots);
+              // Descriptor i lands word i at slot kSlots-1-i: reversed
+              // placement shows each word met its own descriptor.
+              for (u32 i = 0; i < kSlots; ++i)
+                ctx.recv(kData, Dsd{dst.offset_words + kSlots - 1 - i, 1, 1},
+                         kDone);
+            }
+          },
+          [completions](PeContext& ctx, Color) {
+            if (++*completions == kSlots) ctx.halt();
+          });
+    });
+    EXPECT_TRUE(fabric.run().all_halted);
+    std::vector<f32> words;
+    for (u32 i = 0; i < kSlots; ++i) words.push_back(fabric.pe_memory(0, 1).load(i));
+    return std::make_pair(words, fabric.stats());
+  };
+  const auto serial = run(ShardGrid{1, 1}, 1);
+  for (u32 i = 0; i < kSlots; ++i)
+    ASSERT_EQ(serial.first[i], static_cast<f32>(kSlots - 1 - i)) << "slot " << i;
+  EXPECT_EQ(serial.second.tasks_run, 2u + kSlots); // two on_starts + completions
+  const auto split = run(ShardGrid{2, 1}, 2);
+  EXPECT_EQ(split.first, serial.first);
+  EXPECT_TRUE(split.second == serial.second);
+}
+
+// The deterministic telemetry bundle (metrics, Chrome trace, progress) and
+// the fabric statistics are a property of the simulated program alone:
+// byte-identical under every shard layout, at one worker and at four.
+InstrumentedSolve solve_bundle(ShardGrid grid, u32 threads) {
+  const auto problem = FlowProblem::homogeneous_column(10, 12, 6);
+  telemetry::TelemetryConfig tconfig;
+  tconfig.level = telemetry::Level::Trace;
+  telemetry::Session session(tconfig);
+  core::DataflowConfig config;
+  config.tolerance = 0.0f;
+  config.max_iterations = 25;
+  config.sim_threads = threads;
+  config.shard_grid = grid;
+  config.telemetry = &session;
+  InstrumentedSolve out;
+  out.result = core::solve_dataflow(problem, config);
+  out.metrics = session.metrics_json();
+  out.trace = session.chrome_trace_json();
+  out.progress = session.progress_json();
+  return out;
+}
+
+TEST(ParallelFabric, TelemetryBundleIsIdenticalAcrossShardLayouts) {
+  const InstrumentedSolve reference = solve_bundle(ShardGrid{1, 1}, 1);
+  EXPECT_FALSE(reference.trace.empty());
+  const ShardGrid grids[] = {{1, 1}, {0, 1}, {2, 3}, {}};
+  for (const ShardGrid& grid : grids) {
+    for (u32 threads : {1u, 4u}) {
+      const InstrumentedSolve got = solve_bundle(grid, threads);
+      const std::string where = "grid {" + std::to_string(grid.rows) + "," +
+                                std::to_string(grid.cols) +
+                                "} threads=" + std::to_string(threads);
+      EXPECT_TRUE(got.result.fabric == reference.result.fabric) << where;
+      EXPECT_TRUE(same_bits(got.result.pressure, reference.result.pressure))
+          << where;
+      EXPECT_EQ(got.metrics, reference.metrics) << where;
+      EXPECT_EQ(got.trace, reference.trace) << where;
+      EXPECT_EQ(got.progress, reference.progress) << where;
+    }
+  }
+}
+
+// ---- worker pool --------------------------------------------------------
+
+/// Runs `body` on a helper thread and aborts the test binary if it has not
+/// finished after `limit`: a lost wakeup leaves every pool thread asleep,
+/// which would otherwise hang the suite instead of failing it.
+void run_with_deadline(const std::function<void()>& body,
+                       std::chrono::seconds limit, const char* what) {
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  std::thread runner([body, done] {
+    body();
+    done->set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s: no progress after %lld s (lost wakeup?)\n", what,
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  runner.join();
+}
+
+TEST(WorkerPool, ManyRoundsOnFourWorkersNeverLoseAWakeup) {
+  constexpr u32 kWorkers = 4;
+  constexpr u32 kRounds = 20000;
+  std::array<std::atomic<u32>, kWorkers> stamp{};
+  std::atomic<u64> mismatches{0};
+  run_with_deadline(
+      [&] {
+        FabricWorkerPool pool(kWorkers);
+        for (u32 round = 1; round <= kRounds; ++round) {
+          pool.run_round([&](u32 worker, u32 phase) {
+            if (phase == 0) {
+              stamp[worker].store(round, std::memory_order_relaxed);
+              return;
+            }
+            // Phase 1 starts after every worker's phase 0: all stamps read
+            // this round.
+            for (const auto& s : stamp)
+              if (s.load(std::memory_order_relaxed) != round)
+                mismatches.fetch_add(1, std::memory_order_relaxed);
+          });
+        }
+      },
+      std::chrono::seconds(120), "FabricWorkerPool");
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const auto& s : stamp) EXPECT_EQ(s.load(), kRounds);
+}
+
+TEST(WorkerPool, SleepingBarrierNeverLosesAWakeup) {
+  // No spinning: every non-final arrival goes straight to sleep, which is
+  // the path a lost wakeup deadlocks.
+  constexpr u32 kParties = 4;
+  constexpr u32 kRounds = 20000;
+  SpinBarrier barrier(kParties, /*spin_iters=*/0);
+  std::atomic<u64> passed{0};
+  run_with_deadline(
+      [&] {
+        std::vector<std::thread> threads;
+        for (u32 t = 0; t < kParties; ++t)
+          threads.emplace_back([&] {
+            for (u32 round = 0; round < kRounds; ++round) {
+              barrier.arrive_and_wait();
+              passed.fetch_add(1, std::memory_order_relaxed);
+            }
+          });
+        for (std::thread& t : threads) t.join();
+      },
+      std::chrono::seconds(120), "SpinBarrier");
+  EXPECT_EQ(passed.load(), u64{kParties} * kRounds);
 }
 
 } // namespace
