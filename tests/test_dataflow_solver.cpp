@@ -13,6 +13,8 @@
 #include "solver/pressure_solve.hpp"
 #include "telemetry/session.hpp"
 
+#include "golden_digest.hpp"
+
 namespace fvdf::core {
 namespace {
 
@@ -130,11 +132,13 @@ TEST(DataflowSolver, ReportsFabricTraffic) {
   EXPECT_GT(result.counters.total_flops(), 0u);
 }
 
-// --- engine parity --------------------------------------------------------
-// The bytecode engine (SimEngine::Bytecode, the default) must be a
-// bit-exact drop-in for the legacy state-machine programs: identical
-// solution words, iteration counts, cycle counts, fabric statistics,
-// residual histories and telemetry, on every kernel configuration.
+// --- golden digests --------------------------------------------------------
+// Every kernel configuration below is pinned by a frozen digest over the
+// exact bits of its solve: solution and pressure words, final r^T r,
+// iteration count, cycle total, every FabricStats counter, the op ledger,
+// the residual history, the Table-II phase cycles and the Metrics-level
+// telemetry bundle. Each case also runs the legacy state-machine engine,
+// which must agree with the bytecode engine bit for bit.
 
 void expect_bitwise_identical(const DataflowResult& a, const DataflowResult& b) {
   EXPECT_EQ(a.iterations, b.iterations);
@@ -154,120 +158,125 @@ void expect_bitwise_identical(const DataflowResult& a, const DataflowResult& b) 
   EXPECT_EQ(a.residual_history, b.residual_history);
 }
 
-struct EnginePair {
-  DataflowResult bytecode;
-  DataflowResult legacy;
-  std::array<f64, telemetry::kNumPhases> bytecode_phases{};
-  std::array<f64, telemetry::kNumPhases> legacy_phases{};
+struct DigestedSolve {
+  DataflowResult result;
+  std::string digest;
 };
 
-EnginePair run_both_engines(const FlowProblem& problem, DataflowConfig config) {
-  EnginePair out;
-  {
-    telemetry::Session session({telemetry::Level::Metrics});
-    config.engine = SimEngine::Bytecode;
-    config.telemetry = &session;
-    out.bytecode = solve_dataflow(problem, config);
-    out.bytecode_phases = session.reference_phase_cycles();
-  }
-  {
-    telemetry::Session session({telemetry::Level::Metrics});
-    config.engine = SimEngine::Legacy;
-    config.telemetry = &session;
-    out.legacy = solve_dataflow(problem, config);
-    out.legacy_phases = session.reference_phase_cycles();
-  }
+template <typename Config, typename Solve>
+DigestedSolve digested_solve(const FlowProblem& problem, Config config,
+                             Solve solve) {
+  telemetry::Session session({telemetry::Level::Metrics});
+  config.telemetry = &session;
+  DigestedSolve out{solve(problem, config), {}};
+  const DataflowResult& r = out.result;
+  golden::Digest d;
+  d.add(r.delta).add(r.pressure).add(r.final_rr).add(r.iterations);
+  d.add(r.converged).add(r.device_cycles).add(r.fabric);
+  d.add(r.counters.summary()).add(r.residual_history);
+  for (const f64 cycles : session.reference_phase_cycles()) d.add(cycles);
+  d.add(session.metrics_json());
+  out.digest = d.hex();
   return out;
 }
 
-TEST(EngineParity, CgFusedIsBitwiseIdentical) {
+template <typename Config, typename Solve>
+DigestedSolve golden_solve(const FlowProblem& problem, Config config,
+                           Solve solve) {
+  config.engine = SimEngine::Bytecode;
+  DigestedSolve bytecode = digested_solve(problem, config, solve);
+  config.engine = SimEngine::Legacy;
+  const DigestedSolve legacy = digested_solve(problem, config, solve);
+  expect_bitwise_identical(bytecode.result, legacy.result);
+  EXPECT_EQ(bytecode.digest, legacy.digest);
+  return bytecode;
+}
+
+DigestedSolve golden_cg(const FlowProblem& problem, const DataflowConfig& config) {
+  return golden_solve(problem, config, [](const FlowProblem& p,
+                                          const DataflowConfig& c) {
+    return solve_dataflow(p, c);
+  });
+}
+
+TEST(GoldenDigest, CgFused) {
   const auto problem = FlowProblem::quarter_five_spot(6, 5, 8, /*seed=*/42);
-  const auto pair = run_both_engines(problem, tight_config(FluxMode::Fused));
-  ASSERT_TRUE(pair.bytecode.converged);
-  expect_bitwise_identical(pair.bytecode, pair.legacy);
-  // Telemetry attribution (Table-II phase cycles) matches to the bit too:
-  // both engines charge the same phases at the same cycle cursors.
-  for (std::size_t p = 0; p < pair.bytecode_phases.size(); ++p)
-    EXPECT_EQ(pair.bytecode_phases[p], pair.legacy_phases[p]) << "phase " << p;
+  const auto run = golden_cg(problem, tight_config(FluxMode::Fused));
+  ASSERT_TRUE(run.result.converged);
+  EXPECT_EQ(run.digest, "f07e212a6ac1755a");
 }
 
-TEST(EngineParity, CgOnTheFlyIsBitwiseIdentical) {
+TEST(GoldenDigest, CgOnTheFly) {
   const auto problem = FlowProblem::quarter_five_spot(5, 4, 6, /*seed=*/7);
-  const auto pair = run_both_engines(problem, tight_config(FluxMode::OnTheFly));
-  ASSERT_TRUE(pair.bytecode.converged);
-  expect_bitwise_identical(pair.bytecode, pair.legacy);
+  const auto run = golden_cg(problem, tight_config(FluxMode::OnTheFly));
+  ASSERT_TRUE(run.result.converged);
+  EXPECT_EQ(run.digest, "a69ad93a3a86692c");
 }
 
-TEST(EngineParity, JacobiPreconditionedWithShiftIsBitwiseIdentical) {
+TEST(GoldenDigest, JacobiPreconditionedWithShift) {
   const auto problem = FlowProblem::quarter_five_spot(4, 5, 5, /*seed=*/11);
   DataflowConfig config = tight_config();
   config.jacobi_precondition = true;
   config.diagonal_shift = 0.05f;
-  const auto pair = run_both_engines(problem, config);
-  ASSERT_TRUE(pair.bytecode.converged);
-  expect_bitwise_identical(pair.bytecode, pair.legacy);
+  const auto run = golden_cg(problem, config);
+  ASSERT_TRUE(run.result.converged);
+  EXPECT_EQ(run.digest, "02f26a90d7beac97");
 }
 
-TEST(EngineParity, JxOnlyModeIsBitwiseIdentical) {
+TEST(GoldenDigest, JxOnlyMode) {
   const auto problem = FlowProblem::homogeneous_column(4, 4, 6);
   DataflowConfig config;
   config.jx_only = true;
   config.max_iterations = 8;
-  const auto pair = run_both_engines(problem, config);
-  EXPECT_EQ(pair.bytecode.iterations, 8u);
-  expect_bitwise_identical(pair.bytecode, pair.legacy);
+  const auto run = golden_cg(problem, config);
+  EXPECT_EQ(run.result.iterations, 8u);
+  EXPECT_EQ(run.digest, "2ab32a6290f834b6");
 }
 
 // Odd/even fabric extents select different Table-I schedule parities and
-// different lowered programs — every shape must agree with legacy.
-TEST(EngineParity, HoldsAcrossFabricShapes) {
-  for (const auto& [nx, ny, nz] :
-       {ShapeParam{1, 1, 4}, ShapeParam{1, 5, 3}, ShapeParam{5, 1, 3},
-        ShapeParam{3, 4, 5}, ShapeParam{7, 2, 3}}) {
-    const auto problem = FlowProblem::quarter_five_spot(nx, ny, nz, /*seed=*/13, 0.5);
-    const auto pair = run_both_engines(problem, tight_config());
-    expect_bitwise_identical(pair.bytecode, pair.legacy);
+// different lowered programs; 1-wide fabrics take the degenerate edges.
+TEST(GoldenDigest, FabricShapes) {
+  const struct {
+    ShapeParam shape;
+    const char* digest;
+  } kCases[] = {
+      {{1, 1, 4}, "7bc5c8b71573d866"},
+      {{1, 5, 3}, "4101c83d957c7f08"},
+      {{5, 1, 3}, "42d6baff431811f7"},
+      {{3, 4, 5}, "75d06222942e2e3f"},
+      {{7, 2, 3}, "43ed407617cf0849"},
+  };
+  for (const auto& [shape, digest] : kCases) {
+    const auto problem = FlowProblem::quarter_five_spot(
+        shape.nx, shape.ny, shape.nz, /*seed=*/13, 0.5);
+    EXPECT_EQ(golden_cg(problem, tight_config()).digest, digest)
+        << shape.nx << "x" << shape.ny << "x" << shape.nz;
   }
 }
 
-TEST(EngineParity, ChebyshevIsBitwiseIdentical) {
+TEST(GoldenDigest, Chebyshev) {
   const auto problem = FlowProblem::homogeneous_column(5, 5, 3);
   ChebyshevDeviceConfig config;
   config.bounds = SpectralBounds{0.05, 12.0}; // conservative bracket
   config.tolerance = 1e-8f;
   config.max_iterations = 2000;
   config.check_every = 8;
-  DataflowResult bytecode, legacy;
-  {
-    telemetry::Session session({telemetry::Level::Metrics});
-    config.engine = SimEngine::Bytecode;
-    config.telemetry = &session;
-    bytecode = solve_dataflow_chebyshev(problem, config);
-  }
-  {
-    telemetry::Session session({telemetry::Level::Metrics});
-    config.engine = SimEngine::Legacy;
-    config.telemetry = &session;
-    legacy = solve_dataflow_chebyshev(problem, config);
-  }
-  expect_bitwise_identical(bytecode, legacy);
+  const auto run = golden_solve(problem, config, [](const FlowProblem& p,
+                                                    const ChebyshevDeviceConfig& c) {
+    return solve_dataflow_chebyshev(p, c);
+  });
+  EXPECT_EQ(run.digest, "4003edb1df6aa95b");
 }
 
-// sim_threads is a host-side knob: the bytecode engine must stay bitwise
-// deterministic under the parallel event engine, and equal to the legacy
-// engine at every thread count.
-TEST(EngineParity, HoldsAtEveryThreadCount) {
+// sim_threads is a host-side knob: every thread count reproduces the same
+// digest.
+TEST(GoldenDigest, EveryThreadCount) {
   const auto problem = FlowProblem::quarter_five_spot(4, 6, 5, /*seed=*/23);
-  DataflowConfig config = tight_config();
-  config.sim_threads = 1;
-  const auto pair1 = run_both_engines(problem, config);
-  expect_bitwise_identical(pair1.bytecode, pair1.legacy);
-  for (u32 threads : {2u, 3u}) {
-    DataflowConfig threaded = tight_config();
-    threaded.sim_threads = threads;
-    const auto pair = run_both_engines(problem, threaded);
-    expect_bitwise_identical(pair.bytecode, pair.legacy);
-    expect_bitwise_identical(pair.bytecode, pair1.bytecode);
+  for (u32 threads : {1u, 2u, 3u}) {
+    DataflowConfig config = tight_config();
+    config.sim_threads = threads;
+    EXPECT_EQ(golden_cg(problem, config).digest, "c1160f552f3b48d4")
+        << "threads=" << threads;
   }
 }
 

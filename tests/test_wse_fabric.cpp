@@ -17,6 +17,8 @@
 #include "wse/bytecode_interp.hpp"
 #include "wse/fabric.hpp"
 
+#include "golden_digest.hpp"
+
 namespace fvdf::wse {
 namespace {
 
@@ -628,11 +630,14 @@ private:
   bc::VmState vm_;
 };
 
-TEST(BytecodeCollectives, HaloExchangeMatchesLegacyBitwise) {
+TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
   constexpr u32 nz = 6;
-  constexpr std::pair<i64, i64> kShapes[] = {{1, 1}, {2, 2}, {4, 3},
-                                             {3, 4}, {5, 1}, {1, 5}};
-  for (const auto& [width, height] : kShapes) {
+  const struct {
+    i64 width, height;
+    const char* digest;
+  } kShapes[] = {{1, 1, "c3c4bb03f04b5754"}, {2, 2, "751d21ad7d823678"}, {4, 3, "f94aa204c2ff81ea"},
+                 {3, 4, "b2448a3ec7c3dd64"}, {5, 1, "def06d971059e14a"}, {1, 5, "5bd9a2c174afd80c"}};
+  for (const auto& [width, height, digest] : kShapes) {
     Fabric legacy_fabric(width, height);
     std::vector<LegacyHaloProgram*> legacy_pes;
     legacy_fabric.load([&](PeCoord) {
@@ -657,6 +662,8 @@ TEST(BytecodeCollectives, HaloExchangeMatchesLegacyBitwise) {
     EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
 
     // Every word of every buffer — column untouched, halos bit-identical.
+    golden::Digest d;
+    d.add(bc_run.cycles).add(bc_fabric.stats());
     ASSERT_EQ(bc_pes.size(), legacy_pes.size());
     for (i64 y = 0; y < height; ++y) {
       for (i64 x = 0; x < width; ++x) {
@@ -666,12 +673,15 @@ TEST(BytecodeCollectives, HaloExchangeMatchesLegacyBitwise) {
         for (const MemSpan* span :
              {&bc_pes[i]->column, &bc_pes[i]->west, &bc_pes[i]->east,
               &bc_pes[i]->south, &bc_pes[i]->north}) {
-          for (u32 z = 0; z < nz; ++z)
+          for (u32 z = 0; z < nz; ++z) {
+            d.add(bm.load(span->offset_words + z));
             EXPECT_EQ(bm.load(span->offset_words + z), lm.load(span->offset_words + z))
                 << "PE(" << x << "," << y << ") word " << z;
+          }
         }
       }
     }
+    EXPECT_EQ(d.hex(), digest) << width << "x" << height;
   }
 }
 
@@ -746,10 +756,13 @@ private:
   bc::VmState vm_;
 };
 
-TEST(BytecodeCollectives, AllReduceMatchesLegacyBitwise) {
-  constexpr std::pair<i64, i64> kShapes[] = {{1, 1}, {2, 1}, {1, 3},
-                                             {3, 2}, {4, 4}, {5, 3}};
-  for (const auto& [width, height] : kShapes) {
+TEST(BytecodeCollectives, AllReduceMatchesGolden) {
+  const struct {
+    i64 width, height;
+    const char* digest;
+  } kShapes[] = {{1, 1, "9bb18599aa7470f2"}, {2, 1, "4ec63b4681b65def"}, {1, 3, "c7ab62bc6b7233b1"},
+                 {3, 2, "7d23d9f9275b9035"}, {4, 4, "3bedba674a8df142"}, {5, 3, "241239b5c678a9c6"}};
+  for (const auto& [width, height, digest] : kShapes) {
     auto value_of = [](PeCoord c) {
       return 0.25f * static_cast<f32>(c.x) - 0.75f * static_cast<f32>(c.y) + 1.0f;
     };
@@ -776,6 +789,8 @@ TEST(BytecodeCollectives, AllReduceMatchesLegacyBitwise) {
 
     EXPECT_EQ(bc_run.cycles, legacy_run.cycles) << width << "x" << height;
     EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
+    golden::Digest d;
+    d.add(bc_run.cycles).add(bc_fabric.stats());
     for (i64 y = 0; y < height; ++y) {
       for (i64 x = 0; x < width; ++x) {
         const std::size_t i = static_cast<std::size_t>(y * width + x);
@@ -783,10 +798,12 @@ TEST(BytecodeCollectives, AllReduceMatchesLegacyBitwise) {
             bc_fabric.pe_memory(x, y).load(bc_pes[i]->result.offset_words);
         const f32 legacy_total =
             legacy_fabric.pe_memory(x, y).load(legacy_pes[i]->result.offset_words);
+        d.add(bc_total);
         EXPECT_EQ(bc_total, legacy_total) << "PE(" << x << "," << y << ")";
         EXPECT_NE(bc_total, 0.0f); // the reduction actually ran
       }
     }
+    EXPECT_EQ(d.hex(), digest) << width << "x" << height;
   }
 }
 
