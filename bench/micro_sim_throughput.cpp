@@ -17,7 +17,6 @@
 //   --skip-large          measure only the 64x64x8 workload
 //   --xl                  also measure the 256x256x8 workload (expensive;
 //                         its rows land under "xl_workload" in the JSON)
-//   --engine NAME         device-program engine: bytecode (default) | legacy
 //   --layout RxC          force the shard grid (R tile rows x C tile cols;
 //                         0 lets the cost model pick that dimension; the
 //                         default is automatic: one shard at one thread,
@@ -101,7 +100,6 @@ struct Run {
   f64 speedup_bound_unbounded = 0;
 };
 
-core::SimEngine g_engine = core::SimEngine::Bytecode;
 wse::ShardGrid g_grid{}; // {0,0} = automatic; --layout overrides
 
 core::DataflowResult solve(const Workload& w, u32 threads,
@@ -112,7 +110,6 @@ core::DataflowResult solve(const Workload& w, u32 threads,
   config.tolerance = 0.0f;
   config.max_iterations = 10;
   config.sim_threads = threads;
-  config.engine = g_engine;
   config.shard_grid = grid;
   config.host_profiler = profiler;
   return core::solve_dataflow(problem, config);
@@ -334,20 +331,10 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--profile-host") == 0) {
       profile_host = true;
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "bytecode") {
-        g_engine = core::SimEngine::Bytecode;
-      } else if (name == "legacy") {
-        g_engine = core::SimEngine::Legacy;
-      } else {
-        std::cerr << "bad --engine (want bytecode or legacy): " << name << '\n';
-        return 2;
-      }
     } else {
       std::cerr << "usage: micro_sim_throughput [--out PATH] [--csv PATH]"
                    " [--threads-sweep N,N,...] [--skip-large] [--xl]"
-                   " [--engine bytecode|legacy] [--layout RxC]"
+                   " [--layout RxC]"
                    " [--check-layout-identity] [--reps N] [--profile-host]\n";
       return 2;
     }

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/pe_program.hpp"
+#include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
 #include "wse/fabric.hpp"
@@ -40,6 +40,7 @@ OpCounters per_iteration_counters(core::FluxMode mode, u64 base_iters, i64 dim,
     const auto problem = FlowProblem::homogeneous_column(dim, dim, nz);
     const auto sys = problem.discretize<f32>();
     wse::Fabric fabric(dim, dim);
+    const auto cache = std::make_shared<core::ProgramCache>();
     fabric.load([&](wse::PeCoord coord) {
       core::CgPeConfig config;
       config.nz = static_cast<u32>(nz);
@@ -47,7 +48,8 @@ OpCounters per_iteration_counters(core::FluxMode mode, u64 base_iters, i64 dim,
       config.max_iterations = iters;
       config.tolerance = 0.0f;
       config.init = core::build_pe_init(problem, sys, coord.x, coord.y, mode);
-      return std::make_unique<core::CgPeProgram>(std::move(config));
+      return std::make_unique<core::BytecodeCgProgram>(
+          std::move(config), coord, dim, dim, wse::PeMemoryParams{}, cache);
     });
     const auto result = fabric.run();
     FVDF_CHECK(result.all_halted);

@@ -2,11 +2,15 @@
 //
 // This example is a guided tour of the device programming model the solver
 // is built on — the level at which the paper's CSL code operates:
-//   1. routers and colors: a switch-position ring exchanging data eastward
-//      (Fig. 4 / Listing 1) via csl::EastwardExchange;
-//   2. the whole-fabric all-reduce (Sec. III-C) summing one value per PE;
+//   1. routers and colors: the Table-I four-step halo exchange, whose
+//      switch-position rings are advanced by trailing control wavelets
+//      (Listing 1), lowered by csl::HaloEmitter;
+//   2. the whole-fabric all-reduce (Sec. III-C) summing one value per PE,
+//      lowered by csl::ReduceEmitter;
 //   3. DSD vector instructions with the instruction/traffic ledger that
 //      backs Table V.
+// Like the solver's device programs, the tour is one flat bytecode
+// program per PE (wse/bytecode.hpp) written with the csl emitters.
 //
 //   ./examples/fabric_explorer [--width 6 --height 4 --nz 16]
 
@@ -16,7 +20,10 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "csl/allreduce.hpp"
-#include "csl/broadcast.hpp"
+#include "csl/halo.hpp"
+#include "csl/lowering.hpp"
+#include "wse/bytecode.hpp"
+#include "wse/bytecode_interp.hpp"
 #include "wse/fabric.hpp"
 
 using namespace fvdf;
@@ -24,55 +31,82 @@ using namespace fvdf::wse;
 
 namespace {
 
-// A PE program that runs the tour: exchange a column eastward, reduce a
-// scalar across the fabric, then do some vector arithmetic on the result.
+// A PE program that runs the tour: exchange columns with the four
+// neighbors, reduce a scalar across the fabric, then do some vector
+// arithmetic with the result. on_start configures the routes, allocates
+// memory, lowers this PE's program and runs its entry block; the fabric
+// dispatches every later task straight into the instruction stream.
 class TourProgram final : public PeProgram {
 public:
   explicit TourProgram(u32 nz) : nz_(nz) {}
 
+  MemSpan total{}; // the all-reduce result (same offset on every PE)
+
   void on_start(PeContext& ctx) override {
-    exchange_.configure(ctx);
-    reduce_.configure(ctx);
+    csl::HaloExchange().configure(ctx);
+    csl::AllReduce reduce;
+    reduce.configure(ctx);
 
-    column_ = ctx.memory().alloc_f32("column", nz_);
-    from_west_ = ctx.memory().alloc_f32("from_west", nz_);
-    // Fill the column with this PE's linear id.
+    const MemSpan column = ctx.memory().alloc_f32("column", nz_);
+    const MemSpan west = ctx.memory().alloc_f32("west", nz_);
+    csl::HaloEmitter::Spec halo_spec;
+    halo_spec.column = dsd(column);
+    halo_spec.west = dsd(west);
+    for (Dsd* halo : {&halo_spec.east, &halo_spec.south, &halo_spec.north})
+      *halo = dsd(ctx.memory().alloc_f32("halo", nz_));
+    const MemSpan ones = ctx.memory().alloc_f32("ones", nz_);
+    total = ctx.memory().alloc_f32("total", 1);
+    // Fill the column with this PE's linear id (a host upload, uncharged).
     const f32 id = static_cast<f32>(ctx.coord().y * ctx.fabric_width() + ctx.coord().x);
-    ctx.dsd().fmovs_imm(dsd(column_), id);
-    ctx.dsd().fmovs_imm(dsd(from_west_), -1.0f);
+    for (u32 z = 0; z < nz_; ++z) ctx.memory().store(column.offset_words + z, id);
 
-    // Step 1: Fig. 4's eastward exchange over a single color.
-    exchange_.start(ctx, dsd(column_), dsd(from_west_), [this](PeContext& c) {
-      // Step 2: all-reduce the first word of the received column (the x=0
-      // PE contributes its own id since it has no western neighbor).
-      const f32 contribution = c.coord().x == 0
-                                   ? c.dsd().load(column_.offset_words)
-                                   : c.dsd().load(from_west_.offset_words);
-      reduce_.start(c, contribution, [this](PeContext& c2, f32 total) {
-        // Step 3: vector arithmetic with the reduced value: column += total.
-        auto& e = c2.dsd();
-        e.fmacs_imm(dsd(column_), dsd(column_), dsd(column_), 0.0f); // touch
-        e.fmuls_imm(dsd(column_), dsd(column_), 1.0f);
-        e.fmovs_imm(dsd(from_west_), total);
-        e.fadds(dsd(column_), dsd(column_), dsd(from_west_));
-        c2.halt();
-      });
-    });
+    bc::Builder b("tour");
+    csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(),
+                          ctx.fabric_height(), halo_spec);
+    csl::ReduceEmitter allreduce(
+        b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
+        {{}, reduce.slot_value().offset_words, reduce.slot_in().offset_words,
+         /*cont_reg=*/1});
+    const auto entry = b.make_label();
+    const auto after_halo = b.make_label();
+    const auto after_reduce = b.make_label();
+    b.bind(entry);
+    b.set_entry(entry);
+    allreduce.emit_handler_bindings();
+    // Step 1: the halo exchange; its last step continues at after_halo.
+    b.setc(halo_spec.cont_reg, after_halo);
+    halo.emit_start();
+    b.ret();
+    // Step 2: all-reduce the first word of the western neighbor's column
+    // (the x=0 PE contributes its own id since it has no western neighbor).
+    b.bind(after_halo);
+    b.lods(0, ctx.coord().x == 0 ? column.offset_words : west.offset_words);
+    b.setc(1, after_reduce);
+    b.jmp(allreduce.start_label());
+    // Step 3: vector arithmetic with the reduced value: column += total.
+    b.bind(after_reduce);
+    b.rstore(0, total.offset_words);
+    b.vmovi(b.dsd(dsd(ones)), 1.0f);
+    b.vmacr(b.dsd(dsd(column)), b.dsd(dsd(column)), b.dsd(dsd(ones)), 0);
+    b.halt();
+    b.ret();
+    halo.emit_handlers();
+    allreduce.emit_blocks();
+
+    program_ = std::make_shared<const bc::Program>(b.finish());
+    bc::run(ctx, vm_, *program_, program_->entry);
   }
 
   void on_task(PeContext& ctx, Color color) override {
-    if (exchange_.handles(color)) {
-      exchange_.on_task(ctx, color);
-    } else if (reduce_.handles(color)) {
-      reduce_.on_task(ctx, color);
-    }
+    bc::run(ctx, vm_, *program_, vm_.handler[color]);
   }
+  const bc::Program* bytecode() const override { return program_.get(); }
+  bc::VmState* bytecode_state() override { return &vm_; }
 
 private:
   u32 nz_;
-  csl::EastwardExchange exchange_;
-  csl::AllReduce reduce_;
-  MemSpan column_{}, from_west_{};
+  std::shared_ptr<const bc::Program> program_;
+  bc::VmState vm_;
 };
 
 } // namespace
@@ -86,7 +120,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   Fabric fabric(width, height);
-  fabric.load([&](PeCoord) { return std::make_unique<TourProgram>(static_cast<u32>(nz)); });
+  const TourProgram* probe = nullptr; // PE (0,0)'s program
+  fabric.load([&](PeCoord coord) {
+    auto program = std::make_unique<TourProgram>(static_cast<u32>(nz));
+    if (coord.x == 0 && coord.y == 0) probe = program.get();
+    return program;
+  });
   const auto result = fabric.run();
 
   std::cout << "fabric " << width << "x" << height << ", " << nz
@@ -110,13 +149,19 @@ int main(int argc, char** argv) {
   const OpCounters totals = fabric.total_counters();
   std::cout << "instruction ledger (all PEs): " << totals.summary() << '\n';
 
-  // Every PE must hold the same reduced value; verify via one probe each.
-  // (The expected all-reduce total: sum over PEs of the id of their western
-  // neighbor, or their own id on the x=0 column.)
+  // Every PE must hold the same reduced value: the sum over PEs of the id
+  // of their western neighbor, or their own id on the x=0 column.
   f64 expected = 0;
   for (i64 y = 0; y < height; ++y)
     for (i64 x = 0; x < width; ++x)
       expected += static_cast<f64>(y * width + (x > 0 ? x - 1 : 0));
-  std::cout << "all-reduce total on PE(0,0) column: expected " << expected << "\n";
-  return result.all_halted ? 0 : 1;
+  bool agree = true;
+  for (i64 y = 0; y < height; ++y)
+    for (i64 x = 0; x < width; ++x)
+      agree &= fabric.pe_memory(x, y).load(probe->total.offset_words) ==
+               static_cast<f32>(expected);
+  std::cout << "all-reduce total: expected " << expected << ", PE(0,0) holds "
+            << fabric.pe_memory(0, 0).load(probe->total.offset_words)
+            << (agree ? " (every PE agrees)" : " (PEs DISAGREE)") << "\n";
+  return result.all_halted && agree ? 0 : 1;
 }

@@ -1,15 +1,19 @@
 #include "analysis/fixtures.hpp"
 
-#include <array>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <utility>
 
+#include "common/error.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/any_source.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/halo.hpp"
+#include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
+#include "wse/bytecode_interp.hpp"
 #include "wse/dsd.hpp"
 #include "wse/router.hpp"
 
@@ -32,48 +36,29 @@ namespace {
 
 // ---------- known-good collective drivers ----------
 
-class HaloProgram final : public PeProgram {
+/// One lowered collective program per PE shape — coordinate parity and
+/// fabric edges, everything the csl emitters branch on — kept alive for
+/// the factory's lifetime (see BcFixtureProgram). Fixture allocations
+/// are the same on every PE, so the shape alone selects the program.
+class ShapePrograms {
 public:
-  explicit HaloProgram(u32 nz) : nz_(nz) {}
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    column_ = ctx.memory().alloc_f32("column", nz_);
-    for (auto& buf : halos_) buf = ctx.memory().alloc_f32("halo", nz_);
-    halo_.start(
-        ctx, wse::dsd(column_), wse::dsd(halos_[0]), wse::dsd(halos_[1]),
-        wse::dsd(halos_[2]), wse::dsd(halos_[3]), nullptr,
-        [](PeContext& c) { c.halt(); });
-  }
-
-  void on_task(PeContext& ctx, Color color) override { halo_.on_task(ctx, color); }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return halo_.manifest(coord, width, height);
+  std::shared_ptr<const wse::bc::Program>
+  get(const PeContext& ctx, const std::function<wse::bc::Program()>& lower) {
+    const PeCoord c = ctx.coord();
+    const u32 key = (c.x % 2 != 0 ? 1u : 0u) | (c.y % 2 != 0 ? 2u : 0u) |
+                    (c.x == 0 ? 4u : 0u) |
+                    (c.x == ctx.fabric_width() - 1 ? 8u : 0u) |
+                    (c.y == 0 ? 16u : 0u) |
+                    (c.y == ctx.fabric_height() - 1 ? 32u : 0u);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto& slot = programs_[key];
+    if (!slot) slot = std::make_shared<const wse::bc::Program>(lower());
+    return slot;
   }
 
 private:
-  u32 nz_;
-  csl::HaloExchange halo_;
-  MemSpan column_{};
-  std::array<MemSpan, 4> halos_{};
-};
-
-class AllReduceProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    reduce_.start(ctx, 1.0f, [](PeContext& c, f32) { c.halt(); });
-  }
-
-  void on_task(PeContext& ctx, Color color) override { reduce_.on_task(ctx, color); }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return reduce_.manifest(coord, width, height);
-  }
-
-private:
-  csl::AllReduce reduce_;
+  std::mutex mutex_;
+  std::map<u32, std::shared_ptr<const wse::bc::Program>> programs_;
 };
 
 class EastwardProgram final : public PeProgram {
@@ -212,43 +197,91 @@ public:
   void on_task(PeContext&, Color) override {}
 };
 
-// ---------- seeded bytecode defects ----------
-
-/// Minimal bytecode-program wrapper: exposes a prebuilt flat instruction
-/// stream (the factory closure keeps the Program alive, so the verifier's
-/// per-pointer analysis cache stays valid) and runs an optional on_start
-/// setup for router configuration. The manifest is derived from the
-/// stream itself, the same contract the solver's bytecode wrappers keep.
-class BcFixtureProgram final : public PeProgram {
-public:
-  BcFixtureProgram(std::shared_ptr<const wse::bc::Program> program,
-                   std::function<void(PeContext&)> setup)
-      : program_(std::move(program)), setup_(std::move(setup)) {}
-
-  void on_start(PeContext& ctx) override {
-    if (setup_) setup_(ctx);
-  }
-  void on_task(PeContext&, Color) override {}
-  const wse::bc::Program* bytecode() const override { return program_.get(); }
-  wse::bc::VmState* bytecode_state() override { return &vm_; }
-  ProgramManifest manifest(PeCoord, i64, i64) const override {
-    return wse::bc::derive_manifest(*program_);
-  }
-
-private:
-  std::shared_ptr<const wse::bc::Program> program_;
-  std::function<void(PeContext&)> setup_;
-  wse::bc::VmState vm_;
-};
-
 } // namespace
 
+BcFixtureProgram::BcFixtureProgram(
+    std::shared_ptr<const wse::bc::Program> program, Setup setup)
+    : program_(std::move(program)), setup_(std::move(setup)) {}
+
+BcFixtureProgram::BcFixtureProgram(Lower lower) : lower_(std::move(lower)) {}
+
+void BcFixtureProgram::on_start(PeContext& ctx) {
+  if (setup_) setup_(ctx);
+  if (!lower_) return;
+  program_ = lower_(ctx);
+  wse::bc::run(ctx, vm_, *program_, program_->entry);
+}
+
+void BcFixtureProgram::on_task(PeContext& ctx, Color color) {
+  const u16 pc = vm_.handler[color];
+  FVDF_CHECK_MSG(program_ != nullptr && pc != wse::bc::kNoPc,
+                 "bytecode fixture: unexpected task color "
+                     << static_cast<int>(color));
+  wse::bc::run(ctx, vm_, *program_, pc);
+}
+
+ProgramManifest BcFixtureProgram::manifest(PeCoord, i64, i64) const {
+  return wse::bc::derive_manifest(*program_);
+}
+
 ProgramFactory halo_program(u32 nz) {
-  return [nz](PeCoord) { return std::make_unique<HaloProgram>(nz); };
+  auto programs = std::make_shared<ShapePrograms>();
+  return [nz, programs](PeCoord) {
+    return std::make_unique<BcFixtureProgram>([nz, programs](PeContext& ctx) {
+      csl::HaloExchange().configure(ctx);
+      csl::HaloEmitter::Spec spec;
+      spec.column = wse::dsd(ctx.memory().alloc_f32("column", nz));
+      for (Dsd* halo : {&spec.west, &spec.east, &spec.south, &spec.north})
+        *halo = wse::dsd(ctx.memory().alloc_f32("halo", nz));
+      return programs->get(ctx, [&] {
+        wse::bc::Builder b("halo-fixture");
+        csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(),
+                              ctx.fabric_height(), spec);
+        const auto entry = b.make_label();
+        const auto done = b.make_label();
+        b.bind(entry);
+        b.set_entry(entry);
+        b.setc(spec.cont_reg, done);
+        halo.emit_start();
+        b.ret();
+        b.bind(done);
+        b.halt();
+        b.ret();
+        halo.emit_handlers();
+        return b.finish();
+      });
+    });
+  };
 }
 
 ProgramFactory allreduce_program() {
-  return [](PeCoord) { return std::make_unique<AllReduceProgram>(); };
+  auto programs = std::make_shared<ShapePrograms>();
+  return [programs](PeCoord) {
+    return std::make_unique<BcFixtureProgram>([programs](PeContext& ctx) {
+      csl::AllReduce reduce;
+      reduce.configure(ctx);
+      return programs->get(ctx, [&] {
+        wse::bc::Builder b("allreduce-fixture");
+        csl::ReduceEmitter emitter(
+            b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
+            {{}, reduce.slot_value().offset_words,
+             reduce.slot_in().offset_words, /*cont_reg=*/1});
+        const auto entry = b.make_label();
+        const auto done = b.make_label();
+        b.bind(entry);
+        b.set_entry(entry);
+        emitter.emit_handler_bindings();
+        b.umovi(0, 1.0f); // this PE's contribution
+        b.setc(1, done);
+        b.jmp(emitter.start_label());
+        b.bind(done);
+        b.halt();
+        b.ret();
+        emitter.emit_blocks();
+        return b.finish();
+      });
+    });
+  };
 }
 
 ProgramFactory eastward_program(u32 block) {
@@ -276,6 +309,8 @@ ProgramFactory missing_handler_defect() {
 ProgramFactory arena_overflow_defect() {
   return [](PeCoord) { return std::make_unique<ArenaOverflowProgram>(); };
 }
+
+// ---------- seeded bytecode defects ----------
 
 ProgramFactory bc_oob_span_defect() {
   wse::bc::Builder b("bc-oob-span");

@@ -3,16 +3,58 @@
 // (src/analysis/verifier.hpp) and its tests.
 //
 // The known-good programs drive the four shipped CSL collectives exactly
-// the way the solver does — configure in on_start, declare the rest via
-// ProgramManifest — and must verify clean on any fabric shape. Each
-// seeded-defect program violates exactly one check and exists so tests
-// (and fabric_lint demos) can assert the verifier rejects it with the
-// right diagnostic.
+// the way the solver does and must verify clean on any fabric shape: the
+// halo exchange and the all-reduce as bytecode lowered through their csl
+// emitters (manifests derived from the stream), the eastward exchange and
+// the any-source broadcast as callback programs that declare their
+// ProgramManifest. Each seeded-defect program violates exactly one check
+// and exists so tests (and fabric_lint demos) can assert the verifier
+// rejects it with the right diagnostic.
 
+#include <functional>
+#include <memory>
+
+#include "wse/bytecode.hpp"
 #include "wse/geometry.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::analysis::fixtures {
+
+/// A PE program around a flat instruction stream (wse/bytecode.hpp); its
+/// manifest is derived from the stream. Two forms:
+///  - a prebuilt `program` plus an optional `setup` (routes, allocations)
+///    that on_start runs; the stream is never started — the seeded
+///    bytecode defects, which only the static passes read;
+///  - a `lower` callback that on_start runs: it configures routes,
+///    allocates, and returns this PE's program, whose entry block on_start
+///    then runs. The fabric dispatches every later task straight into the
+///    stream.
+/// The verifier and the lookahead planner cache their analyses by Program
+/// address, so a program they read must outlive the pass: keep it shared
+/// from the factory closure, not owned by one PE alone.
+class BcFixtureProgram final : public wse::PeProgram {
+public:
+  using Setup = std::function<void(wse::PeContext&)>;
+  using Lower =
+      std::function<std::shared_ptr<const wse::bc::Program>(wse::PeContext&)>;
+
+  BcFixtureProgram(std::shared_ptr<const wse::bc::Program> program,
+                   Setup setup);
+  explicit BcFixtureProgram(Lower lower);
+
+  void on_start(wse::PeContext& ctx) override;
+  void on_task(wse::PeContext& ctx, wse::Color color) override;
+  const wse::bc::Program* bytecode() const override { return program_.get(); }
+  wse::bc::VmState* bytecode_state() override { return &vm_; }
+  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
+                                i64 fabric_height) const override;
+
+private:
+  std::shared_ptr<const wse::bc::Program> program_;
+  Setup setup_;
+  Lower lower_;
+  wse::bc::VmState vm_;
+};
 
 // --- known-good: one driver per shipped CSL collective ---
 

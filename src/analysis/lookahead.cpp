@@ -39,7 +39,7 @@ struct InjectSummary {
 
   /// Bytecode-derived injections: only colors a *reachable* SEND/SENDC can
   /// inject, at the smallest reachable message length. Never weaker than
-  /// the derived manifest, which scans unreachable code too.
+  /// derive_manifest, which scans unreachable code too.
   void absorb(const ProgramAnalysis& analysis) {
     for (Color c = 0; c < wse::kNumRoutableColors; ++c) {
       const ColorFlow& flow = analysis.colors[c];
@@ -85,7 +85,7 @@ plan_channel_lookahead(i64 width, i64 height,
                        const std::vector<ShardTile>& tiles, u32 tile_rows,
                        u32 tile_cols, const wse::ProgramFactory& factory,
                        const wse::TimingParams& timing,
-                       wse::PeMemoryParams mem, wse::LookaheadSource source) {
+                       wse::PeMemoryParams mem) {
   FVDF_CHECK_MSG(width >= 1 && height >= 1, "fabric dims must be positive");
   FVDF_CHECK_MSG(tile_rows >= 1 && tile_cols >= 1 &&
                      tiles.size() ==
@@ -96,9 +96,9 @@ plan_channel_lookahead(i64 width, i64 height,
   // Instantiate every PE statically: real routers (for the crossing scan)
   // plus the injection summary from observed sends and either the
   // abstract interpreter's reachable-SEND facts (bytecode programs) or
-  // the declared manifest. Analyses are cached per distinct program —
-  // factories hand out shared lowered streams, so pointer identity holds
-  // for the lifetime of this pass.
+  // the declared manifest (callback programs). Analyses are cached per
+  // distinct program — factories hand out shared lowered streams, so
+  // pointer identity holds for the lifetime of this pass.
   std::vector<wse::Router> routers(static_cast<std::size_t>(width * height));
   std::map<const wse::bc::Program*, ProgramAnalysis> analyses;
   AnalysisParams analysis_params;
@@ -115,9 +115,7 @@ plan_channel_lookahead(i64 width, i64 height,
         std::unique_ptr<wse::PeProgram> program = factory(coord);
         if (program == nullptr) return conservative_table(tile_rows, tile_cols);
         program->on_start(ctx);
-        const wse::bc::Program* bytecode =
-            source == wse::LookaheadSource::Bytecode ? program->bytecode()
-                                                     : nullptr;
+        const wse::bc::Program* bytecode = program->bytecode();
         if (bytecode != nullptr) {
           auto it = analyses.find(bytecode);
           if (it == analyses.end()) {
@@ -194,8 +192,7 @@ plan_channel_lookahead(i64 width, i64 height,
 namespace fvdf::wse {
 
 ChannelLookahead
-Fabric::plan_channel_lookahead(const ProgramFactory& factory,
-                               LookaheadSource source) const {
+Fabric::plan_channel_lookahead(const ProgramFactory& factory) const {
   std::vector<analysis::ShardTile> tiles;
   tiles.reserve(shards_.size());
   for (const Shard& shard : shards_)
@@ -203,7 +200,7 @@ Fabric::plan_channel_lookahead(const ProgramFactory& factory,
                                         shard.col_begin, shard.col_end});
   return analysis::plan_channel_lookahead(width_, height_, tiles, tile_rows_,
                                           tile_cols_, factory, timing_,
-                                          mem_params_, source);
+                                          mem_params_);
 }
 
 } // namespace fvdf::wse

@@ -43,7 +43,7 @@ struct PeModel {
   u64 used_bytes = 0;
   bool usable = false; // factory + on_start succeeded
   // Abstract-interpretation result for this PE's bytecode (owned by the
-  // Verifier's per-program cache), nullptr for legacy programs.
+  // Verifier's per-program cache), nullptr for callback programs.
   const ProgramAnalysis* bytecode = nullptr;
 };
 

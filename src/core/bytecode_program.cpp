@@ -35,8 +35,7 @@ constexpr u8 kDone = static_cast<u8>(telemetry::Phase::Done);
 //   f7+ scratch
 
 /// The DONE block shared by both programs: publish {k, converged, rr} to
-/// the result scalars (uncharged host-visible stores, like the legacy
-/// finish) and halt.
+/// the result scalars (uncharged host-visible stores) and halt.
 void emit_finish(bc::Builder& b, const PeLayout& layout, f32 converged_flag) {
   b.phase(kDone);
   b.uk2f(7);
@@ -98,6 +97,8 @@ LoweringSite plan_site(wse::PeCoord coord, i64 width, i64 height,
 // CG lowering
 // ---------------------------------------------------------------------------
 
+// The phase marks follow the 14 states of the paper's CG driver
+// (Sec. III-D); the comments name the state each mark enters.
 std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
                                             const LoweringSite& site) {
   bc::Builder b("cg");
@@ -109,7 +110,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
       {site.reduce_colors, site.slot_value, site.slot_in, /*cont_reg=*/1});
 
   csl::FaceEmit face = [&config, &L](bc::Builder& bb, Dir dir) {
-    bb.phase(kFlux); // enter(ComputeJx)
+    bb.phase(kFlux); // state COMPUTE_JX
     emit_face_flux(bb, L, config.mode, dir);
     bb.phase(kHalo); // back to waiting on the exchange
   };
@@ -156,7 +157,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
   reduce.emit_handler_bindings();
   if (otf) {
     // The mobility columns go around once before the first Jx pass.
-    b.phase(kHalo); // enter(HaloExchange)
+    b.phase(kHalo); // state HALO_EXCHANGE
     b.setc(0, main_first);
     lambda_halo->emit_start();
     b.ret();
@@ -167,7 +168,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
 
   // --- start_halo_jx: launch the exchange, overlap the z-flux ---
   b.bind(halo_jx);
-  b.phase(kHalo); // enter(HaloExchange)
+  b.phase(kHalo); // state HALO_EXCHANGE
   main_halo.emit_start();
   b.phase(kFlux);
   emit_z_flux(b, L, config.mode);
@@ -193,7 +194,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
     emit_zero_dirichlet_entries(b, L, L.r);
     if (config.jacobi) b.vmul(b.dsd(dsd(L.z)), dminv, dr);
     b.vmov(dx, dz);
-    b.phase(kLocalDot); // enter(ReduceRr0)
+    b.phase(kLocalDot); // state REDUCE_RR0
     b.vdot(0, dr, dz);
     b.setc(1, after_rr0);
     b.jmp(reduce.start_label());
@@ -217,7 +218,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
       b.vmaci(dq, dq, dx, config.diagonal_shift);
     emit_fix_dirichlet_rows(b, L);
     b.vdot(0, dx, dq);
-    b.phase(kLocalDot); // enter(ReduceXjx)
+    b.phase(kLocalDot); // state REDUCE_XJX
     b.setc(1, after_xjx);
     b.jmp(reduce.start_label());
 
@@ -231,7 +232,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
     b.uneg(7, 6);
     b.vmacr(dr, dr, dq, 7);
     if (config.jacobi) b.vmul(b.dsd(dsd(L.z)), dminv, dr);
-    b.phase(kLocalDot); // enter(ReduceRr)
+    b.phase(kLocalDot); // state REDUCE_RR
     b.vdot(0, dr, dz);
     b.setc(1, after_rr);
     b.jmp(reduce.start_label());
@@ -247,7 +248,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
     b.smul(6, 5, 6); // beta = fmuls_scalar(rr_new_, 1/rr_)
     b.vmulr(dx, dx, 6);
     b.vadd(dx, dx, dz);
-    b.phase(kCheck); // enter(LoopIncrement)
+    b.phase(kCheck); // state LOOP_INCREMENT
     b.movr(4, 5);
     b.kinc();
     b.jmp(iter_check);
@@ -280,7 +281,7 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site) {
   const PeLayout& L = site.layout;
   const bool otf = config.mode == FluxMode::OnTheFly;
 
-  // Recurrence scalars, computed exactly as the legacy constructor does.
+  // Recurrence scalars: identical on every PE, so no communication.
   const f32 theta = 0.5f * (config.lambda_max + config.lambda_min);
   const f32 delta = 0.5f * (config.lambda_max - config.lambda_min);
   const f32 sigma = theta / delta;
@@ -345,7 +346,7 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site) {
   b.setc(0, after_init);
   b.jmp(halo_jx);
 
-  // --- start_halo_jx (no extra phase mark, unlike CG's enter()) ---
+  // --- start_halo_jx (unlike CG, no extra Halo mark before emit_start) ---
   b.bind(halo_jx);
   main_halo.emit_start();
   b.phase(kFlux);
@@ -452,7 +453,7 @@ BytecodeCgProgram::BytecodeCgProgram(CgPeConfig config, wse::PeCoord coord,
 }
 
 void BytecodeCgProgram::on_start(PeContext& ctx) {
-  ctx.mark_phase(kSetup); // enter(Init)
+  ctx.mark_phase(kSetup); // state INIT
   const PeLayout layout = PeLayout::plan(
       ctx.memory(), config_.nz, config_.mode,
       static_cast<u32>(config_.init.dirichlet_z.size()), config_.jacobi,

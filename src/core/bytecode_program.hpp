@@ -1,15 +1,17 @@
 #pragma once
-// Bytecode-compiled device programs (docs/simulator.md, "Bytecode ISA").
+// The FV device programs, compiled to bytecode (docs/simulator.md,
+// "Bytecode ISA").
 //
-// lower_cg / lower_chebyshev translate the 14-state CG machine and the
-// Chebyshev iteration — including their csl collectives — into one flat
+// lower_cg / lower_chebyshev translate the CG driver (the 14 states of
+// Sec. III-D: upload, halo exchange, event-driven flux, residual init, the
+// all-reduces of Alg. 1 and the update/check steps) and the Chebyshev
+// iteration — including their csl collectives — into one flat
 // wse::bc::Program per PE shape. The BytecodeCgProgram /
-// BytecodeChebyshevProgram wrappers are drop-in PeProgram replacements:
-// on_start performs the same setup the legacy programs did (plan, route
-// configuration, upload) and then enters the interpreter; every later
-// task activation is dispatched by the fabric directly into the bytecode
-// stream (wse/fabric.cpp's fast path), never through on_task virtual
-// dispatch.
+// BytecodeChebyshevProgram wrappers are the PeProgram the solver loads:
+// on_start plans the layout, configures the routes, uploads the column and
+// then enters the interpreter; every later task activation is dispatched
+// by the fabric directly into the bytecode stream (wse/fabric.cpp's fast
+// path), never through on_task virtual dispatch.
 //
 // Lowering happens eagerly at construction against a probe PeMemory (the
 // same allocation sequence on_start later performs against the real
@@ -25,9 +27,7 @@
 #include <map>
 #include <tuple>
 
-#include "core/chebyshev_program.hpp"
 #include "core/mapping.hpp"
-#include "core/pe_program.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/halo.hpp"
 #include "wse/bytecode.hpp"
@@ -35,6 +35,37 @@
 #include "wse/program.hpp"
 
 namespace fvdf::core {
+
+/// CG program configuration (identical across PEs except `init`).
+struct CgPeConfig {
+  u32 nz = 1;
+  FluxMode mode = FluxMode::Fused;
+  u64 max_iterations = 10'000; // k_max
+  f32 tolerance = 0.0f;        // epsilon vs the global r^T r (or r^T z for PCG)
+  bool jx_only = false;        // Alg. 2 scaling mode: halo+flux loop only
+  // Extensions over the paper's plain-CG kernel:
+  bool jacobi = false;         // Jacobi (diagonal) preconditioning
+  f32 diagonal_shift = 0.0f;   // adds shift*x to interior rows of Jx — the
+                               // accumulation term of a backward-Euler step
+  PeInit init;                 // this PE's column data
+};
+
+/// Chebyshev program configuration: the reduction-free alternative to CG
+/// (see solver/chebyshev.hpp). The recurrence coefficients are scalars
+/// every PE evaluates identically, so the all-reduce only runs for the
+/// convergence probe every `check_every` iterations.
+struct ChebyshevPeConfig {
+  u32 nz = 1;
+  FluxMode mode = FluxMode::Fused;
+  u64 max_iterations = 50'000;
+  f32 tolerance = 0.0f;       // epsilon vs the global r^T r at probes
+  u32 check_every = 16;       // iterations between convergence probes
+  f32 lambda_min = 0.0f;      // spectral bounds (host-estimated)
+  f32 lambda_max = 0.0f;
+  f32 divergence_factor = 1e8f;
+  f32 diagonal_shift = 0.0f;  // backward-Euler accumulation term
+  PeInit init;
+};
 
 /// Everything the lowering branches on. Two PEs with equal sites produce
 /// byte-identical programs (given one solver config).

@@ -56,95 +56,8 @@ void upload_pe_init(PeContext& ctx, const PeLayout& layout, const PeInit& init,
   zero(layout.result);
 }
 
-void compute_z_flux(PeContext& ctx, const PeLayout& layout, FluxMode mode) {
-  auto& e = ctx.dsd();
-  const u32 nz = layout.nz;
-  e.fmovs_imm(dsd(layout.q), 0.0f);
-  if (nz == 1) return;
-
-  const Dsd x_lo = dsd(layout.x, 0, nz - 1);
-  const Dsd x_hi = dsd(layout.x, 1, nz - 1);
-  const Dsd q_lo = dsd(layout.q, 0, nz - 1);
-  const Dsd q_hi = dsd(layout.q, 1, nz - 1);
-  const Dsd d_lo = dsd(layout.d, 0, nz - 1);
-  const Dsd cz = dsd(layout.cz);
-
-  if (mode == FluxMode::Fused) {
-    // q[z]   += w_z[z] * (x[z] - x[z+1])    (coupling to the cell below)
-    // q[z+1] += w_z[z] * (x[z+1] - x[z])    (and back up, via negation)
-    e.fsubs(d_lo, x_lo, x_hi);
-    e.fmacs(q_lo, q_lo, cz, d_lo);
-    e.fnegs(d_lo, d_lo);
-    e.fmacs(q_hi, q_hi, cz, d_lo);
-  } else {
-    // Mobility averaged on the fly: w = Upsilon_z * 0.5 * (l[z] + l[z+1]).
-    const Dsd l_lo = dsd(layout.lambda, 0, nz - 1);
-    const Dsd l_hi = dsd(layout.lambda, 1, nz - 1);
-    const Dsd s_lo = dsd(layout.scratch2, 0, nz - 1);
-    e.fadds(s_lo, l_lo, l_hi);
-    e.fmuls_imm(s_lo, s_lo, 0.5f);
-    e.fmuls(s_lo, cz, s_lo);
-    e.fsubs(d_lo, x_lo, x_hi);
-    e.fmacs(q_lo, q_lo, s_lo, d_lo);
-    e.fnegs(d_lo, d_lo);
-    e.fmacs(q_hi, q_hi, s_lo, d_lo);
-  }
-}
-
-void compute_face_flux(PeContext& ctx, const PeLayout& layout, FluxMode mode,
-                       Dir dir) {
-  auto& e = ctx.dsd();
-  Dsd coef{}, halo{}, lhalo{};
-  switch (dir) {
-  case Dir::West: coef = dsd(layout.cw); halo = dsd(layout.halo_w); lhalo = dsd(layout.lh_w); break;
-  case Dir::East: coef = dsd(layout.ce); halo = dsd(layout.halo_e); lhalo = dsd(layout.lh_e); break;
-  case Dir::South: coef = dsd(layout.cs); halo = dsd(layout.halo_s); lhalo = dsd(layout.lh_s); break;
-  case Dir::North: coef = dsd(layout.cn); halo = dsd(layout.halo_n); lhalo = dsd(layout.lh_n); break;
-  case Dir::Ramp: throw Error("flux: invalid direction");
-  }
-  const Dsd x = dsd(layout.x);
-  const Dsd q = dsd(layout.q);
-  const Dsd d = dsd(layout.d);
-  if (mode == FluxMode::Fused) {
-    // q += w_dir * (x - halo_dir)
-    e.fsubs(d, x, halo);
-    e.fmacs(q, q, coef, d);
-  } else {
-    const Dsd s = dsd(layout.scratch2);
-    e.fadds(s, dsd(layout.lambda), lhalo);
-    e.fmuls_imm(s, s, 0.5f);
-    e.fmuls(s, coef, s);
-    e.fsubs(d, x, halo);
-    e.fmacs(q, q, s, d);
-  }
-}
-
-void fix_dirichlet_rows(PeContext& ctx, const PeLayout& layout) {
-  // Eq. (6) Dirichlet rows: (Jx)_K = x_K. The lateral/vertical garbage the
-  // branch-free kernel accumulated into pinned rows is overwritten here.
-  auto& e = ctx.dsd();
-  for (u32 i = 0; i < layout.dirichlet_count; ++i) {
-    const u32 lo = e.load_byte(layout.dirichlet_list.offset_words + 2 * i);
-    const u32 hi = e.load_byte(layout.dirichlet_list.offset_words + 2 * i + 1);
-    const u32 z = lo | (hi << 8);
-    const f32 xz = e.load(layout.x.offset_words + z);
-    e.store(layout.q.offset_words + z, xz);
-  }
-}
-
-void zero_dirichlet_entries(PeContext& ctx, const PeLayout& layout,
-                            const wse::MemSpan& span) {
-  auto& e = ctx.dsd();
-  for (u32 i = 0; i < layout.dirichlet_count; ++i) {
-    const u32 lo = e.load_byte(layout.dirichlet_list.offset_words + 2 * i);
-    const u32 hi = e.load_byte(layout.dirichlet_list.offset_words + 2 * i + 1);
-    e.store(span.offset_words + (lo | (hi << 8)), 0.0f);
-  }
-}
-
 // --------------------------------------------------------------------------
-// Bytecode mirrors. Each emitter produces the exact charged-op sequence of
-// its execute-now counterpart above.
+// Bytecode emitters
 // --------------------------------------------------------------------------
 
 namespace bc = wse::bc;
@@ -162,11 +75,14 @@ void emit_z_flux(bc::Builder& b, const PeLayout& layout, FluxMode mode) {
   const u8 cz = b.dsd(dsd(layout.cz));
 
   if (mode == FluxMode::Fused) {
+    // q[z]   += w_z[z] * (x[z] - x[z+1])    (coupling to the cell below)
+    // q[z+1] += w_z[z] * (x[z+1] - x[z])    (and back up, via negation)
     b.vsub(d_lo, x_lo, x_hi);
     b.vmac(q_lo, q_lo, cz, d_lo);
     b.vneg(d_lo, d_lo);
     b.vmac(q_hi, q_hi, cz, d_lo);
   } else {
+    // Mobility averaged on the fly: w = Upsilon_z * 0.5 * (l[z] + l[z+1]).
     const u8 l_lo = b.dsd(dsd(layout.lambda, 0, nz - 1));
     const u8 l_hi = b.dsd(dsd(layout.lambda, 1, nz - 1));
     const u8 s_lo = b.dsd(dsd(layout.scratch2, 0, nz - 1));
@@ -196,6 +112,7 @@ void emit_face_flux(bc::Builder& b, const PeLayout& layout, FluxMode mode,
   const u8 c = b.dsd(coef);
   const u8 h = b.dsd(halo);
   if (mode == FluxMode::Fused) {
+    // q += w_dir * (x - halo_dir)
     b.vsub(d, x, h);
     b.vmac(q, q, c, d);
   } else {
@@ -209,6 +126,8 @@ void emit_face_flux(bc::Builder& b, const PeLayout& layout, FluxMode mode,
 }
 
 void emit_fix_dirichlet_rows(bc::Builder& b, const PeLayout& layout) {
+  // Eq. (6) Dirichlet rows: (Jx)_K = x_K. The lateral/vertical garbage the
+  // branch-free kernel accumulated into pinned rows is overwritten here.
   if (layout.dirichlet_count == 0) return;
   b.fixd(b.dsd(dsd(layout.x)), b.dsd(dsd(layout.q)), layout.dirichlet_count,
          layout.dirichlet_list.offset_words);

@@ -1,12 +1,11 @@
 #pragma once
 // The device flux kernel and upload helpers shared by every FV device
-// program (the CG state machine and the Chebyshev iteration): the
-// z-dimension flux over the local column, the per-face flux fired when a
-// halo lands, the Dirichlet row fix-up, and the host-side memcpy of a
-// PeInit into a planned layout.
+// program (the CG driver and the Chebyshev iteration): the z-dimension
+// flux over the local column, the per-face flux fired when a halo lands,
+// the Dirichlet row fix-up, and the host-side memcpy of a PeInit into a
+// planned layout.
 
 #include "core/mapping.hpp"
-#include "core/pe_program.hpp"
 #include "wse/bytecode.hpp"
 #include "wse/program.hpp"
 
@@ -17,33 +16,22 @@ namespace fvdf::core {
 void upload_pe_init(wse::PeContext& ctx, const PeLayout& layout, const PeInit& init,
                     FluxMode mode, bool jacobi);
 
+// Bytecode emitters: each appends the charged DsdEngine operation
+// sequence of one kernel to the program being lowered.
+
 /// q = (vertical part of J) * x — computed while halos are in flight.
 /// Initializes q to zero first.
-void compute_z_flux(wse::PeContext& ctx, const PeLayout& layout, FluxMode mode);
-
-/// q += (face `dir` part of J) * x, fired from the halo's per-face
-/// callback. `dir` is a fabric direction (West/East/South/North).
-void compute_face_flux(wse::PeContext& ctx, const PeLayout& layout, FluxMode mode,
-                       wse::Dir dir);
-
-/// Overwrites Dirichlet rows of q with x (Eq. 6's identity rows).
-void fix_dirichlet_rows(wse::PeContext& ctx, const PeLayout& layout);
-
-/// Zeroes the listed Dirichlet entries of `span`.
-void zero_dirichlet_entries(wse::PeContext& ctx, const PeLayout& layout,
-                            const wse::MemSpan& span);
-
-// Bytecode mirrors of the kernels above: emit the identical charged
-// DsdEngine operation sequence as flat instructions. Kept next to the
-// execute-now versions so the two stay in lock-step.
-
 void emit_z_flux(wse::bc::Builder& b, const PeLayout& layout, FluxMode mode);
 
+/// q += (face `dir` part of J) * x, emitted at the halo's per-face
+/// receive site. `dir` is a fabric direction (West/East/South/North).
 void emit_face_flux(wse::bc::Builder& b, const PeLayout& layout, FluxMode mode,
                     wse::Dir dir);
 
+/// Overwrites Dirichlet rows of q with x (Eq. 6's identity rows).
 void emit_fix_dirichlet_rows(wse::bc::Builder& b, const PeLayout& layout);
 
+/// Zeroes the listed Dirichlet entries of `span`.
 void emit_zero_dirichlet_entries(wse::bc::Builder& b, const PeLayout& layout,
                                  const wse::MemSpan& span);
 

@@ -4,8 +4,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "core/bytecode_program.hpp"
-#include "core/chebyshev_program.hpp"
-#include "core/pe_program.hpp"
 #include "fv/diagonal.hpp"
 #include "telemetry/session.hpp"
 
@@ -257,11 +255,8 @@ void install_lookahead(wse::Fabric& fabric, const wse::ProgramFactory& factory,
 wse::ProgramFactory cg_factory(const FlowProblem& problem,
                                const DataflowConfig& config,
                                const CgSetup& setup) {
-  auto cache = config.engine == SimEngine::Bytecode
-                   ? solve_program_cache(config.artifacts)
-                   : nullptr;
   return [&problem, &config, &setup,
-          cache = std::move(cache)](wse::PeCoord coord)
+          cache = solve_program_cache(config.artifacts)](wse::PeCoord coord)
              -> std::unique_ptr<wse::PeProgram> {
     CgPeConfig pe_config;
     pe_config.nz = static_cast<u32>(problem.mesh().nz());
@@ -276,11 +271,9 @@ wse::ProgramFactory cg_factory(const FlowProblem& problem,
                                    config.jacobi_precondition ? &setup.minv
                                                               : nullptr,
                                    &setup.p0);
-    if (cache)
-      return std::make_unique<BytecodeCgProgram>(
-          std::move(pe_config), coord, problem.mesh().nx(),
-          problem.mesh().ny(), config.memory, cache);
-    return std::make_unique<CgPeProgram>(std::move(pe_config));
+    return std::make_unique<BytecodeCgProgram>(
+        std::move(pe_config), coord, problem.mesh().nx(), problem.mesh().ny(),
+        config.memory, cache);
   };
 }
 
@@ -346,11 +339,8 @@ wse::ProgramFactory chebyshev_factory(const FlowProblem& problem,
                                       const ChebyshevDeviceConfig& config,
                                       const ChebSetup& setup) {
   const DiscreteSystem<f32>& sys = setup.sys;
-  auto cache = config.engine == SimEngine::Bytecode
-                   ? solve_program_cache(config.artifacts)
-                   : nullptr;
   return [&problem, &config, &sys, &setup,
-          cache = std::move(cache)](wse::PeCoord coord)
+          cache = solve_program_cache(config.artifacts)](wse::PeCoord coord)
              -> std::unique_ptr<wse::PeProgram> {
     ChebyshevPeConfig pe_config;
     pe_config.nz = static_cast<u32>(problem.mesh().nz());
@@ -363,11 +353,9 @@ wse::ProgramFactory chebyshev_factory(const FlowProblem& problem,
     pe_config.diagonal_shift = config.diagonal_shift;
     pe_config.init = build_pe_init(problem, sys, coord.x, coord.y, config.flux_mode,
                                    nullptr, &setup.p0);
-    if (cache)
-      return std::make_unique<BytecodeChebyshevProgram>(
-          std::move(pe_config), coord, problem.mesh().nx(),
-          problem.mesh().ny(), config.memory, cache);
-    return std::make_unique<ChebyshevPeProgram>(std::move(pe_config));
+    return std::make_unique<BytecodeChebyshevProgram>(
+        std::move(pe_config), coord, problem.mesh().nx(), problem.mesh().ny(),
+        config.memory, cache);
   };
 }
 
@@ -430,10 +418,7 @@ LookaheadPlan plan_dataflow_lookahead(const FlowProblem& problem,
   plan.shard_count = static_cast<u32>(fabric.shard_count());
   plan.tile_rows = fabric.tile_rows();
   plan.tile_cols = fabric.tile_cols();
-  plan.bytecode =
-      fabric.plan_channel_lookahead(factory, wse::LookaheadSource::Bytecode);
-  plan.manifest = fabric.plan_channel_lookahead(
-      factory, wse::LookaheadSource::ManifestOnly);
+  plan.bytecode = fabric.plan_channel_lookahead(factory);
   return plan;
 }
 

@@ -28,18 +28,6 @@ class HostProfiler;
 
 namespace fvdf::core {
 
-/// Which device-program implementation the solver loads onto the fabric.
-/// Both produce bitwise-identical results, residual histories and fabric
-/// statistics; Bytecode is the default because the flat instruction stream
-/// dispatches without virtual calls or std::function allocations (see
-/// docs/simulator.md, "Bytecode ISA"). Legacy keeps the original
-/// state-machine programs as an escape hatch and a differential-testing
-/// oracle.
-enum class SimEngine : u8 {
-  Bytecode = 0,
-  Legacy,
-};
-
 /// Cross-solve artifact reuse for long-lived callers (the serve daemon,
 /// transient step loops): one CaseArtifacts shared by every solve of one
 /// *identical* solver configuration memoizes the lowered bytecode
@@ -58,7 +46,7 @@ class ProgramCache; // core/bytecode_program.hpp
 
 struct CaseArtifacts {
   /// Created on first use by solve_dataflow* (ProgramCache is an
-  /// implementation detail of the bytecode engine).
+  /// implementation detail of the device programs).
   std::shared_ptr<ProgramCache> programs;
 
   /// Planned lookahead tables keyed by the realized tile grid
@@ -92,9 +80,6 @@ struct DataflowConfig {
   // serial shard). Host-side execution knob: results are bitwise identical
   // under any layout (tested); benchmarks use it to compare layouts.
   wse::ShardGrid shard_grid{};
-  // Device-program implementation; see SimEngine. Host-side execution knob:
-  // both engines produce bitwise-identical results.
-  SimEngine engine = SimEngine::Bytecode;
   // Run the static fabric verifier (src/analysis/) over the device program
   // before starting the event loop; throws fvdf::Error with the full
   // diagnostic report if any check fails. Costs one extra program
@@ -162,7 +147,6 @@ struct ChebyshevDeviceConfig {
   f64 max_cycles = 1e15;
   u32 sim_threads = 1;           // see DataflowConfig::sim_threads
   wse::ShardGrid shard_grid{};   // see DataflowConfig::shard_grid
-  SimEngine engine = SimEngine::Bytecode; // see DataflowConfig::engine
   bool verify_preflight = false; // see DataflowConfig::verify_preflight
   telemetry::Session* telemetry = nullptr; // see DataflowConfig::telemetry
   telemetry::HostProfiler* host_profiler = nullptr; // see DataflowConfig
@@ -181,20 +165,15 @@ analysis::VerifyReport verify_dataflow(const FlowProblem& problem,
 analysis::VerifyReport verify_dataflow_chebyshev(
     const FlowProblem& problem, const ChebyshevDeviceConfig& config);
 
-/// Channel-lookahead tables for the CG device program a solve would load,
-/// computed both ways (see wse::LookaheadSource): from the bytecode's
-/// reachable SEND instructions and from the declared manifests alone.
-/// The shard layout is the one `config.shard_grid` would produce; with a
-/// single shard the tables carry no crossing edges. Exposed for
-/// fabric_lint --lookahead and scripts/check_scaling.sh to show that the
-/// bytecode-derived windows are never looser than the manifest-derived
-/// ones.
+/// The channel-lookahead table for the CG device program a solve would
+/// load, read from the bytecode's reachable SEND instructions. The shard
+/// layout is the one `config.shard_grid` and `config.sim_threads` would
+/// produce; with a single shard the table carries no crossing edges.
 struct LookaheadPlan {
   u32 shard_count = 0;
   u32 tile_rows = 1;
   u32 tile_cols = 1;
   wse::ChannelLookahead bytecode;
-  wse::ChannelLookahead manifest;
 };
 
 LookaheadPlan plan_dataflow_lookahead(const FlowProblem& problem,

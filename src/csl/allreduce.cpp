@@ -1,7 +1,5 @@
 #include "csl/allreduce.hpp"
 
-#include "common/error.hpp"
-#include "telemetry/phase.hpp"
 #include "wse/router.hpp"
 
 namespace fvdf::csl {
@@ -80,166 +78,6 @@ void AllReduce::configure(PeContext& ctx) {
 
   slot_value_ = ctx.memory().alloc_f32("allreduce.value", 1);
   slot_in_ = ctx.memory().alloc_f32("allreduce.in", 1);
-}
-
-wse::ProgramManifest AllReduce::manifest(wse::PeCoord coord, i64 width,
-                                         i64 height) const {
-  using wse::color_set_bit;
-  const bool odd_x = (coord.x % 2) != 0;
-  const bool odd_y = (coord.y % 2) != 0;
-  const bool right_col = coord.x == width - 1;
-  const bool bottom = coord.y == height - 1;
-
-  wse::ProgramManifest m;
-  // Every all-reduce message is a single f32 partial or result; declaring
-  // the one-word bound lets the lookahead planner charge at least one link
-  // cycle to any boundary these colors cross.
-  // Phase 1, row chain eastward: every non-right PE forwards its partial
-  // on its parity color; every non-left PE receives the opposite one.
-  if (coord.x < width - 1) m.declare_inject(odd_x ? colors_.row_b : colors_.row_a, 1);
-  if (coord.x > 0) m.handles |= color_set_bit(odd_x ? colors_.row_a : colors_.row_b);
-  // Phase 2, column chain southward on the right-most column only.
-  if (right_col && coord.y < height - 1)
-    m.declare_inject(odd_y ? colors_.col_b : colors_.col_a, 1);
-  if (right_col && coord.y > 0)
-    m.handles |= color_set_bit(odd_y ? colors_.col_a : colors_.col_b);
-  // Phase 3, broadcast: bottom-right fans out; the right column relays west.
-  if (right_col && bottom && height > 1) m.declare_inject(colors_.bcast_col, 1);
-  if (right_col && !bottom) m.handles |= color_set_bit(colors_.bcast_col);
-  if (right_col && width > 1) m.declare_inject(colors_.bcast_row, 1);
-  if (!right_col) m.handles |= color_set_bit(colors_.bcast_row);
-
-  for (Color done : {colors_.row_done, colors_.col_done, colors_.bcast_col_done,
-                     colors_.bcast_row_done}) {
-    m.handles |= color_set_bit(done);
-    m.activates |= color_set_bit(done);
-  }
-  return m;
-}
-
-void AllReduce::start(PeContext& ctx, f32 value, DoneCallback on_done) {
-  FVDF_CHECK_MSG(!active_, "all-reduce already in progress on this PE");
-  active_ = true;
-  ctx.mark_phase(static_cast<u8>(telemetry::Phase::AllReduce));
-  on_done_ = std::move(on_done);
-  ctx.dsd().store(slot_value_.offset_words, value);
-
-  const i64 x = ctx.coord().x;
-  const i64 y = ctx.coord().y;
-  const i64 width = ctx.fabric_width();
-  const i64 height = ctx.fabric_height();
-  const bool odd_x = (x % 2) != 0;
-  const bool odd_y = (y % 2) != 0;
-
-  // Arm every receive up front; static routes + inboxes make order safe.
-  if (x > 0) {
-    // Incoming row partial from the western neighbor (opposite parity).
-    const Color in_color = odd_x ? colors_.row_a : colors_.row_b;
-    ctx.recv(in_color, wse::dsd(slot_in_), colors_.row_done);
-  }
-  if (x == width - 1 && y > 0) {
-    const Color in_color = odd_y ? colors_.col_a : colors_.col_b;
-    ctx.recv(in_color, wse::dsd(slot_in_), colors_.col_done);
-  }
-  if (x == width - 1 && y != height - 1) {
-    ctx.recv(colors_.bcast_col, wse::dsd(slot_value_), colors_.bcast_col_done);
-  }
-  if (x < width - 1) {
-    ctx.recv(colors_.bcast_row, wse::dsd(slot_value_), colors_.bcast_row_done);
-  }
-
-  if (x == 0) {
-    // Row chains start at the left edge.
-    if (width > 1) {
-      const Color out_color = odd_x ? colors_.row_b : colors_.row_a;
-      ctx.send(out_color, wse::dsd(slot_value_));
-    } else {
-      row_phase_done(ctx, value);
-    }
-  }
-}
-
-bool AllReduce::handles(Color color) const {
-  return color == colors_.row_done || color == colors_.col_done ||
-         color == colors_.bcast_col_done || color == colors_.bcast_row_done;
-}
-
-void AllReduce::on_task(PeContext& ctx, Color color) {
-  FVDF_CHECK_MSG(active_, "all-reduce callback while idle");
-  const i64 x = ctx.coord().x;
-  const i64 width = ctx.fabric_width();
-  const bool odd_x = (x % 2) != 0;
-  const bool odd_y = (ctx.coord().y % 2) != 0;
-
-  if (color == colors_.row_done) {
-    // West partial arrived: fold in this PE's value (one scalar FADD).
-    const f32 partial = ctx.dsd().load(slot_in_.offset_words);
-    const f32 mine = ctx.dsd().load(slot_value_.offset_words);
-    const f32 sum = ctx.dsd().fadds_scalar(partial, mine);
-    ctx.dsd().store(slot_value_.offset_words, sum);
-    if (x < width - 1) {
-      const Color out_color = odd_x ? colors_.row_b : colors_.row_a;
-      ctx.send(out_color, wse::dsd(slot_value_));
-    } else {
-      row_phase_done(ctx, sum);
-    }
-  } else if (color == colors_.col_done) {
-    const f32 partial = ctx.dsd().load(slot_in_.offset_words);
-    const f32 total = ctx.dsd().fadds_scalar(partial, row_sum_);
-    ctx.dsd().store(slot_value_.offset_words, total);
-    if (ctx.coord().y < ctx.fabric_height() - 1) {
-      const Color out_color = odd_y ? colors_.col_b : colors_.col_a;
-      ctx.send(out_color, wse::dsd(slot_value_));
-    } else {
-      column_phase_done(ctx, total);
-    }
-  } else if (color == colors_.bcast_col_done) {
-    // Got the fabric total (already stored into slot_value_ by the recv);
-    // fan it out across this row, then finish locally.
-    if (width > 1) ctx.send(colors_.bcast_row, wse::dsd(slot_value_));
-    finish(ctx);
-  } else if (color == colors_.bcast_row_done) {
-    finish(ctx);
-  } else {
-    throw Error("all-reduce: unexpected color");
-  }
-}
-
-void AllReduce::row_phase_done(PeContext& ctx, f32 row_sum) {
-  // Runs only on the right-most column (x == width-1).
-  row_sum_ = row_sum;
-  const i64 y = ctx.coord().y;
-  const i64 height = ctx.fabric_height();
-  if (y == 0) {
-    if (height > 1) {
-      const bool odd_y = (y % 2) != 0;
-      ctx.dsd().store(slot_value_.offset_words, row_sum);
-      const Color out_color = odd_y ? colors_.col_b : colors_.col_a;
-      ctx.send(out_color, wse::dsd(slot_value_));
-    } else {
-      column_phase_done(ctx, row_sum);
-    }
-  }
-  // Right-column PEs with y > 0 wait for the column partial (col_done).
-}
-
-void AllReduce::column_phase_done(PeContext& ctx, f32 total) {
-  // Runs only on the bottom-right PE.
-  ctx.dsd().store(slot_value_.offset_words, total);
-  if (ctx.fabric_height() > 1) ctx.send(colors_.bcast_col, wse::dsd(slot_value_));
-  if (ctx.fabric_width() > 1) ctx.send(colors_.bcast_row, wse::dsd(slot_value_));
-  finish(ctx);
-}
-
-void AllReduce::finish(PeContext& ctx) {
-  active_ = false;
-  const f32 total = ctx.dsd().load(slot_value_.offset_words);
-  if (on_done_) {
-    // Move the callback out first: it may start the next all-reduce.
-    DoneCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(ctx, total);
-  }
 }
 
 } // namespace fvdf::csl

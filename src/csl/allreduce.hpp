@@ -10,18 +10,15 @@
 //     right-column PE broadcasts west across its row; every PE ends with
 //     the total.
 //
-// Implemented as an asynchronous task chain: start() contributes this PE's
-// value and registers the receives; the DoneCallback fires (with the
-// fabric-wide sum) once the broadcast reaches this PE.
-
-#include <functional>
+// This class holds the colors, the static routes and the two scalar
+// slots; csl::ReduceEmitter (csl/lowering.hpp) emits the task chain
+// itself as bytecode.
 
 #include "csl/colors.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::csl {
 
-using wse::Dsd;
 using wse::PeContext;
 
 class AllReduce {
@@ -39,8 +36,6 @@ public:
     Color bcast_row_done = kBcastRowDone; // local
   };
 
-  using DoneCallback = std::function<void(PeContext&, f32)>;
-
   AllReduce();
   explicit AllReduce(Colors colors);
 
@@ -48,33 +43,15 @@ public:
   /// needs in PE memory. Call from on_start.
   void configure(PeContext& ctx);
 
-  /// Contributes `value` and arms the reduction. `on_done` fires exactly
-  /// once on this PE with the fabric-wide sum. Reentrant after completion
-  /// (CG runs two all-reduces per iteration).
-  void start(PeContext& ctx, f32 value, DoneCallback on_done);
-
-  bool handles(Color color) const;
-  void on_task(PeContext& ctx, Color color);
-
-  /// Static communication declaration for the fabric verifier.
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 width, i64 height) const;
-
-  /// Memory slots (valid after configure). The bytecode lowering reuses
-  /// the same allocations so charged loads/stores hit identical addresses.
+  /// Memory slots (valid after configure); their word offsets are the
+  /// csl::ReduceEmitter::Spec slots.
   const wse::MemSpan& slot_value() const { return slot_value_; }
   const wse::MemSpan& slot_in() const { return slot_in_; }
 
 private:
-  void row_phase_done(PeContext& ctx, f32 row_sum);
-  void column_phase_done(PeContext& ctx, f32 total);
-  void finish(PeContext& ctx);
-
   Colors colors_;
   wse::MemSpan slot_value_{}; // this PE's running partial / final result
   wse::MemSpan slot_in_{};    // incoming partial (row or column)
-  DoneCallback on_done_;
-  bool active_ = false;
-  f32 row_sum_ = 0.0f; // right-column PEs keep their row sum for phase 2
 };
 
 } // namespace fvdf::csl

@@ -1,13 +1,11 @@
 #include "csl/halo.hpp"
 
-#include "common/error.hpp"
-#include "telemetry/phase.hpp"
 #include "wse/router.hpp"
 
 namespace fvdf::csl {
 
-using wse::color_bit;
 using wse::ColorConfig;
+using wse::Dir;
 using wse::DirMask;
 using wse::SwitchPosition;
 
@@ -72,227 +70,6 @@ void HaloExchange::configure(PeContext& ctx) {
   } else {
     ctx.configure_router(colors_.c3, receiver_route(Dir::South, Dir::North));
     ctx.configure_router(colors_.c4, clip(sender_route(Dir::North, Dir::South)));
-  }
-}
-
-wse::ProgramManifest HaloExchange::manifest(wse::PeCoord coord, i64 width,
-                                            i64 height) const {
-  using wse::color_set_bit;
-  const bool odd_x = (coord.x % 2) != 0;
-  const bool odd_y = (coord.y % 2) != 0;
-
-  wse::ProgramManifest m;
-  // Each parity drives one color per dimension (injects + trailing control
-  // advance) and receives the opposite parity's color. Edge PEs that skip
-  // a receive advance the skipped color locally instead.
-  if (odd_x) {
-    m.declare_inject(colors_.c1, min_column_words_);
-    m.advances |= color_bit(colors_.c1);
-    m.handles |= color_set_bit(colors_.c2); // west neighbor always exists
-    if (coord.x == width - 1) m.advances |= color_bit(colors_.c2); // step-4 skip
-  } else {
-    m.declare_inject(colors_.c2, min_column_words_);
-    m.advances |= color_bit(colors_.c2);
-    if (width > 1) m.handles |= color_set_bit(colors_.c1);
-    if (coord.x == 0 || coord.x == width - 1) m.advances |= color_bit(colors_.c1);
-  }
-  if (odd_y) {
-    m.declare_inject(colors_.c3, min_column_words_);
-    m.advances |= color_bit(colors_.c3);
-    m.handles |= color_set_bit(colors_.c4); // north neighbor always exists
-    if (coord.y == height - 1) m.advances |= color_bit(colors_.c4);
-  } else {
-    m.declare_inject(colors_.c4, min_column_words_);
-    m.advances |= color_bit(colors_.c4);
-    if (height > 1) m.handles |= color_set_bit(colors_.c3);
-    if (coord.y == 0 || coord.y == height - 1) m.advances |= color_bit(colors_.c3);
-  }
-  m.handles |= color_set_bit(colors_.done_x) | color_set_bit(colors_.done_y);
-  m.activates |= color_set_bit(colors_.done_x) | color_set_bit(colors_.done_y);
-  return m;
-}
-
-void HaloExchange::start(PeContext& ctx, Dsd column, Dsd halo_west, Dsd halo_east,
-                         Dsd halo_south, Dsd halo_north, FaceCallback on_face,
-                         DoneCallback on_done) {
-  FVDF_CHECK_MSG(step_ == 0, "halo exchange already in progress");
-  FVDF_CHECK(halo_west.length == column.length && halo_east.length == column.length &&
-             halo_south.length == column.length && halo_north.length == column.length);
-  // Every exchange is one Halo span on the owning program's timeline; the
-  // program re-marks (e.g. Flux) as face callbacks deliver work.
-  ctx.mark_phase(static_cast<u8>(telemetry::Phase::Halo));
-  column_ = column;
-  halo_[0] = halo_west;
-  halo_[1] = halo_east;
-  halo_[2] = halo_south;
-  halo_[3] = halo_north;
-  on_face_ = std::move(on_face);
-  on_done_ = std::move(on_done);
-  step_ = 1;
-  launch_step(ctx);
-}
-
-bool HaloExchange::handles(Color color) const {
-  return color == colors_.done_x || color == colors_.done_y;
-}
-
-void HaloExchange::on_task(PeContext& ctx, Color color) {
-  FVDF_CHECK_MSG(step_ >= 1 && step_ <= 4, "halo callback while idle");
-  if (color == colors_.done_x) {
-    if (x_recv_pending_ && on_face_) on_face_(ctx, x_face_);
-    x_recv_pending_ = false;
-    action_done(ctx, /*x_dim=*/true);
-  } else if (color == colors_.done_y) {
-    if (y_recv_pending_ && on_face_) on_face_(ctx, y_face_);
-    y_recv_pending_ = false;
-    action_done(ctx, /*x_dim=*/false);
-  } else {
-    throw Error("halo exchange: unexpected color");
-  }
-}
-
-void HaloExchange::action_done(PeContext& ctx, bool) {
-  FVDF_CHECK(pending_ > 0);
-  if (--pending_ > 0) return;
-  if (step_ < 4) {
-    ++step_;
-    launch_step(ctx);
-    return;
-  }
-  step_ = 0;
-  if (on_done_) {
-    // Move out first: the continuation may start the next exchange, which
-    // reassigns on_done_ — destroying it while it executes otherwise.
-    DoneCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(ctx);
-  }
-}
-
-void HaloExchange::launch_step(PeContext& ctx) {
-  const i64 x = ctx.coord().x;
-  const i64 y = ctx.coord().y;
-  const i64 width = ctx.fabric_width();
-  const i64 height = ctx.fabric_height();
-  const bool odd_x = (x % 2) != 0;
-  const bool odd_y = (y % 2) != 0;
-
-  pending_ = 2;
-  x_recv_pending_ = false;
-  y_recv_pending_ = false;
-
-  // Sends always go out (edge sends drop off-fabric but their trailing
-  // control still advances the local router). Receives whose partner PE
-  // does not exist are skipped: the router is advanced locally (Listing 1's
-  // fabric_control path) and the completion fires immediately.
-  auto skip = [&](Color color, Color completion) {
-    ctx.advance_local(color_bit(color));
-    ctx.activate(completion);
-  };
-
-  // --- X action ---
-  switch (step_) {
-  case 1:
-    if (odd_x) {
-      ctx.send(colors_.c1, column_, color_bit(colors_.c1), colors_.done_x);
-      words_sent_ += column_.length;
-    } else if (x > 0) {
-      x_recv_pending_ = true;
-      x_face_ = Dir::West;
-      ctx.recv(colors_.c1, halo_[0], colors_.done_x);
-    } else {
-      skip(colors_.c1, colors_.done_x);
-    }
-    break;
-  case 2:
-    if (!odd_x) {
-      ctx.send(colors_.c2, column_, color_bit(colors_.c2), colors_.done_x);
-      words_sent_ += column_.length;
-    } else { // odd x >= 1 always has a west neighbor (which is even)
-      x_recv_pending_ = true;
-      x_face_ = Dir::West;
-      ctx.recv(colors_.c2, halo_[0], colors_.done_x);
-    }
-    break;
-  case 3:
-    if (odd_x) {
-      ctx.send(colors_.c1, column_, color_bit(colors_.c1), colors_.done_x);
-      words_sent_ += column_.length;
-    } else if (x < width - 1) {
-      x_recv_pending_ = true;
-      x_face_ = Dir::East;
-      ctx.recv(colors_.c1, halo_[1], colors_.done_x);
-    } else {
-      skip(colors_.c1, colors_.done_x);
-    }
-    break;
-  case 4:
-    if (!odd_x) {
-      ctx.send(colors_.c2, column_, color_bit(colors_.c2), colors_.done_x);
-      words_sent_ += column_.length;
-    } else if (x < width - 1) {
-      x_recv_pending_ = true;
-      x_face_ = Dir::East;
-      ctx.recv(colors_.c2, halo_[1], colors_.done_x);
-    } else {
-      skip(colors_.c2, colors_.done_x);
-    }
-    break;
-  default: throw Error("invalid halo step");
-  }
-
-  // --- Y action (mirror: north = y-1; odd-y drives C3, even-y drives C4;
-  // receives land the *south* neighbor's data in steps 1-2, north in 3-4) ---
-  switch (step_) {
-  case 1:
-    if (odd_y) {
-      ctx.send(colors_.c3, column_, color_bit(colors_.c3), colors_.done_y);
-      words_sent_ += column_.length;
-    } else if (y < height - 1) {
-      y_recv_pending_ = true;
-      y_face_ = Dir::South;
-      ctx.recv(colors_.c3, halo_[2], colors_.done_y);
-    } else {
-      skip(colors_.c3, colors_.done_y);
-    }
-    break;
-  case 2:
-    if (!odd_y) {
-      ctx.send(colors_.c4, column_, color_bit(colors_.c4), colors_.done_y);
-      words_sent_ += column_.length;
-    } else if (y < height - 1) {
-      y_recv_pending_ = true;
-      y_face_ = Dir::South;
-      ctx.recv(colors_.c4, halo_[2], colors_.done_y);
-    } else {
-      skip(colors_.c4, colors_.done_y);
-    }
-    break;
-  case 3:
-    if (odd_y) {
-      ctx.send(colors_.c3, column_, color_bit(colors_.c3), colors_.done_y);
-      words_sent_ += column_.length;
-    } else if (y > 0) {
-      y_recv_pending_ = true;
-      y_face_ = Dir::North;
-      ctx.recv(colors_.c3, halo_[3], colors_.done_y);
-    } else {
-      skip(colors_.c3, colors_.done_y);
-    }
-    break;
-  case 4:
-    if (!odd_y) {
-      ctx.send(colors_.c4, column_, color_bit(colors_.c4), colors_.done_y);
-      words_sent_ += column_.length;
-    } else if (y > 0) {
-      y_recv_pending_ = true;
-      y_face_ = Dir::North;
-      ctx.recv(colors_.c4, halo_[3], colors_.done_y);
-    } else {
-      skip(colors_.c4, colors_.done_y);
-    }
-    break;
-  default: throw Error("invalid halo step");
   }
 }
 

@@ -13,26 +13,23 @@
 // Faithful details:
 //  * odd-index PEs send first on C1/C3, even-index PEs on C2/C4 (Table I);
 //  * the X and Y actions of a step run concurrently, and progression to
-//    the next step waits for the step's completion callbacks;
-//  * a received face triggers an immediate callback so the caller can
-//    compute that face's flux while other transfers are still in flight
+//    the next step waits for both actions' completion tasks;
+//  * a received face runs the caller's per-face work at once, so that
+//    face's flux is computed while other transfers are still in flight
 //    (Sec. III-B's event-driven overlap);
 //  * PEs on the fabric edge skip actions whose partner does not exist and
 //    advance their own router locally (the fabric_control write of
 //    Listing 1) to stay in phase.
-
-#include <array>
-#include <functional>
 
 #include "csl/colors.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::csl {
 
-using wse::Dir;
-using wse::Dsd;
 using wse::PeContext;
 
+/// The exchange's colors and router configuration. csl::HaloEmitter
+/// (csl/lowering.hpp) emits the four steps themselves as bytecode.
 class HaloExchange {
 public:
   struct Colors {
@@ -44,11 +41,6 @@ public:
     Color done_y = kHaloDoneY; // local: Y action of current step finished
   };
 
-  /// Called when the halo from neighbor `dir` has fully landed.
-  using FaceCallback = std::function<void(PeContext&, Dir)>;
-  /// Called when all four steps completed on this PE.
-  using DoneCallback = std::function<void(PeContext&)>;
-
   HaloExchange();
   explicit HaloExchange(Colors colors);
 
@@ -56,46 +48,8 @@ public:
   /// on_start, once per PE.
   void configure(PeContext& ctx);
 
-  /// Declares the smallest column length any start() will ever send, so
-  /// the manifest can carry a word bound for the channel-lookahead planner
-  /// (see ProgramManifest::min_inject_words). Optional — the default, 0,
-  /// claims nothing. Must hold for every exchange this component runs.
-  void declare_column_words(u32 words) { min_column_words_ = words; }
-
-  /// Begins one exchange: sends `column` to all four neighbors and fills
-  /// the halo buffers (each must hold column.length words). Buffers of
-  /// non-existent neighbors are left untouched.
-  void start(PeContext& ctx, Dsd column, Dsd halo_west, Dsd halo_east,
-             Dsd halo_south, Dsd halo_north, FaceCallback on_face,
-             DoneCallback on_done);
-
-  bool handles(Color color) const;
-  void on_task(PeContext& ctx, Color color);
-
-  /// Static communication declaration for the fabric verifier (compose
-  /// into the owning program's PeProgram::manifest).
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 width, i64 height) const;
-
-  /// Words this PE sent during exchanges so far (diagnostics).
-  u64 words_sent() const { return words_sent_; }
-
 private:
-  void launch_step(PeContext& ctx);
-  void action_done(PeContext& ctx, bool x_dim);
-
   Colors colors_;
-  Dsd column_{};
-  std::array<Dsd, 4> halo_{}; // indexed by step semantics, see launch_step
-  FaceCallback on_face_;
-  DoneCallback on_done_;
-  int step_ = 0;     // 1..4 while active, 0 idle
-  int pending_ = 0;  // outstanding actions in the current step
-  bool x_recv_pending_ = false; // current step's X action is a receive
-  bool y_recv_pending_ = false;
-  Dir x_face_ = Dir::West; // face being received on X this step
-  Dir y_face_ = Dir::South;
-  u64 words_sent_ = 0;
-  u32 min_column_words_ = 0; // declared lower bound, see declare_column_words
 };
 
 } // namespace fvdf::csl

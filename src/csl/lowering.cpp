@@ -39,9 +39,9 @@ void HaloEmitter::emit_start() {
 }
 
 void HaloEmitter::emit_launch(int step) {
-  // Rebind the done handlers to this step's blocks (the lowered
-  // equivalent of step_), reset the two-action join, then issue the X
-  // and Y actions in the legacy order.
+  // Rebind the done handlers to this step's blocks (the step counter
+  // lives in the handler table), reset the two-action join, then issue
+  // the X action before the Y action.
   b_.seth(spec_.colors.done_x, done_x_[step - 1]);
   b_.seth(spec_.colors.done_y, done_y_[step - 1]);
   b_.setu(spec_.pending_ureg, 2);
@@ -244,6 +244,12 @@ void ReduceEmitter::emit_blocks() {
   const bool bottom = coord_.y == height_ - 1;
 
   // --- start: contribution in f0 ---
+  // On a 1-wide fabric the row phase runs inline in this block and stores
+  // the row sum to the value slot, so the broadcast receive into that slot
+  // is armed after it. RECV is uncharged and the broadcast cannot arrive
+  // before this PE's own column send, so either order runs identically;
+  // this one keeps the store clear of a pending receive.
+  const bool inline_row = coord_.x == 0 && width_ == 1;
   b_.bind(start_);
   b_.phase(kPhaseAllReduce);
   b_.stos(0, spec_.slot_value);
@@ -253,7 +259,7 @@ void ReduceEmitter::emit_blocks() {
   if (right && coord_.y > 0) {
     b_.recv(odd_y ? c.col_a : c.col_b, in_dsd_, c.col_done);
   }
-  if (right && !bottom) {
+  if (right && !bottom && !inline_row) {
     b_.recv(c.bcast_col, value_dsd_, c.bcast_col_done);
   }
   if (!right) {
@@ -266,6 +272,7 @@ void ReduceEmitter::emit_blocks() {
     } else {
       b_.movr(1, 0);
       emit_row_phase_done_tail();
+      if (!bottom) b_.recv(c.bcast_col, value_dsd_, c.bcast_col_done);
       if (coord_.y != 0 || height_ > 1) b_.ret();
     }
   } else {

@@ -2,18 +2,17 @@
 // Bytecode lowerings of the Table-I collectives (docs/simulator.md,
 // "Bytecode ISA").
 //
-// Each emitter writes the flat-instruction equivalent of its component's
-// event-driven callback chain into a wse::bc::Builder. Dynamic state the
-// legacy classes kept in members becomes static code (per-coordinate
-// parity and edge cases are resolved at lowering time) plus a handful of
-// VM registers. Instruction order matches the legacy implementations
-// exactly — the charged DsdEngine calls, the telemetry marks and the
-// fabric sends/recvs come out in the same sequence, which is what makes
-// the interpreter bitwise-identical to the callback path.
+// Each emitter writes one collective's event-driven task chain into a
+// wse::bc::Builder. Per-coordinate parity and edge cases are resolved at
+// lowering time into static code; the only dynamic state is a handful of
+// VM registers. The order of the charged DsdEngine calls, the telemetry
+// marks and the fabric sends/recvs is part of the contract: the golden
+// digests in the tests (cycles, statistics and buffer words per fabric
+// shape, and whole solves) pin it.
 //
 // Register conventions (shared with core/bytecode_program.cpp):
 //   f0      all-reduce contribution in / fabric total out
-//   f1      all-reduce row_sum_ (persists across the column phase)
+//   f1      all-reduce row sum (persists across the column phase)
 //   f2, f3  all-reduce handler scratch
 //   u-regs and continuation registers are caller-assigned.
 
@@ -25,12 +24,11 @@
 
 namespace fvdf::csl {
 
-/// Emits the per-face work (flux computation + phase marks) that the
-/// legacy FaceCallback performed; called at lowering time, once per
-/// receive site.
+/// Emits the per-face work (flux computation + phase marks) run when a
+/// halo face lands; called at lowering time, once per receive site.
 using FaceEmit = std::function<void(wse::bc::Builder&, wse::Dir)>;
 
-/// Lowers one four-step halo exchange (one HaloExchange::start call site).
+/// Lowers one four-step halo exchange (one exchange call site).
 /// A program that runs several distinct exchanges (e.g. the OnTheFly
 /// mobility pass plus the per-iteration column exchange) instantiates one
 /// emitter per call site — each gets its own step/done blocks.
@@ -48,10 +46,9 @@ public:
   HaloEmitter(wse::bc::Builder& b, wse::PeCoord coord, i64 width, i64 height,
               Spec spec);
 
-  /// Emits the inline start sequence — the body of HaloExchange::start:
-  /// the Halo phase mark, the step-1 handler bindings and the step-1
-  /// actions. Execution continues with the caller's next instruction
-  /// (overlapped z-flux, exactly like the legacy control flow).
+  /// Emits the inline start sequence: the Halo phase mark, the step-1
+  /// handler bindings and the step-1 actions. Execution continues with
+  /// the caller's next instruction (the overlapped z-flux).
   void emit_start();
 
   /// Emits the out-of-line done-handler blocks (face work, the join,
@@ -74,7 +71,7 @@ private:
 };
 
 /// Lowers the whole-fabric AllReduce. One emitter serves every
-/// reduce_.start call site in the program: jump to start_label() with the
+/// reduction site in the program: jump to start_label() with the
 /// PE's contribution in f0 and a continuation pc in cont_reg; the finish
 /// block loads the fabric total into f0 and JINDs through cont_reg.
 class ReduceEmitter {

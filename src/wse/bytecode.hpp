@@ -1,16 +1,15 @@
 #pragma once
 // The flat PE bytecode ISA (docs/simulator.md, "Bytecode ISA").
 //
-// A PE program's event-driven control flow — the CG/Chebyshev state
-// machines plus the Table-I collectives — is lowered at build time into
-// one flat instruction stream per PE. Every dynamic decision the legacy
-// C++ callback path took per wavelet (which handler, which halo step,
-// which done-continuation) is either resolved statically at lowering time
-// (coordinate parity, fabric edges, flux mode) or encoded in a handful of
-// VM registers (iteration counter, residuals, pending counts,
-// continuation program counters). The fabric then executes tasks through
-// a tight interpreter loop (bytecode_interp.hpp) instead of virtual
-// dispatch + std::function callbacks.
+// A PE program's event-driven control flow — the CG/Chebyshev drivers
+// plus the Table-I collectives — is lowered at build time into one flat
+// instruction stream per PE. Every dynamic decision a task makes per
+// wavelet (which handler, which halo step, which done-continuation) is
+// either resolved statically at lowering time (coordinate parity, fabric
+// edges, flux mode) or encoded in a handful of VM registers (iteration
+// counter, residuals, pending counts, continuation program counters). The
+// fabric then executes tasks through a tight interpreter loop
+// (bytecode_interp.hpp) with no virtual call per event.
 //
 // The instruction stream is the single artifact the rest of the stack
 // attributes against: derive_manifest() reconstructs the verifier/
@@ -19,9 +18,9 @@
 //
 // Execution model: a task activation on color c starts interpretation at
 // VmState::handler[c] and runs until RET/HALT (or DECRET's early return).
-// Charged instructions call the same DsdEngine entry points the legacy
-// programs called, in the same order — cycle cursors, op counters, event
-// schedules and therefore solver results are bitwise identical.
+// Charged instructions call DsdEngine entry points, so cycle cursors and
+// op counters follow the instruction order; that order, and therefore
+// every solver result, is pinned by golden digests in the tests.
 
 #include <string>
 #include <vector>
@@ -60,8 +59,8 @@ enum class Op : u8 {
   LODS,  // f[a] <- mem[imm.u]                     (DsdEngine::load)
   STOS,  // mem[imm.u] <- f[a]                     (DsdEngine::store)
 
-  // --- uncharged register/host ops (scalar math the legacy programs did
-  // in plain C++ between charged ops) ---
+  // --- uncharged register/host ops (scalar host math between charged
+  // ops) ---
   MOVR,  // f[a] <- f[b]
   UMOVI, // f[a] <- imm.f
   UMUL,  // f[a] <- f[b] * f[c]
@@ -73,8 +72,8 @@ enum class Op : u8 {
   UK2F,  // f[a] <- (f32)k
   RSTORE,// mem[imm.u] <- f[a]  (raw PeMemory store, uncharged result write)
 
-  // --- Dirichlet macro-ops (charged per entry exactly like the legacy
-  // flux_kernels loops: 2 byte loads + load/store per pinned row) ---
+  // --- Dirichlet macro-ops (charged per entry: 2 byte loads + a
+  // load/store per pinned row) ---
   FIXD,  // for d entries at byte imm.u: dsd[b].mem[z] <- dsd[a].mem[z]
   ZDIR,  // for d entries at byte imm.u: dsd[a].mem[z] <- 0
 
@@ -129,8 +128,8 @@ constexpr u32 kNumURegs = 4;  // u32 counters (halo pending, probe countdown)
 constexpr u32 kNumCRegs = 4;  // continuation program counters
 
 /// Per-PE mutable interpreter state. Persists across task activations —
-/// it *is* the lowered program's version of the legacy classes' member
-/// variables (rr_, k_, pending_, the done callbacks).
+/// it holds everything a program keeps between tasks (residuals, the
+/// iteration counter, join counts, continuation pcs, handler bindings).
 struct VmState {
   std::array<f32, kNumFRegs> f{};
   std::array<u32, kNumURegs> u{};

@@ -7,10 +7,9 @@
 // loop against the generic PeContext for recorded (static) execution.
 // One source of truth for instruction semantics, two specializations.
 //
-// Charged instructions map 1:1 onto the DsdEngine calls the legacy C++
-// programs made, in identical order, so cycle cursors, op counters and
-// scheduled events — and therefore solver results — are bitwise equal
-// between the interpreter and the legacy dispatch path.
+// Charged instructions map 1:1 onto DsdEngine calls, so cycle cursors,
+// op counters and scheduled events follow the instruction stream exactly;
+// golden digests in the tests pin the resulting solver bits.
 
 #include <cstddef>
 #include <type_traits>

@@ -107,16 +107,6 @@ struct ChannelLookahead {
   std::vector<std::array<Edge, 4>> out; // size shard_count
 };
 
-/// Where the lookahead planner reads each program's injected colors and
-/// minimum message words from. `Bytecode` (the default) derives them from
-/// the *reachable* SEND/SENDC instructions of each program's flat
-/// instruction stream via the abstract interpreter — the proven ground
-/// truth of what the VM can inject — falling back to the declared
-/// ProgramManifest for legacy programs without bytecode. `ManifestOnly`
-/// trusts the manifests alone (the pre-bytecode behavior); its table is
-/// never tighter than the bytecode-derived one.
-enum class LookaheadSource : u8 { Bytecode, ManifestOnly };
-
 class Fabric {
 public:
   /// `grid` optionally overrides the shard layout's tile grid (see
@@ -154,14 +144,10 @@ public:
   /// statically (the same recording pass the verifier uses — on_start runs
   /// against a recording context, never the event loop). Sound under the
   /// same contract the verifier documents: routing tables are fully
-  /// installed by on_start, and task-time sends are declared in the
-  /// ProgramManifest. Defined in src/analysis/ (link fvdf_analysis);
+  /// installed by on_start, and task-time sends are in the program's
+  /// bytecode (or, without bytecode, declared in its ProgramManifest). Defined in src/analysis/ (link fvdf_analysis);
   /// install the result with set_channel_lookahead before run().
-  /// `source` picks where per-color injection facts come from (see
-  /// LookaheadSource); the default reads the bytecode when available.
-  ChannelLookahead plan_channel_lookahead(
-      const ProgramFactory& factory,
-      LookaheadSource source = LookaheadSource::Bytecode) const;
+  ChannelLookahead plan_channel_lookahead(const ProgramFactory& factory) const;
 
   /// Installs a channel-lookahead table (see ChannelLookahead). Must match
   /// this fabric's shard layout; entries only ever tighten the engine's

@@ -149,15 +149,19 @@ public:
   /// Bytecode-compiled programs expose their flat instruction stream and
   /// interpreter state (see wse/bytecode.hpp) so the fabric can dispatch
   /// task activations straight into the interpreter instead of through
-  /// on_task. nullptr (the default) selects the legacy virtual path.
+  /// on_task. nullptr (the default) selects the virtual on_task path,
+  /// which the collectives without a lowering (the eastward exchange and
+  /// the any-source broadcast) and hand-written test programs use.
   virtual const bc::Program* bytecode() const { return nullptr; }
   virtual bc::VmState* bytecode_state() { return nullptr; }
 
   /// Static manifest for the verifier, queried *after* on_start has run
-  /// (so it may depend on configuration established there). The default —
+  /// (so it may depend on configuration established there). Bytecode
+  /// programs return wse::bc::derive_manifest of their stream. For
+  /// callback programs the declaration is the only source: the default —
   /// an empty manifest — limits the verifier to what a recorded on_start
-  /// reveals; programs with receives or sends in later task handlers
-  /// should override it (compose the csl components' manifest helpers).
+  /// reveals, so programs with receives or sends in later task handlers
+  /// must override it.
   virtual ProgramManifest manifest(PeCoord coord, i64 fabric_width,
                                    i64 fabric_height) const {
     (void)coord;

@@ -10,7 +10,6 @@
 
 #include "core/solver.hpp"
 #include "core/validation.hpp"
-#include "csl/allreduce.hpp"
 #include "fv/problem.hpp"
 #include "gpu/gpu_solver.hpp"
 #include "solver/pressure_solve.hpp"
@@ -290,32 +289,6 @@ TEST(GpuExtra, MemcpyTrafficIsCounted) {
 }
 
 // ---------- component degenerate shapes ----------
-
-class TinyAllReduce final : public PeProgram {
-public:
-  explicit TinyAllReduce(std::vector<f32>* sink) : sink_(sink) {}
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    reduce_.start(ctx, 2.5f, [this](PeContext& c, f32 total) {
-      sink_->push_back(total);
-      c.halt();
-    });
-  }
-  void on_task(PeContext& ctx, Color color) override { reduce_.on_task(ctx, color); }
-
-private:
-  csl::AllReduce reduce_;
-  std::vector<f32>* sink_;
-};
-
-TEST(ComponentExtra, AllReduceOnLargeFabric) {
-  Fabric fabric(10, 10);
-  std::vector<f32> results;
-  fabric.load([&](PeCoord) { return std::make_unique<TinyAllReduce>(&results); });
-  ASSERT_TRUE(fabric.run().all_halted);
-  ASSERT_EQ(results.size(), 100u);
-  for (f32 total : results) EXPECT_FLOAT_EQ(total, 250.0f);
-}
 
 TEST(ComponentExtra, DataflowSolveWithUnitDepth) {
   // nz = 1: no z-faces at all; the kernel's cz branch must be absent.

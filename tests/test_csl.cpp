@@ -1,31 +1,36 @@
 // CSL runtime-layer tests: the Table-I halo exchange (all parities and
-// edge cases, switch positions restored), the 3-phase whole-fabric
-// all-reduce (== serial sum on every fabric shape), and the Fig.-4
-// eastward exchange with a single color + ring mode.
+// edge cases, switch positions restored) and the 3-phase whole-fabric
+// all-reduce (== serial sum on every fabric shape), both lowered to
+// bytecode through their csl emitters, and the Fig.-4 eastward exchange
+// with a single color + ring mode.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
+#include <functional>
 #include <vector>
 
+#include "analysis/fixtures.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/colors.hpp"
 #include "csl/halo.hpp"
+#include "csl/lowering.hpp"
+#include "wse/bytecode.hpp"
 #include "wse/fabric.hpp"
 
 namespace fvdf::csl {
 namespace {
 
+using analysis::fixtures::BcFixtureProgram;
 using wse::Dir;
-using wse::Dsd;
 using wse::dsd;
 using wse::Fabric;
 using wse::MemSpan;
 using wse::PeContext;
 using wse::PeCoord;
 using wse::PeProgram;
+namespace bc = wse::bc;
 
 // Each PE's column value is a unique fingerprint: f(x, y, z) = x*10000 +
 // y*100 + z, so any misdelivery is detectable.
@@ -34,76 +39,88 @@ f32 fingerprint(i64 x, i64 y, u32 z) {
 }
 
 // ---------- HaloExchange ----------
+// The exchange runs as bytecode lowered through csl::HaloEmitter, the way
+// the solver's device programs run it.
 
-class HaloTestProgram final : public PeProgram {
-public:
-  HaloTestProgram(u32 nz, int rounds) : nz_(nz), rounds_(rounds) {}
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    column_ = ctx.memory().alloc_f32("column", nz_);
-    for (u32 z = 0; z < nz_; ++z)
-      ctx.memory().store(column_.offset_words + z,
-                         fingerprint(ctx.coord().x, ctx.coord().y, z));
-    for (auto& buf : halos_) {
-      buf = ctx.memory().alloc_f32("halo", nz_);
-      for (u32 z = 0; z < nz_; ++z)
-        ctx.memory().store(buf.offset_words + z, -1.0f); // sentinel
-    }
-    run_round(ctx);
-  }
-
-  void on_task(PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(halo_.handles(color));
-    halo_.on_task(ctx, color);
-  }
-
-  int faces_received = 0;
-
-private:
-  void run_round(PeContext& ctx) {
-    halo_.start(
-        ctx, dsd(column_), dsd(halos_[0]), dsd(halos_[1]), dsd(halos_[2]),
-        dsd(halos_[3]),
-        [this](PeContext&, Dir) { ++faces_received; },
-        [this](PeContext& c) {
-          verify(c);
-          if (--rounds_ > 0) {
-            run_round(c);
-          } else {
-            c.halt();
-          }
-        });
-  }
-
-  void verify(PeContext& ctx) {
-    const i64 x = ctx.coord().x;
-    const i64 y = ctx.coord().y;
-    const i64 width = ctx.fabric_width();
-    const i64 height = ctx.fabric_height();
-    auto check = [&](const MemSpan& buf, i64 nx, i64 ny, bool exists) {
-      for (u32 z = 0; z < nz_; ++z) {
-        const f32 got = ctx.memory().load(buf.offset_words + z);
-        if (exists) {
-          EXPECT_FLOAT_EQ(got, fingerprint(nx, ny, z))
-              << "PE(" << x << "," << y << ") z=" << z;
-        } else {
-          EXPECT_FLOAT_EQ(got, -1.0f) << "boundary halo must stay untouched";
-        }
-      }
-    };
-    check(halos_[0], x - 1, y, x > 0);          // west neighbor
-    check(halos_[1], x + 1, y, x < width - 1);  // east neighbor
-    check(halos_[2], x, y + 1, y < height - 1); // fabric south = y+1
-    check(halos_[3], x, y - 1, y > 0);          // fabric north = y-1
-  }
-
-  u32 nz_;
-  int rounds_;
-  HaloExchange halo_;
-  MemSpan column_{};
-  std::array<MemSpan, 4> halos_{};
+// Buffers of one halo test PE. Every PE allocates the same sequence, so
+// one layout describes the whole fabric.
+struct HaloLayout {
+  MemSpan column{}, west{}, east{}, south{}, north{};
+  MemSpan faces{}; // received-face count, stored when the last round ends
 };
+
+// `rounds` back-to-back exchanges of an nz-word fingerprint column; each
+// received face bumps a counter (the per-face work slot the solver uses
+// for its flux).
+wse::ProgramFactory halo_test_program(u32 nz, u32 rounds, HaloLayout* out) {
+  return [=](PeCoord) {
+    return std::make_unique<BcFixtureProgram>([=](PeContext& ctx) {
+      HaloExchange().configure(ctx);
+      HaloLayout& L = *out;
+      L.column = ctx.memory().alloc_f32("column", nz);
+      for (u32 z = 0; z < nz; ++z)
+        ctx.memory().store(L.column.offset_words + z,
+                           fingerprint(ctx.coord().x, ctx.coord().y, z));
+      for (MemSpan* buf : {&L.west, &L.east, &L.south, &L.north}) {
+        *buf = ctx.memory().alloc_f32("halo", nz);
+        for (u32 z = 0; z < nz; ++z)
+          ctx.memory().store(buf->offset_words + z, -1.0f); // sentinel
+      }
+      L.faces = ctx.memory().alloc_f32("faces", 1);
+
+      bc::Builder b("halo-test");
+      HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
+                       {{}, dsd(L.column), dsd(L.west), dsd(L.east),
+                        dsd(L.south), dsd(L.north),
+                        [](bc::Builder& bb, Dir) { bb.usub(4, 4, 5); },
+                        /*cont_reg=*/0, /*pending_ureg=*/0});
+      const auto entry = b.make_label();
+      const auto round = b.make_label();
+      const auto done = b.make_label();
+      b.bind(entry);
+      b.set_entry(entry);
+      b.umovi(4, 0.0f);  // faces received
+      b.umovi(5, -1.0f); // f4 - f5 counts up
+      b.setu(1, rounds);
+      b.bind(round);
+      b.setc(0, done);
+      halo.emit_start();
+      b.ret();
+      b.bind(done);
+      b.decjnz(1, round);
+      b.rstore(4, L.faces.offset_words);
+      b.halt();
+      b.ret();
+      halo.emit_handlers();
+      return std::make_shared<const bc::Program>(b.finish());
+    });
+  };
+}
+
+// Every halo buffer holds its neighbor's fingerprint column, and the
+// buffers of non-existent neighbors are untouched.
+void expect_halos_delivered(Fabric& fabric, const HaloLayout& L, u32 nz) {
+  const i64 width = fabric.width();
+  const i64 height = fabric.height();
+  for (i64 y = 0; y < height; ++y)
+    for (i64 x = 0; x < width; ++x) {
+      auto check = [&](const MemSpan& buf, i64 nx, i64 ny, bool exists) {
+        for (u32 z = 0; z < nz; ++z) {
+          const f32 got = fabric.pe_memory(x, y).load(buf.offset_words + z);
+          if (exists) {
+            EXPECT_FLOAT_EQ(got, fingerprint(nx, ny, z))
+                << "PE(" << x << "," << y << ") z=" << z;
+          } else {
+            EXPECT_FLOAT_EQ(got, -1.0f) << "boundary halo must stay untouched";
+          }
+        }
+      };
+      check(L.west, x - 1, y, x > 0);          // west neighbor
+      check(L.east, x + 1, y, x < width - 1);  // east neighbor
+      check(L.south, x, y + 1, y < height - 1); // fabric south = y+1
+      check(L.north, x, y - 1, y > 0);          // fabric north = y-1
+    }
+}
 
 struct FabricShape {
   i64 width, height;
@@ -114,9 +131,11 @@ class HaloShapes : public ::testing::TestWithParam<FabricShape> {};
 TEST_P(HaloShapes, DeliversAllFourNeighborColumns) {
   const auto [width, height] = GetParam();
   Fabric fabric(width, height);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(6, 1); });
+  HaloLayout layout;
+  fabric.load(halo_test_program(6, 1, &layout));
   const auto result = fabric.run();
   EXPECT_TRUE(result.all_halted);
+  expect_halos_delivered(fabric, layout, 6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, HaloShapes,
@@ -131,8 +150,10 @@ TEST(HaloExchange, SwitchPositionsReturnToInitialAfterEachRound) {
   // Ring mode + the advance protocol must restore every router; three
   // consecutive rounds would fail otherwise.
   Fabric fabric(4, 3);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(3, 3); });
+  HaloLayout layout;
+  fabric.load(halo_test_program(3, 3, &layout));
   EXPECT_TRUE(fabric.run().all_halted);
+  expect_halos_delivered(fabric, layout, 3);
   for (i64 y = 0; y < 3; ++y)
     for (i64 x = 0; x < 4; ++x)
       for (wse::Color c : {kHaloC1, kHaloC2, kHaloC3, kHaloC4})
@@ -140,26 +161,26 @@ TEST(HaloExchange, SwitchPositionsReturnToInitialAfterEachRound) {
             << "PE(" << x << "," << y << ") color " << static_cast<int>(c);
 }
 
-TEST(HaloExchange, FaceCallbackFiresPerReceivedFace) {
+TEST(HaloExchange, FaceWorkRunsPerReceivedFace) {
   Fabric fabric(3, 3);
-  std::map<std::pair<i64, i64>, HaloTestProgram*> programs;
-  fabric.load([&](PeCoord coord) {
-    auto program = std::make_unique<HaloTestProgram>(2, 1);
-    programs[{coord.x, coord.y}] = program.get();
-    return program;
-  });
+  HaloLayout layout;
+  fabric.load(halo_test_program(2, 1, &layout));
   EXPECT_TRUE(fabric.run().all_halted);
+  auto faces = [&](i64 x, i64 y) {
+    return fabric.pe_memory(x, y).load(layout.faces.offset_words);
+  };
   // Center PE has 4 neighbors, corner has 2, edge-middle has 3.
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(1, 1)]->faces_received), 4);
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(0, 0)]->faces_received), 2);
-  EXPECT_EQ((programs[std::make_pair<i64, i64>(1, 0)]->faces_received), 3);
+  EXPECT_EQ(faces(1, 1), 4.0f);
+  EXPECT_EQ(faces(0, 0), 2.0f);
+  EXPECT_EQ(faces(1, 0), 3.0f);
 }
 
 TEST(HaloExchange, TrafficMatchesFourColumnSendsPerInteriorPe) {
   const i64 width = 4, height = 4;
   const u32 nz = 8;
   Fabric fabric(width, height);
-  fabric.load([&](PeCoord) { return std::make_unique<HaloTestProgram>(nz, 1); });
+  HaloLayout layout;
+  fabric.load(halo_test_program(nz, 1, &layout));
   EXPECT_TRUE(fabric.run().all_halted);
   // Every PE sends its column 4 times (one per step); edge sends drop.
   const u64 expected_injected = static_cast<u64>(width * height) * 4 * nz;
@@ -168,56 +189,67 @@ TEST(HaloExchange, TrafficMatchesFourColumnSendsPerInteriorPe) {
 }
 
 // ---------- AllReduce ----------
+// Lowered through csl::ReduceEmitter. Round r contributes value + r on
+// every PE and stores the fabric total to results[r].
 
-class AllReduceTestProgram final : public PeProgram {
-public:
-  AllReduceTestProgram(f32 value, int rounds, std::vector<f32>* sink)
-      : value_(value), rounds_(rounds), sink_(sink) {}
-
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    start_round(ctx);
-  }
-
-  void on_task(PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(reduce_.handles(color));
-    reduce_.on_task(ctx, color);
-  }
-
-private:
-  void start_round(PeContext& ctx) {
-    reduce_.start(ctx, value_, [this](PeContext& c, f32 total) {
-      sink_->push_back(total);
-      value_ += 1.0f; // change the contribution between rounds
-      if (--rounds_ > 0) {
-        start_round(c);
-      } else {
-        c.halt();
+wse::ProgramFactory allreduce_test_program(
+    const std::function<f32(PeCoord)>& value_of, u32 rounds, MemSpan* results) {
+  return [=](PeCoord coord) {
+    const f32 value = value_of(coord);
+    return std::make_unique<BcFixtureProgram>([=](PeContext& ctx) {
+      AllReduce reduce;
+      reduce.configure(ctx);
+      *results = ctx.memory().alloc_f32("results", rounds);
+      bc::Builder b("allreduce-test");
+      ReduceEmitter emitter(b, ctx.coord(), ctx.fabric_width(),
+                            ctx.fabric_height(),
+                            {{}, reduce.slot_value().offset_words,
+                             reduce.slot_in().offset_words, /*cont_reg=*/1});
+      const auto entry = b.make_label();
+      b.bind(entry);
+      b.set_entry(entry);
+      emitter.emit_handler_bindings();
+      for (u32 r = 0; r < rounds; ++r) {
+        const auto after = b.make_label();
+        b.umovi(0, value + static_cast<f32>(r)); // contribution in f0
+        b.setc(1, after);
+        b.jmp(emitter.start_label());
+        b.bind(after); // fabric total back in f0
+        b.rstore(0, results->offset_words + r);
       }
+      b.halt();
+      b.ret();
+      emitter.emit_blocks();
+      return std::make_shared<const bc::Program>(b.finish());
     });
-  }
+  };
+}
 
-  f32 value_;
-  int rounds_;
-  std::vector<f32>* sink_;
-  AllReduce reduce_;
-};
+// Every PE's round-`round` total.
+std::vector<f32> round_totals(Fabric& fabric, const MemSpan& results, u32 round) {
+  std::vector<f32> totals;
+  for (i64 y = 0; y < fabric.height(); ++y)
+    for (i64 x = 0; x < fabric.width(); ++x)
+      totals.push_back(fabric.pe_memory(x, y).load(results.offset_words + round));
+  return totals;
+}
 
 class AllReduceShapes : public ::testing::TestWithParam<FabricShape> {};
 
 TEST_P(AllReduceShapes, SumsEveryPeContribution) {
   const auto [width, height] = GetParam();
   Fabric fabric(width, height);
-  std::vector<f32> results;
+  const auto value_of = [](PeCoord c) {
+    return static_cast<f32>(c.x + 10 * c.y + 1);
+  };
   f64 expected = 0;
-  fabric.load([&](PeCoord coord) {
-    const f32 value = static_cast<f32>(coord.x + 10 * coord.y + 1);
-    expected += value;
-    return std::make_unique<AllReduceTestProgram>(value, 1, &results);
-  });
+  for (i64 y = 0; y < height; ++y)
+    for (i64 x = 0; x < width; ++x) expected += value_of({x, y});
+  MemSpan results{};
+  fabric.load(allreduce_test_program(value_of, 1, &results));
   ASSERT_TRUE(fabric.run().all_halted);
-  ASSERT_EQ(results.size(), static_cast<std::size_t>(width * height));
-  for (f32 total : results) EXPECT_FLOAT_EQ(total, static_cast<f32>(expected));
+  for (f32 total : round_totals(fabric, results, 0))
+    EXPECT_FLOAT_EQ(total, static_cast<f32>(expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, AllReduceShapes,
@@ -226,38 +258,34 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AllReduceShapes,
                                            FabricShape{3, 2}, FabricShape{2, 3},
                                            FabricShape{5, 5}, FabricShape{8, 3},
                                            FabricShape{3, 8}, FabricShape{7, 7},
-                                           FabricShape{1, 6}, FabricShape{6, 1}));
+                                           FabricShape{1, 6}, FabricShape{6, 1},
+                                           FabricShape{10, 10}));
 
 TEST(AllReduce, BackToBackRoundsProduceFreshSums) {
   const i64 width = 4, height = 3;
   Fabric fabric(width, height);
-  std::vector<f32> results;
-  fabric.load([&](PeCoord) {
-    return std::make_unique<AllReduceTestProgram>(1.0f, 3, &results);
-  });
+  MemSpan results{};
+  fabric.load(allreduce_test_program([](PeCoord) { return 1.0f; }, 3, &results));
   ASSERT_TRUE(fabric.run().all_halted);
-  const auto pes = static_cast<std::size_t>(width * height);
-  ASSERT_EQ(results.size(), 3 * pes);
+  const auto pes = static_cast<f32>(width * height);
   // Round k contributes (1 + k) per PE.
-  std::map<f32, int> histogram;
-  for (f32 total : results) ++histogram[total];
-  EXPECT_EQ(histogram[static_cast<f32>(pes)], static_cast<int>(pes));
-  EXPECT_EQ(histogram[static_cast<f32>(2 * pes)], static_cast<int>(pes));
-  EXPECT_EQ(histogram[static_cast<f32>(3 * pes)], static_cast<int>(pes));
+  for (u32 round = 0; round < 3; ++round)
+    for (f32 total : round_totals(fabric, results, round))
+      EXPECT_EQ(total, static_cast<f32>(round + 1) * pes) << "round " << round;
 }
 
 TEST(AllReduce, HandlesNegativeAndFractionalValues) {
   Fabric fabric(3, 3);
-  std::vector<f32> results;
+  const auto value_of = [](PeCoord c) {
+    return 0.25f * static_cast<f32>(c.x) - 0.75f * static_cast<f32>(c.y);
+  };
   f64 expected = 0;
-  fabric.load([&](PeCoord coord) {
-    const f32 value = 0.25f * static_cast<f32>(coord.x) -
-                      0.75f * static_cast<f32>(coord.y);
-    expected += value;
-    return std::make_unique<AllReduceTestProgram>(value, 1, &results);
-  });
+  for (i64 y = 0; y < 3; ++y)
+    for (i64 x = 0; x < 3; ++x) expected += value_of({x, y});
+  MemSpan results{};
+  fabric.load(allreduce_test_program(value_of, 1, &results));
   ASSERT_TRUE(fabric.run().all_halted);
-  for (f32 total : results)
+  for (f32 total : round_totals(fabric, results, 0))
     EXPECT_NEAR(total, expected, 1e-5) << "fp32 chain reduction";
 }
 

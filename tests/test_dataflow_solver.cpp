@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "core/solver.hpp"
 #include "core/validation.hpp"
 #include "fv/problem.hpp"
@@ -137,26 +135,7 @@ TEST(DataflowSolver, ReportsFabricTraffic) {
 // exact bits of its solve: solution and pressure words, final r^T r,
 // iteration count, cycle total, every FabricStats counter, the op ledger,
 // the residual history, the Table-II phase cycles and the Metrics-level
-// telemetry bundle. Each case also runs the legacy state-machine engine,
-// which must agree with the bytecode engine bit for bit.
-
-void expect_bitwise_identical(const DataflowResult& a, const DataflowResult& b) {
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  ASSERT_EQ(a.delta.size(), b.delta.size());
-  EXPECT_EQ(std::memcmp(a.delta.data(), b.delta.data(),
-                        a.delta.size() * sizeof(f32)),
-            0);
-  ASSERT_EQ(a.pressure.size(), b.pressure.size());
-  EXPECT_EQ(std::memcmp(a.pressure.data(), b.pressure.data(),
-                        a.pressure.size() * sizeof(f32)),
-            0);
-  EXPECT_EQ(std::memcmp(&a.final_rr, &b.final_rr, sizeof(f32)), 0);
-  EXPECT_EQ(a.device_cycles, b.device_cycles); // exact, not approximate
-  EXPECT_EQ(a.fabric, b.fabric);               // every traffic counter
-  EXPECT_EQ(a.counters.summary(), b.counters.summary());
-  EXPECT_EQ(a.residual_history, b.residual_history);
-}
+// telemetry bundle.
 
 struct DigestedSolve {
   DataflowResult result;
@@ -164,8 +143,8 @@ struct DigestedSolve {
 };
 
 template <typename Config, typename Solve>
-DigestedSolve digested_solve(const FlowProblem& problem, Config config,
-                             Solve solve) {
+DigestedSolve golden_solve(const FlowProblem& problem, Config config,
+                           Solve solve) {
   telemetry::Session session({telemetry::Level::Metrics});
   config.telemetry = &session;
   DigestedSolve out{solve(problem, config), {}};
@@ -178,18 +157,6 @@ DigestedSolve digested_solve(const FlowProblem& problem, Config config,
   d.add(session.metrics_json());
   out.digest = d.hex();
   return out;
-}
-
-template <typename Config, typename Solve>
-DigestedSolve golden_solve(const FlowProblem& problem, Config config,
-                           Solve solve) {
-  config.engine = SimEngine::Bytecode;
-  DigestedSolve bytecode = digested_solve(problem, config, solve);
-  config.engine = SimEngine::Legacy;
-  const DigestedSolve legacy = digested_solve(problem, config, solve);
-  expect_bitwise_identical(bytecode.result, legacy.result);
-  EXPECT_EQ(bytecode.digest, legacy.digest);
-  return bytecode;
 }
 
 DigestedSolve golden_cg(const FlowProblem& problem, const DataflowConfig& config) {
@@ -277,21 +244,6 @@ TEST(GoldenDigest, EveryThreadCount) {
     config.sim_threads = threads;
     EXPECT_EQ(golden_cg(problem, config).digest, "c1160f552f3b48d4")
         << "threads=" << threads;
-  }
-}
-
-// The preflight verifier consumes the bytecode manifest (derived from the
-// instruction stream); a full verified solve must pass on both engines.
-TEST(EngineParity, VerifyPreflightPassesOnBothEngines) {
-  const auto problem = FlowProblem::quarter_five_spot(3, 3, 4, /*seed=*/5);
-  for (SimEngine engine : {SimEngine::Bytecode, SimEngine::Legacy}) {
-    DataflowConfig config = tight_config();
-    config.engine = engine;
-    config.verify_preflight = true;
-    const auto result = solve_dataflow(problem, config);
-    EXPECT_TRUE(result.converged);
-    const auto report = verify_dataflow(problem, config);
-    EXPECT_TRUE(report.ok()) << report.summary();
   }
 }
 

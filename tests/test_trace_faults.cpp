@@ -10,7 +10,7 @@
 #include <cmath>
 #include <map>
 
-#include "core/pe_program.hpp"
+#include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
 #include "core/validation.hpp"
 #include "csl/any_source.hpp"
@@ -30,6 +30,7 @@ void load_solver(wse::Fabric& fabric, const FlowProblem& problem,
                  u64 max_iterations) {
   const auto& mesh = problem.mesh();
   const auto sys = problem.discretize<f32>();
+  const auto cache = std::make_shared<core::ProgramCache>();
   fabric.load([&](wse::PeCoord coord) -> std::unique_ptr<wse::PeProgram> {
     core::CgPeConfig config;
     config.nz = static_cast<u32>(mesh.nz());
@@ -37,7 +38,9 @@ void load_solver(wse::Fabric& fabric, const FlowProblem& problem,
     config.tolerance = 0.0f;
     config.init = core::build_pe_init(problem, sys, coord.x, coord.y,
                                       core::FluxMode::Fused);
-    return std::make_unique<core::CgPeProgram>(std::move(config));
+    return std::make_unique<core::BytecodeCgProgram>(
+        std::move(config), coord, mesh.nx(), mesh.ny(), wse::PeMemoryParams{},
+        cache);
   });
 }
 

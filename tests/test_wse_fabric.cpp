@@ -533,52 +533,17 @@ TEST(Fabric, LargerMessagesTakeLongerOnTheLink) {
   EXPECT_GT(timed_transfer(256), timed_transfer(8));
 }
 
-// --- bytecode collective parity -------------------------------------------
-// The lowered Table-I collectives (csl/lowering.hpp) must be bit-exact
-// drop-ins for the legacy callback implementations: same memory contents,
-// same fabric statistics (message counts, hops, task activations), same
-// cycle totals, on every fabric shape. Each pair below runs one fabric
-// with the legacy component and one with a hand-built bytecode program
-// around the corresponding emitter.
+// --- bytecode collectives ---------------------------------------------------
+// The lowered Table-I collectives (csl/lowering.hpp), each wrapped in a
+// hand-built bytecode program, are pinned by a frozen digest per fabric
+// shape over the cycle total, every fabric statistic (message counts,
+// hops, task activations) and every buffer word.
 
 f32 cell_fingerprint(i64 x, i64 y, u32 z) {
   return static_cast<f32>(x * 10000 + y * 100 + static_cast<i64>(z));
 }
 
-// One four-step halo exchange, then halt (legacy side).
-class LegacyHaloProgram final : public PeProgram {
-public:
-  explicit LegacyHaloProgram(u32 nz) : nz_(nz) {}
-
-  MemSpan column{}, west{}, east{}, south{}, north{};
-
-  void on_start(PeContext& ctx) override {
-    halo_.configure(ctx);
-    alloc_and_fill(ctx, *this, nz_);
-    halo_.start(
-        ctx, dsd(column), dsd(west), dsd(east), dsd(south), dsd(north),
-        [](PeContext&, Dir) {}, [](PeContext& c) { c.halt(); });
-  }
-  void on_task(PeContext& ctx, Color color) override { halo_.on_task(ctx, color); }
-
-  template <typename P> static void alloc_and_fill(PeContext& ctx, P& p, u32 nz) {
-    p.column = ctx.memory().alloc_f32("column", nz);
-    for (u32 z = 0; z < nz; ++z)
-      ctx.memory().store(p.column.offset_words + z,
-                         cell_fingerprint(ctx.coord().x, ctx.coord().y, z));
-    for (MemSpan* buf : {&p.west, &p.east, &p.south, &p.north}) {
-      *buf = ctx.memory().alloc_f32("halo", nz);
-      for (u32 z = 0; z < nz; ++z)
-        ctx.memory().store(buf->offset_words + z, -1.0f);
-    }
-  }
-
-private:
-  u32 nz_;
-  csl::HaloExchange halo_;
-};
-
-// The same exchange lowered through csl::HaloEmitter.
+// One four-step halo exchange lowered through csl::HaloEmitter, then halt.
 class BytecodeHaloProgram final : public PeProgram {
 public:
   explicit BytecodeHaloProgram(u32 nz) : nz_(nz) {}
@@ -586,8 +551,16 @@ public:
   MemSpan column{}, west{}, east{}, south{}, north{};
 
   void on_start(PeContext& ctx) override {
-    halo_.configure(ctx); // identical router setup to the legacy component
-    LegacyHaloProgram::alloc_and_fill(ctx, *this, nz_);
+    csl::HaloExchange().configure(ctx);
+    column = ctx.memory().alloc_f32("column", nz_);
+    for (u32 z = 0; z < nz_; ++z)
+      ctx.memory().store(column.offset_words + z,
+                         cell_fingerprint(ctx.coord().x, ctx.coord().y, z));
+    for (MemSpan* buf : {&west, &east, &south, &north}) {
+      *buf = ctx.memory().alloc_f32("halo", nz_);
+      for (u32 z = 0; z < nz_; ++z)
+        ctx.memory().store(buf->offset_words + z, -1.0f);
+    }
 
     bc::Builder b("halo-test");
     csl::HaloEmitter::Spec spec;
@@ -605,7 +578,7 @@ public:
     b.bind(entry);
     b.setc(0, done);
     halo.emit_start();
-    b.ret(); // start falls through, like the legacy overlapped control flow
+    b.ret(); // the start sequence falls through to the caller's next op
     b.bind(done);
     b.halt();
     b.ret(); // HALT records the halt but does not stop interpretation
@@ -625,7 +598,6 @@ public:
 
 private:
   u32 nz_;
-  csl::HaloExchange halo_; // router configuration only
   std::shared_ptr<bc::Program> program_;
   bc::VmState vm_;
 };
@@ -638,16 +610,6 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
   } kShapes[] = {{1, 1, "c3c4bb03f04b5754"}, {2, 2, "751d21ad7d823678"}, {4, 3, "f94aa204c2ff81ea"},
                  {3, 4, "b2448a3ec7c3dd64"}, {5, 1, "def06d971059e14a"}, {1, 5, "5bd9a2c174afd80c"}};
   for (const auto& [width, height, digest] : kShapes) {
-    Fabric legacy_fabric(width, height);
-    std::vector<LegacyHaloProgram*> legacy_pes;
-    legacy_fabric.load([&](PeCoord) {
-      auto p = std::make_unique<LegacyHaloProgram>(nz);
-      legacy_pes.push_back(p.get());
-      return p;
-    });
-    const auto legacy_run = legacy_fabric.run();
-    ASSERT_TRUE(legacy_run.all_halted);
-
     Fabric bc_fabric(width, height);
     std::vector<BytecodeHaloProgram*> bc_pes;
     bc_fabric.load([&](PeCoord) {
@@ -658,25 +620,18 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
     const auto bc_run = bc_fabric.run();
     ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
 
-    EXPECT_EQ(bc_run.cycles, legacy_run.cycles) << width << "x" << height;
-    EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
-
-    // Every word of every buffer — column untouched, halos bit-identical.
+    // Every word of every buffer — column untouched, halos delivered.
     golden::Digest d;
     d.add(bc_run.cycles).add(bc_fabric.stats());
-    ASSERT_EQ(bc_pes.size(), legacy_pes.size());
     for (i64 y = 0; y < height; ++y) {
       for (i64 x = 0; x < width; ++x) {
         const std::size_t i = static_cast<std::size_t>(y * width + x);
         PeMemory& bm = bc_fabric.pe_memory(x, y);
-        PeMemory& lm = legacy_fabric.pe_memory(x, y);
         for (const MemSpan* span :
              {&bc_pes[i]->column, &bc_pes[i]->west, &bc_pes[i]->east,
               &bc_pes[i]->south, &bc_pes[i]->north}) {
           for (u32 z = 0; z < nz; ++z) {
             d.add(bm.load(span->offset_words + z));
-            EXPECT_EQ(bm.load(span->offset_words + z), lm.load(span->offset_words + z))
-                << "PE(" << x << "," << y << ") word " << z;
           }
         }
       }
@@ -686,27 +641,6 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
 }
 
 // Whole-fabric all-reduce, one round, result stored to a known slot.
-class LegacyReduceProgram final : public PeProgram {
-public:
-  explicit LegacyReduceProgram(f32 value) : value_(value) {}
-
-  MemSpan result{};
-
-  void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx);
-    result = ctx.memory().alloc_f32("result", 1);
-    reduce_.start(ctx, value_, [this](PeContext& c, f32 total) {
-      c.memory().store(result.offset_words, total);
-      c.halt();
-    });
-  }
-  void on_task(PeContext& ctx, Color color) override { reduce_.on_task(ctx, color); }
-
-private:
-  f32 value_;
-  csl::AllReduce reduce_;
-};
-
 class BytecodeReduceProgram final : public PeProgram {
 public:
   explicit BytecodeReduceProgram(f32 value) : value_(value) {}
@@ -714,28 +648,29 @@ public:
   MemSpan result{};
 
   void on_start(PeContext& ctx) override {
-    reduce_.configure(ctx); // allocates the value/in slots + routes
+    csl::AllReduce reduce;
+    reduce.configure(ctx); // allocates the value/in slots + routes
     result = ctx.memory().alloc_f32("result", 1);
 
     bc::Builder b("reduce-test");
     csl::ReduceEmitter::Spec spec;
-    spec.slot_value = reduce_.slot_value().offset_words;
-    spec.slot_in = reduce_.slot_in().offset_words;
+    spec.slot_value = reduce.slot_value().offset_words;
+    spec.slot_in = reduce.slot_in().offset_words;
     spec.cont_reg = 1;
-    csl::ReduceEmitter reduce(b, ctx.coord(), ctx.fabric_width(),
-                              ctx.fabric_height(), spec);
+    csl::ReduceEmitter emitter(b, ctx.coord(), ctx.fabric_width(),
+                               ctx.fabric_height(), spec);
     const auto entry = b.make_label();
     const auto after = b.make_label();
     b.bind(entry);
-    reduce.emit_handler_bindings();
+    emitter.emit_handler_bindings();
     b.umovi(0, value_); // contribution in f0
     b.setc(1, after);
-    b.jmp(reduce.start_label());
+    b.jmp(emitter.start_label());
     b.bind(after); // fabric total back in f0
     b.rstore(0, result.offset_words);
     b.halt();
     b.ret(); // HALT records the halt but does not stop interpretation
-    reduce.emit_blocks();
+    emitter.emit_blocks();
     b.set_entry(entry);
     program_ = std::make_shared<bc::Program>(b.finish());
     EXPECT_TRUE(bc::lint_program(*program_).empty());
@@ -751,7 +686,6 @@ public:
 
 private:
   f32 value_;
-  csl::AllReduce reduce_; // slot allocation + router configuration
   std::shared_ptr<bc::Program> program_;
   bc::VmState vm_;
 };
@@ -767,16 +701,6 @@ TEST(BytecodeCollectives, AllReduceMatchesGolden) {
       return 0.25f * static_cast<f32>(c.x) - 0.75f * static_cast<f32>(c.y) + 1.0f;
     };
 
-    Fabric legacy_fabric(width, height);
-    std::vector<LegacyReduceProgram*> legacy_pes;
-    legacy_fabric.load([&](PeCoord c) {
-      auto p = std::make_unique<LegacyReduceProgram>(value_of(c));
-      legacy_pes.push_back(p.get());
-      return p;
-    });
-    const auto legacy_run = legacy_fabric.run();
-    ASSERT_TRUE(legacy_run.all_halted);
-
     Fabric bc_fabric(width, height);
     std::vector<BytecodeReduceProgram*> bc_pes;
     bc_fabric.load([&](PeCoord c) {
@@ -787,8 +711,6 @@ TEST(BytecodeCollectives, AllReduceMatchesGolden) {
     const auto bc_run = bc_fabric.run();
     ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
 
-    EXPECT_EQ(bc_run.cycles, legacy_run.cycles) << width << "x" << height;
-    EXPECT_EQ(bc_fabric.stats(), legacy_fabric.stats()) << width << "x" << height;
     golden::Digest d;
     d.add(bc_run.cycles).add(bc_fabric.stats());
     for (i64 y = 0; y < height; ++y) {
@@ -796,10 +718,7 @@ TEST(BytecodeCollectives, AllReduceMatchesGolden) {
         const std::size_t i = static_cast<std::size_t>(y * width + x);
         const f32 bc_total =
             bc_fabric.pe_memory(x, y).load(bc_pes[i]->result.offset_words);
-        const f32 legacy_total =
-            legacy_fabric.pe_memory(x, y).load(legacy_pes[i]->result.offset_words);
         d.add(bc_total);
-        EXPECT_EQ(bc_total, legacy_total) << "PE(" << x << "," << y << ")";
         EXPECT_NE(bc_total, 0.0f); // the reduction actually ran
       }
     }

@@ -315,8 +315,7 @@ TEST(ParallelFabric, PartitionNeverCreatesEmptyShards) {
 // not just any thread count. The (t, emitting PE, emission index) event
 // order plus sound per-boundary horizons make the round schedule's shape
 // invisible.
-core::DataflowResult solve_with_layout(ShardGrid grid, u32 threads,
-                                       core::SimEngine engine) {
+core::DataflowResult solve_with_layout(ShardGrid grid, u32 threads) {
   // Non-square, non-multiple extents: 11x7x5 forces ragged tile rects.
   const auto problem = FlowProblem::quarter_five_spot(11, 7, 5, 9, 0.8);
   core::DataflowConfig config;
@@ -324,32 +323,28 @@ core::DataflowResult solve_with_layout(ShardGrid grid, u32 threads,
   config.max_iterations = 18;
   config.sim_threads = threads;
   config.shard_grid = grid;
-  config.engine = engine;
   return core::solve_dataflow(problem, config);
 }
 
 TEST(ParallelFabric, SolveIsBitwiseIdenticalAcrossShardLayouts) {
-  for (core::SimEngine engine :
-       {core::SimEngine::Bytecode, core::SimEngine::Legacy}) {
-    const auto serial = solve_with_layout(ShardGrid{1, 1}, 1, engine);
-    const ShardGrid grids[] = {
-        {},     // cost model (the default 2D choice)
-        {0, 1}, // 1D row strips (the legacy layout)
-        {2, 2}, {3, 1}, {1, 3}, {2, 3},
-    };
-    for (const ShardGrid& grid : grids) {
-      for (u32 threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
-        const auto result = solve_with_layout(grid, threads, engine);
-        EXPECT_TRUE(same_bits(result.delta, serial.delta))
-            << "delta differs: grid {" << grid.rows << "," << grid.cols
-            << "} threads=" << threads << " engine=" << static_cast<int>(engine);
-        EXPECT_TRUE(same_bits(result.pressure, serial.pressure));
-        EXPECT_EQ(result.iterations, serial.iterations);
-        EXPECT_EQ(result.device_cycles, serial.device_cycles);
-        EXPECT_TRUE(result.fabric == serial.fabric)
-            << "FabricStats differ: grid {" << grid.rows << "," << grid.cols
-            << "} threads=" << threads;
-      }
+  const auto serial = solve_with_layout(ShardGrid{1, 1}, 1);
+  const ShardGrid grids[] = {
+      {},     // cost model (the default 2D choice)
+      {0, 1}, // 1D row strips
+      {2, 2}, {3, 1}, {1, 3}, {2, 3},
+  };
+  for (const ShardGrid& grid : grids) {
+    for (u32 threads : {1u, 2u, 3u, 4u, 7u, 8u}) {
+      const auto result = solve_with_layout(grid, threads);
+      EXPECT_TRUE(same_bits(result.delta, serial.delta))
+          << "delta differs: grid {" << grid.rows << "," << grid.cols
+          << "} threads=" << threads;
+      EXPECT_TRUE(same_bits(result.pressure, serial.pressure));
+      EXPECT_EQ(result.iterations, serial.iterations);
+      EXPECT_EQ(result.device_cycles, serial.device_cycles);
+      EXPECT_TRUE(result.fabric == serial.fabric)
+          << "FabricStats differ: grid {" << grid.rows << "," << grid.cols
+          << "} threads=" << threads;
     }
   }
 }

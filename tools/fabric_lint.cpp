@@ -17,17 +17,14 @@
 //                                             # the fabric would load
 //   ./tools/fabric_lint --dump-cfg            # control-flow graph + per-
 //                                             # handler cost bounds instead
-//   ./tools/fabric_lint --lookahead           # bytecode- vs manifest-derived
-//                                             # channel-lookahead tables
 //
 // `--format json` switches suite/scenario/deep/demo output to one JSON
 // object with a findings array (program, check, severity, pe, color, pc,
 // message) for CI consumption.
 //
 // Exit status: 0 when every verified program is clean (for --demo-defects:
-// when every defect is correctly rejected; for --lookahead: when the
-// bytecode-derived table is no looser than the manifest-derived one),
-// 1 on verification errors, 2 on usage / setup errors.
+// when every defect is correctly rejected), 1 on verification errors, 2 on
+// usage / setup errors.
 
 #include <cstdlib>
 #include <cstring>
@@ -58,9 +55,7 @@ void usage() {
          "       fabric_lint --deep [--fabric WxH] [--nz N] [--format json]\n"
          "       fabric_lint --demo-defects [--format json]\n"
          "       fabric_lint --dump-program [--fabric WxH] [--nz N]\n"
-         "       fabric_lint --dump-cfg [--fabric WxH] [--nz N]\n"
-         "       fabric_lint --lookahead [--fabric WxH] [--nz N] "
-         "[--sim-threads T]\n";
+         "       fabric_lint --dump-cfg [--fabric WxH] [--nz N]\n";
 }
 
 bool parse_fabric(const std::string& arg, i64& width, i64& height) {
@@ -389,90 +384,18 @@ int dump_programs(i64 width, i64 height, u32 nz, bool cfg) {
   return ok ? 0 : 1;
 }
 
-// ---------- --lookahead: bytecode vs manifest batch floors ----------
-
-void print_lookahead_table(const char* label, const wse::ChannelLookahead& t,
-                           u32 tile_rows, u32 tile_cols) {
-  static constexpr const char* kSideNames[4] = {"north", "east", "south",
-                                                "west"};
-  std::cout << label << ":\n";
-  for (std::size_t s = 0; s < t.out.size(); ++s) {
-    std::cout << "  shard " << s << " (tile " << s / tile_cols << ","
-              << s % tile_cols << "):";
-    bool any = false;
-    for (std::size_t d = 0; d < 4; ++d) {
-      // Sides with no neighboring tile are omitted entirely.
-      const u32 r = static_cast<u32>(s) / tile_cols;
-      const u32 c = static_cast<u32>(s) % tile_cols;
-      const bool exists = (d == 0 && r > 0) || (d == 1 && c + 1 < tile_cols) ||
-                          (d == 2 && r + 1 < tile_rows) || (d == 3 && c > 0);
-      if (!exists) continue;
-      any = true;
-      std::cout << ' ' << kSideNames[d] << ' '
-                << (t.out[s][d].crosses
-                        ? "crosses(min batch " +
-                              std::to_string(t.out[s][d].min_batch_cycles) +
-                              " cyc)"
-                        : "decoupled")
-                << ';';
-    }
-    if (!any) std::cout << " no internal boundaries";
-    std::cout << '\n';
-  }
-}
-
-/// True when edge `a` is at least as tight as `b` (not-crossing beats any
-/// crossing edge; otherwise larger min batch is tighter).
-bool edge_no_looser(const wse::ChannelLookahead::Edge& a,
-                    const wse::ChannelLookahead::Edge& b) {
-  if (!a.crosses) return true;
-  if (!b.crosses) return false;
-  return a.min_batch_cycles >= b.min_batch_cycles;
-}
-
-int lookahead_report(i64 width, i64 height, u32 nz, u32 sim_threads) {
-  const auto problem = FlowProblem::quarter_five_spot(
-      width, height, nz, /*seed=*/3, /*dirichlet_fraction=*/0.8);
-  core::DataflowConfig config;
-  config.tolerance = 1e-6f;
-  config.sim_threads = sim_threads;
-  const auto plan = core::plan_dataflow_lookahead(problem, config);
-  std::cout << "--- channel lookahead for CG on " << width << "x" << height
-            << " (nz " << nz << ", " << plan.shard_count << " shard(s), "
-            << plan.tile_rows << "x" << plan.tile_cols << " tiles) ---\n";
-  if (plan.shard_count <= 1) {
-    std::cout << "single shard: no internal boundaries to plan\n";
-    return 0;
-  }
-  print_lookahead_table("bytecode-derived (reachable SEND facts)",
-                        plan.bytecode, plan.tile_rows, plan.tile_cols);
-  print_lookahead_table("manifest-derived (declared bounds)", plan.manifest,
-                        plan.tile_rows, plan.tile_cols);
-  bool tight = true;
-  for (std::size_t s = 0; s < plan.bytecode.out.size(); ++s)
-    for (std::size_t d = 0; d < 4; ++d)
-      tight &= edge_no_looser(plan.bytecode.out[s][d], plan.manifest.out[s][d]);
-  std::cout << (tight ? "bytecode-derived windows are no looser than "
-                        "manifest-derived windows\n"
-                      : "UNEXPECTED: bytecode-derived table is looser than "
-                        "the manifest-derived one\n");
-  return tight ? 0 : 1;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
   i64 width = 4;
   i64 height = 4;
   long nz = 8;
-  long sim_threads = 4;
   std::string scenario_path;
   std::string format;
   bool defects = false;
   bool dump = false;
   bool dump_cfg = false;
   bool deep = false;
-  bool lookahead = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fabric" && i + 1 < argc) {
@@ -494,12 +417,6 @@ int main(int argc, char** argv) {
         std::cerr << "error: --format expects json or text\n";
         return 2;
       }
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      sim_threads = std::strtol(argv[++i], nullptr, 10);
-      if (sim_threads < 1) {
-        std::cerr << "error: --sim-threads expects a count >= 1\n";
-        return 2;
-      }
     } else if (arg == "--demo-defects") {
       defects = true;
     } else if (arg == "--dump-program") {
@@ -508,8 +425,6 @@ int main(int argc, char** argv) {
       dump_cfg = true;
     } else if (arg == "--deep") {
       deep = true;
-    } else if (arg == "--lookahead") {
-      lookahead = true;
     } else {
       usage();
       return 2;
@@ -521,10 +436,6 @@ int main(int argc, char** argv) {
     if (defects) return demo_defects(json);
     if (dump || dump_cfg) {
       return dump_programs(width, height, static_cast<u32>(nz), dump_cfg);
-    }
-    if (lookahead) {
-      return lookahead_report(width, height, static_cast<u32>(nz),
-                              static_cast<u32>(sim_threads));
     }
     if (!scenario_path.empty()) return lint_scenario(scenario_path, json);
     if (deep) return lint_deep(width, height, static_cast<u32>(nz), json);
