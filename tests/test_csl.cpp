@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "analysis/fixtures.hpp"
@@ -18,6 +19,8 @@
 #include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
 #include "wse/fabric.hpp"
+
+#include "golden_digest.hpp"
 
 namespace fvdf::csl {
 namespace {
@@ -291,14 +294,20 @@ TEST(AllReduce, HandlesNegativeAndFractionalValues) {
 
 // ---------- EastwardExchange (Fig. 4) ----------
 
+// Buffers of one exchange test PE (the same offsets on every PE).
+struct ExchangeLayout {
+  MemSpan mine{}, theirs{};
+};
+
 class ExchangeTestProgram final : public PeProgram {
 public:
-  explicit ExchangeTestProgram(u32 nz) : nz_(nz) {}
+  ExchangeTestProgram(u32 nz, ExchangeLayout* out) : nz_(nz), out_(out) {}
 
   void on_start(PeContext& ctx) override {
     exchange_.configure(ctx);
     mine_ = ctx.memory().alloc_f32("mine", nz_);
     theirs_ = ctx.memory().alloc_f32("theirs", nz_);
+    *out_ = {mine_, theirs_};
     for (u32 z = 0; z < nz_; ++z) {
       ctx.memory().store(mine_.offset_words + z,
                          fingerprint(ctx.coord().x, ctx.coord().y, z));
@@ -329,30 +338,58 @@ private:
   }
 
   u32 nz_;
+  ExchangeLayout* out_;
   EastwardExchange exchange_;
   MemSpan mine_{}, theirs_{};
 };
 
+// One eastward exchange of nz-word fingerprint columns, digested: the
+// cycle total, every fabric statistic, every PE's sent and received words
+// and its final switch position.
+std::string eastward_digest(i64 width, i64 height, u32 nz) {
+  Fabric fabric(width, height);
+  ExchangeLayout layout;
+  fabric.load([&](PeCoord) {
+    return std::make_unique<ExchangeTestProgram>(nz, &layout);
+  });
+  const auto run = fabric.run();
+  EXPECT_TRUE(run.all_halted) << width << "x" << height;
+  golden::Digest d;
+  d.add(run.cycles).add(fabric.stats());
+  for (i64 y = 0; y < height; ++y)
+    for (i64 x = 0; x < width; ++x) {
+      for (const MemSpan* span : {&layout.mine, &layout.theirs})
+        for (u32 z = 0; z < nz; ++z)
+          d.add(fabric.pe_memory(x, y).load(span->offset_words + z));
+      d.add(fabric.pe_router(x, y).position(kExchangeX));
+    }
+  return d.hex();
+}
+
 TEST(EastwardExchange, EveryPeReceivesItsWesternNeighborData) {
-  for (i64 width : {1, 2, 3, 4, 7, 8}) {
-    Fabric fabric(width, 1);
-    fabric.load([&](PeCoord) { return std::make_unique<ExchangeTestProgram>(5); });
-    EXPECT_TRUE(fabric.run().all_halted) << "width " << width;
-  }
+  const struct {
+    i64 width;
+    const char* digest;
+  } kWidths[] = {{1, "a623f5a5486e1985"}, {2, "6923b8603fec708c"},
+                  {3, "2b975b62b90589d9"}, {4, "a5a3413ef97a7016"},
+                  {7, "b110fe5833732d30"}, {8, "ae42db90b332cbc5"}};
+  for (const auto& [width, digest] : kWidths)
+    EXPECT_EQ(eastward_digest(width, 1, 5), digest) << "width " << width;
 }
 
 TEST(EastwardExchange, RingRestoresSwitchPositions) {
   Fabric fabric(4, 1);
-  fabric.load([&](PeCoord) { return std::make_unique<ExchangeTestProgram>(3); });
+  ExchangeLayout layout;
+  fabric.load([&](PeCoord) {
+    return std::make_unique<ExchangeTestProgram>(3, &layout);
+  });
   ASSERT_TRUE(fabric.run().all_halted);
   for (i64 x = 0; x < 4; ++x)
     EXPECT_EQ(fabric.pe_router(x, 0).position(kExchangeX), 0u) << "PE " << x;
 }
 
 TEST(EastwardExchange, RunsOnEveryRowOfA2dFabricIndependently) {
-  Fabric fabric(3, 4);
-  fabric.load([&](PeCoord) { return std::make_unique<ExchangeTestProgram>(4); });
-  EXPECT_TRUE(fabric.run().all_halted);
+  EXPECT_EQ(eastward_digest(3, 4, 4), "de913a3d11538726");
 }
 
 } // namespace

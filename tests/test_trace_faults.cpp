@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
@@ -18,6 +19,8 @@
 #include "solver/pressure_solve.hpp"
 #include "wse/fabric.hpp"
 #include "wse/trace.hpp"
+
+#include "golden_digest.hpp"
 
 namespace fvdf {
 namespace {
@@ -205,11 +208,13 @@ TEST(Faults, CorruptedPayloadIsCaughtByValidation) {
 
 class BroadcastProgram final : public wse::PeProgram {
 public:
-  BroadcastProgram(wse::PeCoord source, u32 words) : source_(source), words_(words) {}
+  BroadcastProgram(wse::PeCoord source, u32 words, wse::MemSpan* out)
+      : source_(source), words_(words), out_(out) {}
 
   void on_start(wse::PeContext& ctx) override {
     bcast_.configure(ctx, source_);
     block_ = ctx.memory().alloc_f32("block", words_);
+    *out_ = block_;
     const bool am_source = ctx.coord() == source_;
     for (u32 i = 0; i < words_; ++i)
       ctx.memory().store(block_.offset_words + i,
@@ -231,32 +236,60 @@ public:
 private:
   wse::PeCoord source_;
   u32 words_;
+  wse::MemSpan* out_;
   csl::AnySourceBroadcast bcast_;
   wse::MemSpan block_{};
 };
 
+// One any-source broadcast of a `words`-word block, digested: the cycle
+// total, every fabric statistic, every PE's block and the final switch
+// positions of both flood colors.
+std::string broadcast_digest(wse::Fabric& fabric, wse::PeCoord source,
+                             u32 words) {
+  wse::MemSpan block{};
+  fabric.load([&](wse::PeCoord) {
+    return std::make_unique<BroadcastProgram>(source, words, &block);
+  });
+  const auto run = fabric.run();
+  EXPECT_TRUE(run.all_halted) << fabric.width() << "x" << fabric.height()
+                              << " from (" << source.x << "," << source.y << ")";
+  golden::Digest d;
+  d.add(run.cycles).add(fabric.stats());
+  for (i64 y = 0; y < fabric.height(); ++y)
+    for (i64 x = 0; x < fabric.width(); ++x) {
+      for (u32 i = 0; i < words; ++i)
+        d.add(fabric.pe_memory(x, y).load(block.offset_words + i));
+      const wse::Router& router = fabric.pe_router(x, y);
+      for (const wse::Color c : {csl::kBcastAnyRow, csl::kBcastAnyCol})
+        d.add(router.is_configured(c) ? router.position(c) : ~0u);
+    }
+  return d.hex();
+}
+
 struct BroadcastParam {
   i64 width, height, sx, sy;
+  const char* digest;
 };
 
 class AnySourceShapes : public ::testing::TestWithParam<BroadcastParam> {};
 
 TEST_P(AnySourceShapes, EveryPeReceivesTheBlock) {
-  const auto [width, height, sx, sy] = GetParam();
+  const auto [width, height, sx, sy, digest] = GetParam();
   wse::Fabric fabric(width, height);
-  fabric.load([&, sx = sx, sy = sy](wse::PeCoord) {
-    return std::make_unique<BroadcastProgram>(wse::PeCoord{sx, sy}, 6);
-  });
-  EXPECT_TRUE(fabric.run().all_halted)
+  EXPECT_EQ(broadcast_digest(fabric, wse::PeCoord{sx, sy}, 6), digest)
       << width << "x" << height << " from (" << sx << "," << sy << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sources, AnySourceShapes,
-    ::testing::Values(BroadcastParam{1, 1, 0, 0}, BroadcastParam{4, 4, 0, 0},
-                      BroadcastParam{4, 4, 3, 3}, BroadcastParam{5, 3, 2, 1},
-                      BroadcastParam{3, 5, 1, 4}, BroadcastParam{1, 6, 0, 2},
-                      BroadcastParam{6, 1, 5, 0}, BroadcastParam{7, 7, 3, 3}));
+    ::testing::Values(BroadcastParam{1, 1, 0, 0, "989b0c7631ea7115"},
+                      BroadcastParam{4, 4, 0, 0, "dc9c2b80eb28768e"},
+                      BroadcastParam{4, 4, 3, 3, "8a154a6b9fe9af0e"},
+                      BroadcastParam{5, 3, 2, 1, "26d0e149bdf75a9e"},
+                      BroadcastParam{3, 5, 1, 4, "057e3ea6709a27fa"},
+                      BroadcastParam{1, 6, 0, 2, "c09be23ebd1a3abb"},
+                      BroadcastParam{6, 1, 5, 0, "523c036347ba8a8b"},
+                      BroadcastParam{7, 7, 3, 3, "b1339c2f0fd3cb68"}));
 
 TEST(AnySourceBroadcast, HopCountMatchesManhattanOptimum) {
   // Total link hops of the flood = sum over PEs of nothing extra: each of
@@ -264,10 +297,7 @@ TEST(AnySourceBroadcast, HopCountMatchesManhattanOptimum) {
   // link of the broadcast tree is traversed once per message.
   const i64 width = 5, height = 4;
   wse::Fabric fabric(width, height);
-  fabric.load([&](wse::PeCoord) {
-    return std::make_unique<BroadcastProgram>(wse::PeCoord{2, 1}, 3);
-  });
-  ASSERT_TRUE(fabric.run().all_halted);
+  EXPECT_EQ(broadcast_digest(fabric, wse::PeCoord{2, 1}, 3), "f347e0df6628a3b1");
   // Tree edges: (width-1) row edges + width * (height-1) column edges.
   const u64 expected_hops = static_cast<u64>(width - 1) + width * (height - 1);
   EXPECT_EQ(fabric.stats().wavelet_hops, expected_hops);
