@@ -23,7 +23,6 @@
 #include "csl/halo.hpp"
 #include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
-#include "wse/bytecode_interp.hpp"
 #include "wse/fabric.hpp"
 
 using namespace fvdf;
@@ -31,34 +30,31 @@ using namespace fvdf::wse;
 
 namespace {
 
-// A PE program that runs the tour: exchange columns with the four
+// The PE program that runs the tour: exchange columns with the four
 // neighbors, reduce a scalar across the fabric, then do some vector
-// arithmetic with the result. on_start configures the routes, allocates
-// memory, lowers this PE's program and runs its entry block; the fabric
-// dispatches every later task straight into the instruction stream.
-class TourProgram final : public PeProgram {
-public:
-  explicit TourProgram(u32 nz) : nz_(nz) {}
-
-  MemSpan total{}; // the all-reduce result (same offset on every PE)
-
-  void on_start(PeContext& ctx) override {
+// arithmetic with the result. The start step configures the routes,
+// allocates memory and lowers this PE's stream; its entry block then runs,
+// and the fabric dispatches every later task into the stream. PE (0,0)
+// reports where the all-reduce result lands (the same offset on every PE).
+std::unique_ptr<PeProgram> tour_program(u32 nz, MemSpan* total_out) {
+  return std::make_unique<PeProgram>([=](PeContext& ctx) {
     csl::HaloExchange().configure(ctx);
     csl::AllReduce reduce;
     reduce.configure(ctx);
 
-    const MemSpan column = ctx.memory().alloc_f32("column", nz_);
-    const MemSpan west = ctx.memory().alloc_f32("west", nz_);
+    const MemSpan column = ctx.memory().alloc_f32("column", nz);
+    const MemSpan west = ctx.memory().alloc_f32("west", nz);
     csl::HaloEmitter::Spec halo_spec;
     halo_spec.column = dsd(column);
     halo_spec.west = dsd(west);
     for (Dsd* halo : {&halo_spec.east, &halo_spec.south, &halo_spec.north})
-      *halo = dsd(ctx.memory().alloc_f32("halo", nz_));
-    const MemSpan ones = ctx.memory().alloc_f32("ones", nz_);
-    total = ctx.memory().alloc_f32("total", 1);
+      *halo = dsd(ctx.memory().alloc_f32("halo", nz));
+    const MemSpan ones = ctx.memory().alloc_f32("ones", nz);
+    const MemSpan total = ctx.memory().alloc_f32("total", 1);
+    if (ctx.coord() == PeCoord{0, 0}) *total_out = total;
     // Fill the column with this PE's linear id (a host upload, uncharged).
     const f32 id = static_cast<f32>(ctx.coord().y * ctx.fabric_width() + ctx.coord().x);
-    for (u32 z = 0; z < nz_; ++z) ctx.memory().store(column.offset_words + z, id);
+    for (u32 z = 0; z < nz; ++z) ctx.memory().store(column.offset_words + z, id);
 
     bc::Builder b("tour");
     csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(),
@@ -67,11 +63,8 @@ public:
         b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
         {{}, reduce.slot_value().offset_words, reduce.slot_in().offset_words,
          /*cont_reg=*/1});
-    const auto entry = b.make_label();
     const auto after_halo = b.make_label();
     const auto after_reduce = b.make_label();
-    b.bind(entry);
-    b.set_entry(entry);
     allreduce.emit_handler_bindings();
     // Step 1: the halo exchange; its last step continues at after_halo.
     b.setc(halo_spec.cont_reg, after_halo);
@@ -92,22 +85,9 @@ public:
     b.ret();
     halo.emit_handlers();
     allreduce.emit_blocks();
-
-    program_ = std::make_shared<const bc::Program>(b.finish());
-    bc::run(ctx, vm_, *program_, program_->entry);
-  }
-
-  void on_task(PeContext& ctx, Color color) override {
-    bc::run(ctx, vm_, *program_, vm_.handler[color]);
-  }
-  const bc::Program* bytecode() const override { return program_.get(); }
-  bc::VmState* bytecode_state() override { return &vm_; }
-
-private:
-  u32 nz_;
-  std::shared_ptr<const bc::Program> program_;
-  bc::VmState vm_;
-};
+    return std::make_shared<const bc::Program>(b.finish());
+  });
+}
 
 } // namespace
 
@@ -120,12 +100,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   Fabric fabric(width, height);
-  const TourProgram* probe = nullptr; // PE (0,0)'s program
-  fabric.load([&](PeCoord coord) {
-    auto program = std::make_unique<TourProgram>(static_cast<u32>(nz));
-    if (coord.x == 0 && coord.y == 0) probe = program.get();
-    return program;
-  });
+  MemSpan total{}; // the all-reduce result slot
+  fabric.load([&](PeCoord) { return tour_program(static_cast<u32>(nz), &total); });
   const auto result = fabric.run();
 
   std::cout << "fabric " << width << "x" << height << ", " << nz
@@ -158,10 +134,10 @@ int main(int argc, char** argv) {
   bool agree = true;
   for (i64 y = 0; y < height; ++y)
     for (i64 x = 0; x < width; ++x)
-      agree &= fabric.pe_memory(x, y).load(probe->total.offset_words) ==
+      agree &= fabric.pe_memory(x, y).load(total.offset_words) ==
                static_cast<f32>(expected);
   std::cout << "all-reduce total: expected " << expected << ", PE(0,0) holds "
-            << fabric.pe_memory(0, 0).load(probe->total.offset_words)
+            << fabric.pe_memory(0, 0).load(total.offset_words)
             << (agree ? " (every PE agrees)" : " (PEs DISAGREE)") << "\n";
   return result.all_halted && agree ? 0 : 1;
 }

@@ -27,8 +27,8 @@
 //     counts bounded through SETU immediates; loops that cannot be
 //     statically bounded are defects. Per-color minimum send words and
 //     minimum charged cycles before the first SEND are exported so the
-//     lookahead planner can derive its batch floors from the bytecode
-//     instead of trusting manifest declarations.
+//     lookahead planner can derive its batch floors from the reachable
+//     code rather than from every SEND in the stream.
 //
 // The lattice is deliberately simple: reachability is the only
 // fixed-point component shared by all analyses (build_cfg computes it);

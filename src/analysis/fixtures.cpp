@@ -4,16 +4,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <utility>
 
-#include "common/error.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/any_source.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/halo.hpp"
 #include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
-#include "wse/bytecode_interp.hpp"
 #include "wse/dsd.hpp"
 #include "wse/router.hpp"
 
@@ -24,32 +21,23 @@ using wse::ColorConfig;
 using wse::Dir;
 using wse::DirMask;
 using wse::Dsd;
-using wse::MemSpan;
 using wse::PeContext;
 using wse::PeCoord;
 using wse::PeProgram;
 using wse::ProgramFactory;
-using wse::ProgramManifest;
 using wse::SwitchPosition;
 
 namespace {
 
 // ---------- known-good collective drivers ----------
 
-/// One lowered collective program per PE shape — coordinate parity and
-/// fabric edges, everything the csl emitters branch on — kept alive for
-/// the factory's lifetime (see BcFixtureProgram). Fixture allocations
-/// are the same on every PE, so the shape alone selects the program.
-class ShapePrograms {
+/// One lowered collective program per lowering key, kept alive for the
+/// factory's lifetime. Fixture allocations are the same on every PE, so
+/// the key — whatever the emitter branches on — selects the program.
+class ProgramsByKey {
 public:
   std::shared_ptr<const wse::bc::Program>
-  get(const PeContext& ctx, const std::function<wse::bc::Program()>& lower) {
-    const PeCoord c = ctx.coord();
-    const u32 key = (c.x % 2 != 0 ? 1u : 0u) | (c.y % 2 != 0 ? 2u : 0u) |
-                    (c.x == 0 ? 4u : 0u) |
-                    (c.x == ctx.fabric_width() - 1 ? 8u : 0u) |
-                    (c.y == 0 ? 16u : 0u) |
-                    (c.y == ctx.fabric_height() - 1 ? 32u : 0u);
+  get(u32 key, const std::function<wse::bc::Program()>& lower) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& slot = programs_[key];
     if (!slot) slot = std::make_shared<const wse::bc::Program>(lower());
@@ -61,61 +49,35 @@ private:
   std::map<u32, std::shared_ptr<const wse::bc::Program>> programs_;
 };
 
-class EastwardProgram final : public PeProgram {
-public:
-  explicit EastwardProgram(u32 block) : block_(block) {}
+/// Coordinate parity and fabric edges: everything the halo and
+/// all-reduce emitters branch on.
+u32 shape_key(const PeContext& ctx) {
+  const PeCoord c = ctx.coord();
+  return (c.x % 2 != 0 ? 1u : 0u) | (c.y % 2 != 0 ? 2u : 0u) |
+         (c.x == 0 ? 4u : 0u) | (c.x == ctx.fabric_width() - 1 ? 8u : 0u) |
+         (c.y == 0 ? 16u : 0u) | (c.y == ctx.fabric_height() - 1 ? 32u : 0u);
+}
 
-  void on_start(PeContext& ctx) override {
-    exchange_.configure(ctx);
-    mine_ = ctx.memory().alloc_f32("mine", block_);
-    from_west_ = ctx.memory().alloc_f32("from_west", block_);
-    exchange_.start(ctx, wse::dsd(mine_), wse::dsd(from_west_),
-                    [](PeContext& c) { c.halt(); });
-  }
-
-  void on_task(PeContext& ctx, Color color) override {
-    exchange_.on_task(ctx, color);
-  }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return exchange_.manifest(coord, width, height);
-  }
-
-private:
-  u32 block_;
-  csl::EastwardExchange exchange_;
-  MemSpan mine_{};
-  MemSpan from_west_{};
-};
-
-class AnySourceProgram final : public PeProgram {
-public:
-  AnySourceProgram(PeCoord source, u32 block) : source_(source), block_(block) {}
-
-  void on_start(PeContext& ctx) override {
-    broadcast_.configure(ctx, source_);
-    block_span_ = ctx.memory().alloc_f32("block", block_);
-    broadcast_.start(ctx, wse::dsd(block_span_), [](PeContext& c) { c.halt(); });
-  }
-
-  void on_task(PeContext& ctx, Color color) override {
-    broadcast_.on_task(ctx, color);
-  }
-
-  ProgramManifest manifest(PeCoord coord, i64 width, i64 height) const override {
-    return broadcast_.manifest(coord, width, height);
-  }
-
-private:
-  PeCoord source_;
-  u32 block_;
-  csl::AnySourceBroadcast broadcast_;
-  MemSpan block_span_{};
-};
+/// One round of a collective, then halt: the entry block arms the
+/// continuation and runs the start sequence; the handler blocks follow.
+template <typename Emitter>
+wse::bc::Program lower_one_round(wse::bc::Builder& b, Emitter& emitter,
+                                 u8 cont_reg) {
+  const auto done = b.make_label();
+  b.setc(cont_reg, done);
+  emitter.emit_start();
+  b.ret();
+  b.bind(done);
+  b.halt();
+  b.ret();
+  emitter.emit_handlers();
+  return b.finish();
+}
 
 // ---------- seeded defects ----------
 
 constexpr Color kDefectColor = 5;
+constexpr Color kNeverActivated = 24; // local task color nothing activates
 
 ColorConfig one_position(DirMask rx, DirMask tx) {
   ColorConfig config;
@@ -123,153 +85,70 @@ ColorConfig one_position(DirMask rx, DirMask tx) {
   return config;
 }
 
-/// Eastward chain that deliberately skips the edge clip: the right-most
-/// PE's transmit points off the fabric.
-class EdgeRouteProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    ctx.configure_router(kDefectColor,
-                         one_position(DirMask::of(Dir::Ramp, Dir::West),
-                                      DirMask::of(Dir::East)));
+/// A stream that binds a handler injecting on kDefectColor (when `injects`)
+/// and returns; the handler never runs.
+std::shared_ptr<const wse::bc::Program> routing_defect_stream(bool injects) {
+  wse::bc::Builder b(injects ? "routing-defect-injector" : "routing-defect");
+  if (injects) {
+    const auto handler = b.make_label();
+    b.seth(kNeverActivated, handler);
+    b.ret();
+    b.bind(handler);
+    b.send_control(kDefectColor, 0);
   }
-  void on_task(PeContext&, Color) override {}
-  ProgramManifest manifest(PeCoord coord, i64, i64) const override {
-    ProgramManifest m;
-    if (coord.x == 0 && coord.y == 0)
-      m.injects |= wse::color_set_bit(kDefectColor);
-    return m;
-  }
-};
+  b.ret();
+  return std::make_shared<const wse::bc::Program>(b.finish());
+}
 
-/// PE (0,0) forwards east, PE (1,0) forwards straight back: the channel
-/// dependency graph has the cycle (1,0)@West -> (0,0)@East -> (1,0)@West.
-class CreditCycleProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    if (ctx.coord().x % 2 == 0) {
-      ctx.configure_router(kDefectColor,
-                           one_position(DirMask::of(Dir::Ramp, Dir::East),
-                                        DirMask::of(Dir::East)));
-    } else {
-      ctx.configure_router(kDefectColor, one_position(DirMask::of(Dir::West),
-                                                      DirMask::of(Dir::West)));
-    }
-  }
-  void on_task(PeContext&, Color) override {}
-  ProgramManifest manifest(PeCoord coord, i64, i64) const override {
-    ProgramManifest m;
-    if (coord.x == 0 && coord.y == 0)
-      m.injects |= wse::color_set_bit(kDefectColor);
-    return m;
-  }
-};
-
-/// The sender's wavelet lands on PE (1,0)'s ramp, but that program neither
-/// arms a recv nor declares a task handler for the color.
-class MissingHandlerProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    if (ctx.coord().x % 2 == 0) {
-      ctx.configure_router(kDefectColor, one_position(DirMask::of(Dir::Ramp),
-                                                      DirMask::of(Dir::East)));
-    } else {
-      ctx.configure_router(kDefectColor, one_position(DirMask::of(Dir::West),
-                                                      DirMask::of(Dir::Ramp)));
-    }
-  }
-  void on_task(PeContext&, Color) override {}
-  ProgramManifest manifest(PeCoord coord, i64, i64) const override {
-    ProgramManifest m;
-    if (coord.x % 2 == 0) m.injects |= wse::color_set_bit(kDefectColor);
-    return m;
-  }
-};
-
-/// One allocation larger than the entire arena: alloc_f32 throws the
-/// "PE memory overflow" Error the verifier maps to a memory-budget
-/// diagnostic (with the full allocation map).
-class ArenaOverflowProgram final : public PeProgram {
-public:
-  void on_start(PeContext& ctx) override {
-    const u64 words = ctx.memory().capacity_bytes() / 4 + 1;
-    ctx.memory().alloc_f32("overflow", static_cast<u32>(words));
-  }
-  void on_task(PeContext&, Color) override {}
-};
+/// A routing defect: every PE installs `route(coord)`; PEs where
+/// `injects(coord)` holds load the injecting stream.
+ProgramFactory routing_defect(std::function<ColorConfig(PeCoord)> route,
+                              std::function<bool(PeCoord)> injects) {
+  auto injector = routing_defect_stream(true);
+  auto quiet = routing_defect_stream(false);
+  return [=](PeCoord coord) {
+    return std::make_unique<PeProgram>(
+        [=](PeContext& ctx) {
+          ctx.configure_router(kDefectColor, route(coord));
+          return injects(coord) ? injector : quiet;
+        });
+  };
+}
 
 } // namespace
 
-BcFixtureProgram::BcFixtureProgram(
-    std::shared_ptr<const wse::bc::Program> program, Setup setup)
-    : program_(std::move(program)), setup_(std::move(setup)) {}
-
-BcFixtureProgram::BcFixtureProgram(Lower lower) : lower_(std::move(lower)) {}
-
-void BcFixtureProgram::on_start(PeContext& ctx) {
-  if (setup_) setup_(ctx);
-  if (!lower_) return;
-  program_ = lower_(ctx);
-  wse::bc::run(ctx, vm_, *program_, program_->entry);
-}
-
-void BcFixtureProgram::on_task(PeContext& ctx, Color color) {
-  const u16 pc = vm_.handler[color];
-  FVDF_CHECK_MSG(program_ != nullptr && pc != wse::bc::kNoPc,
-                 "bytecode fixture: unexpected task color "
-                     << static_cast<int>(color));
-  wse::bc::run(ctx, vm_, *program_, pc);
-}
-
-ProgramManifest BcFixtureProgram::manifest(PeCoord, i64, i64) const {
-  return wse::bc::derive_manifest(*program_);
-}
-
 ProgramFactory halo_program(u32 nz) {
-  auto programs = std::make_shared<ShapePrograms>();
+  auto programs = std::make_shared<ProgramsByKey>();
   return [nz, programs](PeCoord) {
-    return std::make_unique<BcFixtureProgram>([nz, programs](PeContext& ctx) {
+    return std::make_unique<PeProgram>([nz, programs](PeContext& ctx) {
       csl::HaloExchange().configure(ctx);
       csl::HaloEmitter::Spec spec;
       spec.column = wse::dsd(ctx.memory().alloc_f32("column", nz));
       for (Dsd* halo : {&spec.west, &spec.east, &spec.south, &spec.north})
         *halo = wse::dsd(ctx.memory().alloc_f32("halo", nz));
-      return programs->get(ctx, [&] {
+      return programs->get(shape_key(ctx), [&] {
         wse::bc::Builder b("halo-fixture");
         csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(),
                               ctx.fabric_height(), spec);
-        const auto entry = b.make_label();
-        const auto done = b.make_label();
-        b.bind(entry);
-        b.set_entry(entry);
-        b.setc(spec.cont_reg, done);
-        halo.emit_start();
-        b.ret();
-        b.bind(done);
-        b.halt();
-        b.ret();
-        halo.emit_handlers();
-        return b.finish();
+        return lower_one_round(b, halo, spec.cont_reg);
       });
     });
   };
 }
 
 ProgramFactory allreduce_program() {
-  auto programs = std::make_shared<ShapePrograms>();
+  auto programs = std::make_shared<ProgramsByKey>();
   return [programs](PeCoord) {
-    return std::make_unique<BcFixtureProgram>([programs](PeContext& ctx) {
+    return std::make_unique<PeProgram>([programs](PeContext& ctx) {
       csl::AllReduce reduce;
       reduce.configure(ctx);
-      return programs->get(ctx, [&] {
+      return programs->get(shape_key(ctx), [&] {
         wse::bc::Builder b("allreduce-fixture");
         csl::ReduceEmitter emitter(
             b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
             {{}, reduce.slot_value().offset_words,
              reduce.slot_in().offset_words, /*cont_reg=*/1});
-        const auto entry = b.make_label();
         const auto done = b.make_label();
-        b.bind(entry);
-        b.set_entry(entry);
         emitter.emit_handler_bindings();
         b.umovi(0, 1.0f); // this PE's contribution
         b.setc(1, done);
@@ -285,29 +164,98 @@ ProgramFactory allreduce_program() {
 }
 
 ProgramFactory eastward_program(u32 block) {
-  return [block](PeCoord) { return std::make_unique<EastwardProgram>(block); };
+  auto programs = std::make_shared<ProgramsByKey>();
+  return [block, programs](PeCoord) {
+    return std::make_unique<PeProgram>([block, programs](PeContext& ctx) {
+      csl::EastwardExchange().configure(ctx);
+      csl::EastwardEmitter::Spec spec;
+      spec.mine = wse::dsd(ctx.memory().alloc_f32("mine", block));
+      spec.from_west = wse::dsd(ctx.memory().alloc_f32("from_west", block));
+      // The emitter branches on x parity and the west edge only.
+      const u32 key = (ctx.coord().x % 2 != 0 ? 1u : 0u) |
+                      (ctx.coord().x == 0 ? 2u : 0u);
+      return programs->get(key, [&] {
+        wse::bc::Builder b("eastward-fixture");
+        csl::EastwardEmitter exchange(b, ctx.coord(), spec);
+        return lower_one_round(b, exchange, spec.cont_reg);
+      });
+    });
+  };
 }
 
 ProgramFactory any_source_program(PeCoord source, u32 block) {
-  return [source, block](PeCoord) {
-    return std::make_unique<AnySourceProgram>(source, block);
+  auto programs = std::make_shared<ProgramsByKey>();
+  return [source, block, programs](PeCoord) {
+    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+      csl::AnySourceBroadcast().configure(ctx, source);
+      csl::AnySourceEmitter::Spec spec;
+      spec.source = source;
+      spec.block = wse::dsd(ctx.memory().alloc_f32("block", block));
+      // The emitter branches on the PE's role and the fabric's extent.
+      const PeCoord c = ctx.coord();
+      const u32 key = (c == source ? 1u : 0u) | (c.y == source.y ? 2u : 0u) |
+                      (ctx.fabric_width() > 1 ? 4u : 0u) |
+                      (ctx.fabric_height() > 1 ? 8u : 0u);
+      return programs->get(key, [&] {
+        wse::bc::Builder b("any-source-fixture");
+        csl::AnySourceEmitter broadcast(b, c, ctx.fabric_width(),
+                                        ctx.fabric_height(), spec);
+        return lower_one_round(b, broadcast, spec.cont_reg);
+      });
+    });
   };
 }
 
 ProgramFactory edge_route_defect() {
-  return [](PeCoord) { return std::make_unique<EdgeRouteProgram>(); };
+  // Eastward chain that deliberately skips the edge clip: the right-most
+  // PE's transmit points off the fabric.
+  return routing_defect(
+      [](PeCoord) {
+        return one_position(DirMask::of(Dir::Ramp, Dir::West),
+                            DirMask::of(Dir::East));
+      },
+      [](PeCoord coord) { return coord.x == 0 && coord.y == 0; });
 }
 
 ProgramFactory credit_cycle_defect() {
-  return [](PeCoord) { return std::make_unique<CreditCycleProgram>(); };
+  // PE (0,0) forwards east, PE (1,0) forwards straight back: the channel
+  // dependency graph has the cycle (1,0)@West -> (0,0)@East -> (1,0)@West.
+  return routing_defect(
+      [](PeCoord coord) {
+        return coord.x % 2 == 0
+                   ? one_position(DirMask::of(Dir::Ramp, Dir::East),
+                                  DirMask::of(Dir::East))
+                   : one_position(DirMask::of(Dir::West),
+                                  DirMask::of(Dir::West));
+      },
+      [](PeCoord coord) { return coord.x == 0 && coord.y == 0; });
 }
 
 ProgramFactory missing_handler_defect() {
-  return [](PeCoord) { return std::make_unique<MissingHandlerProgram>(); };
+  // The sender's wavelet lands on PE (1,0)'s ramp, but that program
+  // neither arms a recv nor binds a task handler for the color.
+  return routing_defect(
+      [](PeCoord coord) {
+        return coord.x % 2 == 0 ? one_position(DirMask::of(Dir::Ramp),
+                                               DirMask::of(Dir::East))
+                                : one_position(DirMask::of(Dir::West),
+                                               DirMask::of(Dir::Ramp));
+      },
+      [](PeCoord coord) { return coord.x % 2 == 0; });
 }
 
 ProgramFactory arena_overflow_defect() {
-  return [](PeCoord) { return std::make_unique<ArenaOverflowProgram>(); };
+  // One allocation larger than the entire arena: alloc_f32 throws the
+  // "PE memory overflow" Error the verifier maps to a memory-budget
+  // diagnostic (with the full allocation map).
+  return [](PeCoord) {
+    return std::make_unique<PeProgram>(
+        [](PeContext& ctx) -> std::shared_ptr<const wse::bc::Program> {
+          const u64 words = ctx.memory().capacity_bytes() / 4 + 1;
+          ctx.memory().alloc_f32("overflow", static_cast<u32>(words));
+          return nullptr; // unreachable: the allocation throws
+        });
+  };
 }
 
 // ---------- seeded bytecode defects ----------
@@ -320,7 +268,7 @@ ProgramFactory bc_oob_span_defect() {
   auto program =
       std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, [](PeContext& ctx) {
+    return std::make_unique<PeProgram>(program, [](PeContext& ctx) {
       ctx.memory().alloc_f32("buf", 16);
     });
   };
@@ -331,7 +279,7 @@ ProgramFactory bc_unset_continuation_defect() {
   b.jind(0); // pc 0: no reachable SETC ever arms cont0
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, nullptr);
+    return std::make_unique<PeProgram>(program, nullptr);
   };
 }
 
@@ -345,7 +293,7 @@ ProgramFactory bc_unbounded_loop_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, nullptr);
+    return std::make_unique<PeProgram>(program, nullptr);
   };
 }
 
@@ -362,7 +310,7 @@ ProgramFactory bc_send_overlap_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<BcFixtureProgram>(program, [](PeContext& ctx) {
+    return std::make_unique<PeProgram>(program, [](PeContext& ctx) {
       ctx.memory().alloc_f32("buf", 16);
       // Self-delivery loop: inject from the ramp, deliver to the ramp.
       ctx.configure_router(kDefectColor,
@@ -383,7 +331,7 @@ ProgramFactory bc_unbalanced_send_defect() {
   auto rx_program = std::make_shared<const wse::bc::Program>(rx.finish());
   return [tx_program, rx_program](PeCoord coord) {
     if (coord.x == 0) {
-      return std::make_unique<BcFixtureProgram>(
+      return std::make_unique<PeProgram>(
           tx_program, [](PeContext& ctx) {
             ctx.memory().alloc_f32("buf", 16);
             ctx.configure_router(kDefectColor,
@@ -391,7 +339,7 @@ ProgramFactory bc_unbalanced_send_defect() {
                                               DirMask::of(Dir::East)));
           });
     }
-    return std::make_unique<BcFixtureProgram>(
+    return std::make_unique<PeProgram>(
         rx_program, [](PeContext& ctx) {
           ctx.memory().alloc_f32("buf", 16);
           ctx.configure_router(kDefectColor,

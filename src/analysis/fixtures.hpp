@@ -2,59 +2,18 @@
 // Verification fixtures: complete device programs for the static verifier
 // (src/analysis/verifier.hpp) and its tests.
 //
-// The known-good programs drive the four shipped CSL collectives exactly
-// the way the solver does and must verify clean on any fabric shape: the
-// halo exchange and the all-reduce as bytecode lowered through their csl
-// emitters (manifests derived from the stream), the eastward exchange and
-// the any-source broadcast as callback programs that declare their
-// ProgramManifest. Each seeded-defect program violates exactly one check
-// and exists so tests (and fabric_lint demos) can assert the verifier
-// rejects it with the right diagnostic.
+// The known-good programs drive the four shipped CSL collectives — the
+// halo exchange, the all-reduce, the eastward exchange and the any-source
+// broadcast — lowered through their csl emitters, exactly the way the
+// solver runs its collectives, and must verify clean on any fabric shape.
+// Each seeded-defect program violates exactly one check and exists so
+// tests (and fabric_lint demos) can assert the verifier rejects it with
+// the right diagnostic.
 
-#include <functional>
-#include <memory>
-
-#include "wse/bytecode.hpp"
 #include "wse/geometry.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::analysis::fixtures {
-
-/// A PE program around a flat instruction stream (wse/bytecode.hpp); its
-/// manifest is derived from the stream. Two forms:
-///  - a prebuilt `program` plus an optional `setup` (routes, allocations)
-///    that on_start runs; the stream is never started — the seeded
-///    bytecode defects, which only the static passes read;
-///  - a `lower` callback that on_start runs: it configures routes,
-///    allocates, and returns this PE's program, whose entry block on_start
-///    then runs. The fabric dispatches every later task straight into the
-///    stream.
-/// The verifier and the lookahead planner cache their analyses by Program
-/// address, so a program they read must outlive the pass: keep it shared
-/// from the factory closure, not owned by one PE alone.
-class BcFixtureProgram final : public wse::PeProgram {
-public:
-  using Setup = std::function<void(wse::PeContext&)>;
-  using Lower =
-      std::function<std::shared_ptr<const wse::bc::Program>(wse::PeContext&)>;
-
-  BcFixtureProgram(std::shared_ptr<const wse::bc::Program> program,
-                   Setup setup);
-  explicit BcFixtureProgram(Lower lower);
-
-  void on_start(wse::PeContext& ctx) override;
-  void on_task(wse::PeContext& ctx, wse::Color color) override;
-  const wse::bc::Program* bytecode() const override { return program_.get(); }
-  wse::bc::VmState* bytecode_state() override { return &vm_; }
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
-                                i64 fabric_height) const override;
-
-private:
-  std::shared_ptr<const wse::bc::Program> program_;
-  Setup setup_;
-  Lower lower_;
-  wse::bc::VmState vm_;
-};
 
 // --- known-good: one driver per shipped CSL collective ---
 
@@ -71,6 +30,9 @@ wse::ProgramFactory eastward_program(u32 block = 4);
 wse::ProgramFactory any_source_program(wse::PeCoord source, u32 block = 4);
 
 // --- seeded defects (each trips exactly one verifier check) ---
+// The routing defects' injections are data-less SENDCs in a task handler
+// that is bound but never activated: the stream declares them (with a
+// zero-word bound) without the program having to run.
 
 /// Chain route whose final transmit exits the east fabric edge
 /// (route-completeness error). Any width >= 1.
@@ -92,6 +54,8 @@ wse::ProgramFactory arena_overflow_defect();
 // or the send/recv balance check; see abstract_interp.hpp and
 // verifier.hpp check 6). Every program lints clean at the encoding level
 // — the defects are semantic, visible only to the abstract interpreter.
+// They load their stream without running its entry block (the
+// PeProgram(program, setup) form): only the static passes read them.
 
 /// 1x1: the program's only DSD span ends far outside the PE arena
 /// (bytecode-memory error at pc 0).

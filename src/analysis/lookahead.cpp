@@ -18,7 +18,7 @@ using wse::ChannelLookahead;
 using wse::Color;
 
 /// Per-fabric injection summary: which colors carry traffic at all, and
-/// the weakest declared word bound per color.
+/// the weakest word bound per color.
 struct InjectSummary {
   wse::ColorSet injected = 0;
   std::array<u32, wse::kNumRoutableColors> min_words{};
@@ -44,7 +44,7 @@ struct InjectSummary {
     for (Color c = 0; c < wse::kNumRoutableColors; ++c) {
       const ColorFlow& flow = analysis.colors[c];
       if (flow.sends) add(c, flow.min_send_words);
-      if (flow.sends_control) add(c, 0); // control wavelet, like the manifest
+      if (flow.sends_control) add(c, 0); // a control wavelet carries no words
     }
   }
 };
@@ -94,13 +94,14 @@ plan_channel_lookahead(i64 width, i64 height,
   if (tiles.size() == 1) return conservative_table(1, 1);
 
   // Instantiate every PE statically: real routers (for the crossing scan)
-  // plus the injection summary from observed sends and either the
-  // abstract interpreter's reachable-SEND facts (bytecode programs) or
-  // the declared manifest (callback programs). Analyses are cached per
-  // distinct program — factories hand out shared lowered streams, so
-  // pointer identity holds for the lifetime of this pass.
+  // plus the injection summary from observed sends and the abstract
+  // interpreter's reachable-SEND facts. Analyses are cached per distinct
+  // program; the cache holds each stream for the whole pass, so a freed
+  // per-PE stream's address cannot be reused by a later PE's stream.
   std::vector<wse::Router> routers(static_cast<std::size_t>(width * height));
-  std::map<const wse::bc::Program*, ProgramAnalysis> analyses;
+  std::map<const wse::bc::Program*,
+           std::pair<std::shared_ptr<const wse::bc::Program>, ProgramAnalysis>>
+      analyses;
   AnalysisParams analysis_params;
   analysis_params.timing = timing;
   InjectSummary injects;
@@ -115,22 +116,12 @@ plan_channel_lookahead(i64 width, i64 height,
         std::unique_ptr<wse::PeProgram> program = factory(coord);
         if (program == nullptr) return conservative_table(tile_rows, tile_cols);
         program->on_start(ctx);
-        const wse::bc::Program* bytecode = program->bytecode();
-        if (bytecode != nullptr) {
-          auto it = analyses.find(bytecode);
-          if (it == analyses.end()) {
-            it = analyses
-                     .emplace(bytecode,
-                              analyze_program(*bytecode, analysis_params))
-                     .first;
-          }
-          injects.absorb(ctx.observed()); // on_start sends are real traffic
-          injects.absorb(it->second);
-        } else {
-          wse::ProgramManifest manifest = ctx.observed();
-          manifest |= program->manifest(coord, width, height);
-          injects.absorb(manifest);
-        }
+        const auto& bytecode = program->shared_bytecode();
+        auto [it, fresh] = analyses.try_emplace(bytecode.get());
+        if (fresh)
+          it->second = {bytecode, analyze_program(*bytecode, analysis_params)};
+        injects.absorb(ctx.observed()); // on_start sends are real traffic
+        injects.absorb(it->second.second);
       } catch (const Error&) {
         // A PE that cannot instantiate leaves its routes unknown; claim
         // nothing (load()/verify() report the actual failure).

@@ -17,18 +17,15 @@
 //      transmit across the boundary (Router::may_transmit over all switch
 //      positions),
 //   2. which colors any PE ever injects (observed on_start sends plus the
-//      reachable SENDs of its bytecode, or the declared ProgramManifest of
-//      a callback program), and
-//   3. the minimum words per injected color (the shortest reachable SEND,
-//      or ProgramManifest::min_inject_words; observed sends record their
-//      actual lengths).
+//      reachable SENDs of its bytecode), and
+//   3. the minimum words per injected color (the shortest reachable SEND;
+//      observed sends record their actual lengths).
 // A boundary no injected color can cross is marked non-crossing, which
 // decouples the two shards entirely. Soundness rests on the same contract
 // the verifier documents: routes are fully installed by on_start and
-// task-time sends are in the bytecode (or, for callback programs,
-// declared in the manifest). Programs that break the
-// contract must not install the resulting table (the fabric's default —
-// every boundary crossing-capable at zero cost — is always safe).
+// task-time sends are in the bytecode. Programs that break the contract
+// must not install the resulting table (the fabric's default — every
+// boundary crossing-capable at zero cost — is always safe).
 //
 // See docs/simulator.md ("Parallel execution model") for how the engine
 // consumes the table and the full safety argument.
@@ -57,11 +54,10 @@ struct ShardTile {
 /// minimum batch) if any PE fails to instantiate — the planner never
 /// throws for program bugs; load()/verify() surface those.
 ///
-/// A program that exposes its flat instruction stream contributes the
-/// injected colors and minimum message words of its *reachable* SEND/SENDC
-/// instructions (from the abstract interpreter's per-color dataflow
-/// summary); a callback program without bytecode contributes its declared
-/// manifest. On_start-observed sends count either way.
+/// Each program contributes the injected colors and minimum message words
+/// of its *reachable* SEND/SENDC instructions (from the abstract
+/// interpreter's per-color dataflow summary), plus its on_start-observed
+/// sends.
 wse::ChannelLookahead
 plan_channel_lookahead(i64 width, i64 height,
                        const std::vector<ShardTile>& tiles, u32 tile_rows,

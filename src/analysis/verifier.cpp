@@ -43,16 +43,20 @@ struct PeModel {
   u64 used_bytes = 0;
   bool usable = false; // factory + on_start succeeded
   // Abstract-interpretation result for this PE's bytecode (owned by the
-  // Verifier's per-program cache), nullptr for callback programs.
+  // Verifier's per-program cache); set exactly when `usable`.
   const ProgramAnalysis* bytecode = nullptr;
 };
+
+// Skip the O(P^2) per-injector hop-volume totals of the balance check
+// beyond this many PEs (the length-matching balance errors are still
+// checked).
+constexpr u64 kVolumePeCap = 4096;
 
 class Verifier {
 public:
   Verifier(i64 width, i64 height, const wse::ProgramFactory& factory,
-           wse::PeMemoryParams mem, const VerifyOptions& options)
-      : width_(width), height_(height), factory_(factory), mem_(mem),
-        options_(options) {
+           wse::PeMemoryParams mem)
+      : width_(width), height_(height), factory_(factory), mem_(mem) {
     FVDF_CHECK_MSG(width >= 1 && height >= 1, "fabric dims must be positive");
     report_.width = width;
     report_.height = height;
@@ -68,7 +72,7 @@ public:
     }
     check_delivery();
     check_switch_liveness();
-    if (options_.balance) check_balance();
+    check_balance();
     return std::move(report_);
   }
 
@@ -116,36 +120,49 @@ private:
           model.used_bytes = memory.used_bytes();
           continue;
         }
-        model.manifest = ctx.observed();
-        model.manifest |= program->manifest(coord, width_, height_);
         model.used_bytes = memory.used_bytes();
+        const CachedProgram& cached =
+            analyze_bytecode(program->shared_bytecode(), model);
+        model.manifest = ctx.observed();
+        model.manifest |= cached.manifest;
+        model.bytecode = &cached.analysis;
         model.usable = true;
         if (model.used_bytes > report_.memory_high_water_bytes) {
           report_.memory_high_water_bytes = model.used_bytes;
           report_.memory_high_water_pe = coord;
         }
-        if (options_.bytecode_analysis)
-          if (const wse::bc::Program* bytecode = program->bytecode())
-            model.bytecode = analyze_bytecode(*bytecode, model);
       }
     }
   }
 
+  /// One analyzed stream: the abstract-interpretation result and the
+  /// manifest derived from the instructions. The cache holds the stream
+  /// itself for the whole pass, so no later PE's stream can reuse the
+  /// address of a freed one and inherit its analysis.
+  struct CachedProgram {
+    std::shared_ptr<const wse::bc::Program> program;
+    ProgramAnalysis analysis;
+    ProgramManifest manifest;
+  };
+
   /// Runs the abstract interpreter once per distinct Program (PEs with the
   /// same lowering share one instruction stream through the factory's
-  /// program cache, so the pointer is a stable identity for the factory's
-  /// lifetime) and reports its defects at the first PE that loads it.
-  const ProgramAnalysis* analyze_bytecode(const wse::bc::Program& program,
-                                          const PeModel& model) {
-    auto [it, fresh] = analyses_.try_emplace(&program);
+  /// program cache) and reports its defects at the first PE that loads it.
+  const CachedProgram& analyze_bytecode(
+      const std::shared_ptr<const wse::bc::Program>& program,
+      const PeModel& model) {
+    auto [it, fresh] = analyses_.try_emplace(program.get());
     if (fresh) {
+      CachedProgram& entry = it->second;
+      entry.program = program;
       AnalysisParams params;
       // The interpreter's load/store bounds check against the bytes the
       // program actually allocated, not the arena capacity.
       params.memory_limit_words = static_cast<u32>(model.used_bytes / 4);
-      it->second = analyze_program(program, params);
+      entry.analysis = analyze_program(*program, params);
+      entry.manifest = wse::bc::derive_manifest(*program);
       ++report_.bytecode_programs;
-      for (const BcDefect& defect : it->second.defects) {
+      for (const BcDefect& defect : entry.analysis.defects) {
         Check check = Check::BytecodeMemory;
         switch (defect.analysis) {
         case BcAnalysis::ControlFlow: check = Check::BytecodeControlFlow; break;
@@ -157,11 +174,11 @@ private:
              defect.severity == BcSeverity::Error ? Severity::Error
                                                   : Severity::Warning,
              model.coord, wse::kInvalidColor,
-             "program \"" + program.name + "\": " + defect.message,
+             "program \"" + program->name + "\": " + defect.message,
              static_cast<i64>(defect.pc));
       }
     }
-    return &it->second;
+    return it->second;
   }
 
   // --- check 1: route completeness (BFS over (PE, arrival link) states) ---
@@ -478,7 +495,7 @@ private:
 
   void check_balance() {
     const bool totals = static_cast<u64>(width_) * static_cast<u64>(height_) <=
-                        options_.volume_pe_cap;
+                        kVolumePeCap;
     for (Color c = 0; c < wse::kNumRoutableColors; ++c) {
       std::vector<std::size_t> injectors;
       for (std::size_t i = 0; i < pes_.size(); ++i)
@@ -496,14 +513,8 @@ private:
 
       // Distinct data-message lengths proven from the injectors' bytecode.
       std::vector<u32> lengths;
-      bool senders_proven = true;
       for (std::size_t i : injectors) {
-        const PeModel& tx = pes_[i];
-        if (!tx.bytecode) {
-          senders_proven = false;
-          continue;
-        }
-        const ColorFlow& flow = tx.bytecode->colors[c];
+        const ColorFlow& flow = pes_[i].bytecode->colors[c];
         for (u32 len : flow.send_lengths)
           if (std::find(lengths.begin(), lengths.end(), len) == lengths.end())
             lengths.push_back(len);
@@ -513,7 +524,7 @@ private:
         if (!delivered[d]) continue;
         ++bal.delivery_sites;
         const PeModel& rx = pes_[d];
-        if (!rx.usable || !rx.bytecode) continue;
+        if (!rx.usable) continue;
         const ColorFlow& flow = rx.bytecode->colors[c];
         if (flow.task_handler) continue; // consumes any wavelet volume
         for (u32 len : lengths) {
@@ -533,12 +544,9 @@ private:
         // needing a consumer: nothing further to prove at this site.
       }
 
-      if (!senders_proven) bal.exact = false;
       if (totals) {
         for (std::size_t i : injectors) {
-          const PeModel& tx = pes_[i];
-          if (!tx.bytecode) continue;
-          const ColorFlow& flow = tx.bytecode->colors[c];
+          const ColorFlow& flow = pes_[i].bytecode->colors[c];
           if (flow.send_words_total == 0) continue;
           bool exact = true;
           const u64 hops = route_hops(i, c, exact);
@@ -602,10 +610,9 @@ private:
   i64 height_;
   const wse::ProgramFactory& factory_;
   wse::PeMemoryParams mem_;
-  VerifyOptions options_;
   wse::TimingParams timing_{};
   std::vector<PeModel> pes_;
-  std::map<const wse::bc::Program*, ProgramAnalysis> analyses_;
+  std::map<const wse::bc::Program*, CachedProgram> analyses_;
   VerifyReport report_;
 };
 
@@ -687,9 +694,8 @@ std::string VerifyReport::summary() const {
 
 VerifyReport verify_program(i64 width, i64 height,
                             const wse::ProgramFactory& factory,
-                            wse::PeMemoryParams mem,
-                            const VerifyOptions& options) {
-  return Verifier(width, height, factory, mem, options).run();
+                            wse::PeMemoryParams mem) {
+  return Verifier(width, height, factory, mem).run();
 }
 
 } // namespace fvdf::analysis

@@ -19,8 +19,8 @@
 //      and advance targets that saturate without ring_mode are flagged.
 //   5. Memory budget       — every PE's static allocations fit the 48 KiB
 //      arena; the report carries the fabric-wide high-water mark.
-//   6. Bytecode semantics  — when a program exposes its flat instruction
-//      stream (PeProgram::bytecode), the abstract interpreter
+//   6. Bytecode semantics  — over every program's flat instruction stream
+//      (PeProgram::bytecode), the abstract interpreter
 //      (abstract_interp.hpp) proves memory bounds, register liveness and
 //      static cost bounds per distinct program, and a whole-fabric
 //      send/recv balance pass proves per-color conservation: every
@@ -30,10 +30,11 @@
 //
 // A program's routing tables are fully installed by on_start, but sends and
 // receives happen over its whole lifetime; the verifier unions what the
-// recorded on_start reveals with the program's declared ProgramManifest
-// (wse/program.hpp). Approximation, documented and deliberate: every
-// configured switch position is considered reachable, and declared
-// injections are traced regardless of when the program would issue them.
+// recorded on_start reveals with the ProgramManifest derived from the
+// program's instruction stream (wse::bc::derive_manifest). Approximation,
+// documented and deliberate: every configured switch position is
+// considered reachable, and the stream's injections are traced regardless
+// of when the program would issue them.
 
 #include <string>
 #include <vector>
@@ -86,8 +87,8 @@ struct Diagnostic {
 /// multiplies each injector's volume by its routed link-hop count — the
 /// static prediction of the telemetry `word_hops` counter per round.
 /// `exact` is false when a router's accepting positions diverge (the
-/// position over-approximation makes hop totals an upper bound) or some
-/// program on the color has no bytecode.
+/// position over-approximation makes hop totals an upper bound) or the
+/// fabric is too large for the hop totals to be computed.
 struct ColorBalance {
   wse::Color color = 0;
   u32 injectors = 0;
@@ -95,14 +96,6 @@ struct ColorBalance {
   u64 words_per_round = 0;
   u64 word_hops_per_round = 0;
   bool exact = true;
-};
-
-struct VerifyOptions {
-  bool bytecode_analysis = true; // run abstract_interp over each program
-  bool balance = true;           // whole-fabric send/recv balance check
-  // Skip the O(P^2) per-injector hop-volume totals beyond this many PEs
-  // (the length-matching balance errors are still checked).
-  u32 volume_pe_cap = 4096;
 };
 
 struct VerifyReport {
@@ -138,7 +131,6 @@ struct VerifyReport {
 /// on misuse (non-positive dimensions).
 VerifyReport verify_program(i64 width, i64 height,
                             const wse::ProgramFactory& factory,
-                            wse::PeMemoryParams mem = {},
-                            const VerifyOptions& options = {});
+                            wse::PeMemoryParams mem = {});
 
 } // namespace fvdf::analysis

@@ -438,6 +438,32 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site) {
 // PeProgram wrappers
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The shared start step: plans the real arena, installs the collectives'
+/// routes, checks the probe layout the stream was lowered against, then
+/// uploads this PE's column data.
+void start_solver_pe(PeContext& ctx, const LoweringSite& site, u32 nz,
+                     FluxMode mode, bool jacobi, const PeInit& init,
+                     const char* what) {
+  ctx.mark_phase(kSetup); // state INIT
+  const PeLayout layout = PeLayout::plan(
+      ctx.memory(), nz, mode, static_cast<u32>(init.dirichlet_z.size()),
+      jacobi, !init.source.empty());
+  csl::HaloExchange().configure(ctx);
+  csl::AllReduce reduce;
+  reduce.configure(ctx);
+  // The program was lowered against a probe arena; the real allocation
+  // sequence just ran and must land every offset in the same place.
+  FVDF_CHECK_MSG(layout.x.offset_words == site.layout.x.offset_words &&
+                     reduce.slot_value().offset_words == site.slot_value &&
+                     reduce.slot_in().offset_words == site.slot_in,
+                 what << ": probe layout diverged from the arena");
+  upload_pe_init(ctx, layout, init, mode, jacobi);
+}
+
+} // namespace
+
 BytecodeCgProgram::BytecodeCgProgram(CgPeConfig config, wse::PeCoord coord,
                                      i64 width, i64 height,
                                      const wse::PeMemoryParams& mem,
@@ -448,38 +474,14 @@ BytecodeCgProgram::BytecodeCgProgram(CgPeConfig config, wse::PeCoord coord,
   site_ = plan_site(coord, width, height, mem, config_.nz, config_.mode,
                     static_cast<u32>(config_.init.dirichlet_z.size()),
                     config_.jacobi, !config_.init.source.empty());
-  program_ = cache->get_or_lower(ProgramCache::key_for(site_),
+  lowered_ = cache->get_or_lower(ProgramCache::key_for(site_),
                                  [&] { return lower_cg(config_, site_); });
 }
 
-void BytecodeCgProgram::on_start(PeContext& ctx) {
-  ctx.mark_phase(kSetup); // state INIT
-  const PeLayout layout = PeLayout::plan(
-      ctx.memory(), config_.nz, config_.mode,
-      static_cast<u32>(config_.init.dirichlet_z.size()), config_.jacobi,
-      !config_.init.source.empty());
-  halo_.configure(ctx);
-  reduce_.configure(ctx);
-  // The program was lowered against a probe arena; the real allocation
-  // sequence just ran and must land every offset in the same place.
-  FVDF_CHECK_MSG(layout.x.offset_words == site_.layout.x.offset_words &&
-                     reduce_.slot_value().offset_words == site_.slot_value &&
-                     reduce_.slot_in().offset_words == site_.slot_in,
-                 "bytecode CG program: probe layout diverged from the arena");
-  upload_pe_init(ctx, layout, config_.init, config_.mode, config_.jacobi);
-  bc::run(ctx, vm_, *program_, program_->entry);
-}
-
-void BytecodeCgProgram::on_task(PeContext& ctx, wse::Color color) {
-  const u16 pc = vm_.handler[color];
-  FVDF_CHECK_MSG(pc != bc::kNoPc, "CG program: unexpected task color "
-                                      << static_cast<int>(color));
-  bc::run(ctx, vm_, *program_, pc);
-}
-
-wse::ProgramManifest BytecodeCgProgram::manifest(wse::PeCoord, i64, i64) const {
-  // The instruction stream is the single source of truth.
-  return bc::derive_manifest(*program_);
+std::shared_ptr<const bc::Program> BytecodeCgProgram::start(PeContext& ctx) {
+  start_solver_pe(ctx, site_, config_.nz, config_.mode, config_.jacobi,
+                  config_.init, "bytecode CG program");
+  return lowered_;
 }
 
 BytecodeChebyshevProgram::BytecodeChebyshevProgram(
@@ -494,37 +496,16 @@ BytecodeChebyshevProgram::BytecodeChebyshevProgram(
   site_ = plan_site(coord, width, height, mem, config_.nz, config_.mode,
                     static_cast<u32>(config_.init.dirichlet_z.size()),
                     /*jacobi=*/false, !config_.init.source.empty());
-  program_ =
+  lowered_ =
       cache->get_or_lower(ProgramCache::key_for(site_),
                           [&] { return lower_chebyshev(config_, site_); });
 }
 
-void BytecodeChebyshevProgram::on_start(PeContext& ctx) {
-  ctx.mark_phase(kSetup);
-  const PeLayout layout = PeLayout::plan(
-      ctx.memory(), config_.nz, config_.mode,
-      static_cast<u32>(config_.init.dirichlet_z.size()),
-      /*jacobi=*/false, !config_.init.source.empty());
-  halo_.configure(ctx);
-  reduce_.configure(ctx);
-  FVDF_CHECK_MSG(layout.x.offset_words == site_.layout.x.offset_words &&
-                     reduce_.slot_value().offset_words == site_.slot_value &&
-                     reduce_.slot_in().offset_words == site_.slot_in,
-                 "bytecode Chebyshev program: probe layout diverged");
-  upload_pe_init(ctx, layout, config_.init, config_.mode, /*jacobi=*/false);
-  bc::run(ctx, vm_, *program_, program_->entry);
-}
-
-void BytecodeChebyshevProgram::on_task(PeContext& ctx, wse::Color color) {
-  const u16 pc = vm_.handler[color];
-  FVDF_CHECK_MSG(pc != bc::kNoPc, "Chebyshev program: unexpected task color "
-                                      << static_cast<int>(color));
-  bc::run(ctx, vm_, *program_, pc);
-}
-
-wse::ProgramManifest BytecodeChebyshevProgram::manifest(wse::PeCoord, i64,
-                                                        i64) const {
-  return bc::derive_manifest(*program_);
+std::shared_ptr<const bc::Program>
+BytecodeChebyshevProgram::start(PeContext& ctx) {
+  start_solver_pe(ctx, site_, config_.nz, config_.mode, /*jacobi=*/false,
+                  config_.init, "bytecode Chebyshev program");
+  return lowered_;
 }
 
 } // namespace fvdf::core

@@ -6,20 +6,18 @@
 // Sec. III-D: upload, halo exchange, event-driven flux, residual init, the
 // all-reduces of Alg. 1 and the update/check steps) and the Chebyshev
 // iteration — including their csl collectives — into one flat
-// wse::bc::Program per PE shape. The BytecodeCgProgram /
-// BytecodeChebyshevProgram wrappers are the PeProgram the solver loads:
-// on_start plans the layout, configures the routes, uploads the column and
-// then enters the interpreter; every later task activation is dispatched
-// by the fabric directly into the bytecode stream (wse/fabric.cpp's fast
-// path), never through on_task virtual dispatch.
+// wse::bc::Program per PE shape. BytecodeCgProgram /
+// BytecodeChebyshevProgram are the PeProgram the solver loads: their
+// start step plans the layout, configures the routes and uploads the
+// column; the stream's entry block then runs, and the fabric dispatches
+// every later task activation into the stream.
 //
 // Lowering happens eagerly at construction against a probe PeMemory (the
-// same allocation sequence on_start later performs against the real
-// arena, so embedded offsets agree), which makes manifest() — derived
-// from the instruction stream — and bytecode() available to the verifier
-// and the lookahead planner before the fabric runs. PEs whose lowering
-// inputs coincide (coordinate parity, fabric edges, Dirichlet count)
-// share one immutable Program through a mutex-guarded cache.
+// same allocation sequence the start step later performs against the
+// real arena, so embedded offsets agree); the start step checks that
+// agreement. PEs whose lowering inputs coincide (coordinate parity,
+// fabric edges, Dirichlet count) share one immutable Program through a
+// mutex-guarded cache.
 
 #include <functional>
 #include <memory>
@@ -117,20 +115,13 @@ public:
                     i64 height, const wse::PeMemoryParams& mem,
                     std::shared_ptr<ProgramCache> cache);
 
-  void on_start(wse::PeContext& ctx) override;
-  void on_task(wse::PeContext& ctx, wse::Color color) override;
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
-                                i64 fabric_height) const override;
-  const wse::bc::Program* bytecode() const override { return program_.get(); }
-  wse::bc::VmState* bytecode_state() override { return &vm_; }
+protected:
+  std::shared_ptr<const wse::bc::Program> start(wse::PeContext& ctx) override;
 
 private:
   CgPeConfig config_;
   LoweringSite site_;
-  csl::HaloExchange halo_;
-  csl::AllReduce reduce_;
-  std::shared_ptr<const wse::bc::Program> program_;
-  wse::bc::VmState vm_;
+  std::shared_ptr<const wse::bc::Program> lowered_;
 };
 
 class BytecodeChebyshevProgram final : public wse::PeProgram {
@@ -140,20 +131,13 @@ public:
                            const wse::PeMemoryParams& mem,
                            std::shared_ptr<ProgramCache> cache);
 
-  void on_start(wse::PeContext& ctx) override;
-  void on_task(wse::PeContext& ctx, wse::Color color) override;
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 fabric_width,
-                                i64 fabric_height) const override;
-  const wse::bc::Program* bytecode() const override { return program_.get(); }
-  wse::bc::VmState* bytecode_state() override { return &vm_; }
+protected:
+  std::shared_ptr<const wse::bc::Program> start(wse::PeContext& ctx) override;
 
 private:
   ChebyshevPeConfig config_;
   LoweringSite site_;
-  csl::HaloExchange halo_;
-  csl::AllReduce reduce_;
-  std::shared_ptr<const wse::bc::Program> program_;
-  wse::bc::VmState vm_;
+  std::shared_ptr<const wse::bc::Program> lowered_;
 };
 
 } // namespace fvdf::core

@@ -21,18 +21,9 @@ ColorConfig route(DirMask rx, DirMask tx) {
 AnySourceBroadcast::AnySourceBroadcast() : AnySourceBroadcast(Colors{}) {}
 AnySourceBroadcast::AnySourceBroadcast(Colors colors) : colors_(colors) {}
 
-bool AnySourceBroadcast::is_source(const PeContext& ctx) const {
-  return ctx.coord() == source_;
-}
-
-bool AnySourceBroadcast::on_source_row(const PeContext& ctx) const {
-  return ctx.coord().y == source_.y;
-}
-
 void AnySourceBroadcast::configure(PeContext& ctx, PeCoord source) {
   FVDF_CHECK(source.x >= 0 && source.x < ctx.fabric_width());
   FVDF_CHECK(source.y >= 0 && source.y < ctx.fabric_height());
-  source_ = source;
   const i64 x = ctx.coord().x;
   const i64 y = ctx.coord().y;
 
@@ -66,58 +57,6 @@ void AnySourceBroadcast::configure(PeContext& ctx, PeCoord source) {
     install(colors_.col, route(DirMask::of(Dir::South), DirMask::of(Dir::Ramp, Dir::North)));
   } else {
     install(colors_.col, route(DirMask::of(Dir::North), DirMask::of(Dir::Ramp, Dir::South)));
-  }
-}
-
-wse::ProgramManifest AnySourceBroadcast::manifest(wse::PeCoord coord, i64 width,
-                                                  i64 height) const {
-  using wse::color_set_bit;
-  wse::ProgramManifest m;
-  if (coord == source_) {
-    if (width > 1) m.injects |= color_set_bit(colors_.row);
-    if (height > 1) m.injects |= color_set_bit(colors_.col);
-  } else if (coord.y == source_.y) {
-    // Row relay: taps the row flood, republishes into its column.
-    m.handles |= color_set_bit(colors_.row);
-    if (height > 1) m.injects |= color_set_bit(colors_.col);
-  } else {
-    m.handles |= color_set_bit(colors_.col);
-  }
-  m.handles |= color_set_bit(colors_.done);
-  m.activates |= color_set_bit(colors_.done);
-  return m;
-}
-
-void AnySourceBroadcast::start(PeContext& ctx, Dsd block, DoneCallback on_done) {
-  FVDF_CHECK_MSG(!active_, "any-source broadcast already running");
-  FVDF_CHECK(block.length > 0);
-  active_ = true;
-  block_ = block;
-  on_done_ = std::move(on_done);
-
-  if (is_source(ctx)) {
-    // Publish along the row, then immediately down/up the own column; the
-    // local copy is already in place.
-    if (ctx.fabric_width() > 1) ctx.send(colors_.row, block_);
-    if (ctx.fabric_height() > 1) ctx.send(colors_.col, block_);
-    ctx.activate(colors_.done);
-    return;
-  }
-  // Everyone else waits for the block on their phase's color.
-  ctx.recv(on_source_row(ctx) ? colors_.row : colors_.col, block_, colors_.done);
-}
-
-void AnySourceBroadcast::on_task(PeContext& ctx, Color color) {
-  FVDF_CHECK(color == colors_.done);
-  FVDF_CHECK_MSG(active_, "broadcast callback while idle");
-  // Source-row relays republish into their columns before finishing.
-  if (!is_source(ctx) && on_source_row(ctx) && ctx.fabric_height() > 1)
-    ctx.send(colors_.col, block_);
-  active_ = false;
-  if (on_done_) {
-    DoneCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(ctx);
   }
 }
 

@@ -14,17 +14,16 @@
 // to PE (x, y) is the Manhattan distance — the fabric-optimal broadcast
 // tree rooted anywhere.
 
-#include <functional>
-
 #include "csl/colors.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::csl {
 
-using wse::Dsd;
 using wse::PeContext;
 using wse::PeCoord;
 
+/// The broadcast's colors and flood routes. csl::AnySourceEmitter
+/// (csl/lowering.hpp) emits one broadcast round as bytecode.
 class AnySourceBroadcast {
 public:
   struct Colors {
@@ -33,8 +32,6 @@ public:
     Color done = kBcastAnyDone; // local
   };
 
-  using DoneCallback = std::function<void(PeContext&)>;
-
   AnySourceBroadcast();
   explicit AnySourceBroadcast(Colors colors);
 
@@ -42,28 +39,8 @@ public:
   /// the root is a layout-time parameter, exactly like a CSL layout block.
   void configure(PeContext& ctx, PeCoord source);
 
-  /// Starts one broadcast round. On the source PE, `block` is the payload
-  /// to publish; on every other PE it is the destination buffer. `on_done`
-  /// fires once the block is locally available (and, on relay PEs, after
-  /// the column retransmission has been issued).
-  void start(PeContext& ctx, Dsd block, DoneCallback on_done);
-
-  bool handles(Color color) const { return color == colors_.done; }
-  void on_task(PeContext& ctx, Color color);
-
-  /// Static communication declaration for the fabric verifier. Valid only
-  /// after configure() has fixed the broadcast root.
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 width, i64 height) const;
-
 private:
-  bool is_source(const PeContext& ctx) const;
-  bool on_source_row(const PeContext& ctx) const;
-
   Colors colors_;
-  PeCoord source_{};
-  Dsd block_{};
-  DoneCallback on_done_;
-  bool active_ = false;
 };
 
 } // namespace fvdf::csl

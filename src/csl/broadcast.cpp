@@ -1,11 +1,9 @@
 #include "csl/broadcast.hpp"
 
-#include "common/error.hpp"
 #include "wse/router.hpp"
 
 namespace fvdf::csl {
 
-using wse::color_bit;
 using wse::ColorConfig;
 using wse::Dir;
 using wse::DirMask;
@@ -34,68 +32,6 @@ void EastwardExchange::configure(PeContext& ctx) {
     pos.tx = wse::clip_to_fabric(pos.tx, ctx.coord(), ctx.fabric_width(),
                                  ctx.fabric_height());
   ctx.configure_router(colors_.data, config);
-}
-
-wse::ProgramManifest EastwardExchange::manifest(wse::PeCoord coord, i64 /*width*/,
-                                                i64 /*height*/) const {
-  wse::ProgramManifest m;
-  // Every PE takes the Sending role in one of the two steps; PEs with a
-  // western neighbor take the Receiving role in the other. The trailing
-  // control wavelet and the x=0 PE's local restore both advance the color.
-  m.injects |= wse::color_set_bit(colors_.data);
-  if (coord.x > 0) m.handles |= wse::color_set_bit(colors_.data);
-  m.advances |= color_bit(colors_.data);
-  m.handles |= wse::color_set_bit(colors_.done);
-  m.activates |= wse::color_set_bit(colors_.done);
-  return m;
-}
-
-void EastwardExchange::start(PeContext& ctx, Dsd mine, Dsd from_west,
-                             DoneCallback on_done) {
-  FVDF_CHECK_MSG(phase_ == 0, "eastward exchange already running");
-  FVDF_CHECK(mine.length == from_west.length);
-  mine_ = mine;
-  from_west_ = from_west;
-  on_done_ = std::move(on_done);
-  phase_ = 1;
-  const bool even_x = (ctx.coord().x % 2) == 0;
-  if (even_x) {
-    // Step 1 sender: data plus the switch command that flips this router
-    // and the receiver's (Fig. 4b, circled configurations).
-    ctx.send(colors_.data, mine_, color_bit(colors_.data), colors_.done);
-  } else {
-    ctx.recv(colors_.data, from_west_, colors_.done);
-  }
-}
-
-void EastwardExchange::on_task(PeContext& ctx, Color color) {
-  FVDF_CHECK(color == colors_.done);
-  const bool even_x = (ctx.coord().x % 2) == 0;
-  if (phase_ == 1) {
-    phase_ = 2;
-    if (even_x) {
-      // Now in the Receiving position. The x=0 PE has no western neighbor:
-      // it restores its switch position locally and finishes.
-      if (ctx.coord().x > 0) {
-        ctx.recv(colors_.data, from_west_, colors_.done);
-      } else {
-        ctx.advance_local(color_bit(colors_.data));
-        ctx.activate(colors_.done);
-      }
-    } else {
-      // Received; now the Sending root for step 2.
-      ctx.send(colors_.data, mine_, color_bit(colors_.data), colors_.done);
-    }
-    return;
-  }
-  FVDF_CHECK(phase_ == 2);
-  phase_ = 0;
-  if (on_done_) {
-    // Move out first: the continuation may restart the exchange.
-    DoneCallback done = std::move(on_done_);
-    on_done_ = nullptr;
-    done(ctx);
-  }
 }
 
 } // namespace fvdf::csl

@@ -15,19 +15,18 @@
 // its western neighbor's block.
 //
 // This component exercises the switch-position machinery in isolation
-// (tests, fabric_explorer example); the solver's 4-step halo exchange
+// (tests, the verifier fixtures); the solver's 4-step halo exchange
 // (csl/halo.hpp) generalizes the same mechanism to four directions.
-
-#include <functional>
 
 #include "csl/colors.hpp"
 #include "wse/program.hpp"
 
 namespace fvdf::csl {
 
-using wse::Dsd;
 using wse::PeContext;
 
+/// The exchange's colors and ring route. csl::EastwardEmitter
+/// (csl/lowering.hpp) emits the two steps themselves as bytecode.
 class EastwardExchange {
 public:
   struct Colors {
@@ -35,31 +34,14 @@ public:
     Color done = kExchangeDone; // local
   };
 
-  using DoneCallback = std::function<void(PeContext&)>;
-
   EastwardExchange();
   explicit EastwardExchange(Colors colors);
 
   /// Installs the two-position ring route (Listing 1). Call from on_start.
   void configure(PeContext& ctx);
 
-  /// Starts the two-step exchange: `mine` is sent east; `from_west`
-  /// receives the western neighbor's data (untouched on the x=0 PE, which
-  /// has no western neighbor).
-  void start(PeContext& ctx, Dsd mine, Dsd from_west, DoneCallback on_done);
-
-  bool handles(Color color) const { return color == colors_.done; }
-  void on_task(PeContext& ctx, Color color);
-
-  /// Static communication declaration for the fabric verifier.
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64 width, i64 height) const;
-
 private:
   Colors colors_;
-  int phase_ = 0; // 0 idle; 1 first action outstanding; 2 second action
-  Dsd mine_{};
-  Dsd from_west_{};
-  DoneCallback on_done_;
 };
 
 } // namespace fvdf::csl

@@ -1,5 +1,6 @@
 #include "csl/lowering.hpp"
 
+#include "common/error.hpp"
 #include "telemetry/phase.hpp"
 
 namespace fvdf::csl {
@@ -321,6 +322,93 @@ void ReduceEmitter::emit_blocks() {
   if (!right) b_.bind(h_brow_);
   b_.bind(finish_);
   b_.lods(0, spec_.slot_value);
+  b_.jind(spec_.cont_reg);
+}
+
+// ---------------------------------------------------------------------------
+// EastwardEmitter
+// ---------------------------------------------------------------------------
+
+EastwardEmitter::EastwardEmitter(bc::Builder& b, wse::PeCoord coord, Spec spec)
+    : b_(b), even_x_(coord.x % 2 == 0), west_edge_(coord.x == 0),
+      spec_(spec) {
+  FVDF_CHECK(spec_.mine.length == spec_.from_west.length);
+  mine_ = b_.dsd(spec_.mine);
+  from_west_ = b_.dsd(spec_.from_west);
+  step2_ = b_.make_label();
+  finish_ = b_.make_label();
+}
+
+void EastwardEmitter::emit_send() {
+  // Data plus the switch command that flips this router and the
+  // receiver's (Fig. 4b, circled configurations).
+  const Color data = spec_.colors.data;
+  b_.send(data, mine_, color_bit(data), spec_.colors.done);
+}
+
+void EastwardEmitter::emit_recv() {
+  b_.recv(spec_.colors.data, from_west_, spec_.colors.done);
+}
+
+void EastwardEmitter::emit_start() {
+  b_.seth(spec_.colors.done, step2_);
+  if (even_x_) {
+    emit_send();
+  } else {
+    emit_recv();
+  }
+}
+
+void EastwardEmitter::emit_handlers() {
+  b_.bind(step2_);
+  b_.seth(spec_.colors.done, finish_);
+  if (!even_x_) {
+    emit_send(); // received; now the Sending root for step 2
+  } else if (!west_edge_) {
+    emit_recv(); // now in the Receiving position
+  } else {
+    // No western neighbor: restore the switch position locally, finish.
+    b_.advl(color_bit(spec_.colors.data));
+    b_.act(spec_.colors.done);
+  }
+  b_.ret();
+  b_.bind(finish_);
+  b_.jind(spec_.cont_reg);
+}
+
+// ---------------------------------------------------------------------------
+// AnySourceEmitter
+// ---------------------------------------------------------------------------
+
+AnySourceEmitter::AnySourceEmitter(bc::Builder& b, wse::PeCoord coord,
+                                   i64 width, i64 height, Spec spec)
+    : b_(b), is_source_(coord == spec.source),
+      on_source_row_(coord.y == spec.source.y), width_(width),
+      height_(height), spec_(spec) {
+  FVDF_CHECK(spec_.block.length > 0);
+  block_ = b_.dsd(spec_.block);
+  done_ = b_.make_label();
+}
+
+void AnySourceEmitter::emit_start() {
+  const auto& c = spec_.colors;
+  b_.seth(c.done, done_);
+  if (is_source_) {
+    // Publish along the row, then immediately down/up the own column; the
+    // local copy is already in place.
+    if (width_ > 1) b_.send(c.row, block_);
+    if (height_ > 1) b_.send(c.col, block_);
+    b_.act(c.done);
+    return;
+  }
+  b_.recv(on_source_row_ ? c.row : c.col, block_, c.done);
+}
+
+void AnySourceEmitter::emit_handlers() {
+  b_.bind(done_);
+  // Source-row relays republish into their columns before finishing.
+  if (!is_source_ && on_source_row_ && height_ > 1)
+    b_.send(spec_.colors.col, block_);
   b_.jind(spec_.cont_reg);
 }
 

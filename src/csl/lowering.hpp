@@ -1,6 +1,8 @@
 #pragma once
-// Bytecode lowerings of the Table-I collectives (docs/simulator.md,
-// "Bytecode ISA").
+// Bytecode lowerings of the csl collectives (docs/simulator.md, "Bytecode
+// ISA"): the Table-I halo exchange and all-reduce, the Fig.-4 eastward
+// exchange and the any-source broadcast. Bytecode is the only form a PE
+// program takes, so these emitters are the collectives' only task code.
 //
 // Each emitter writes one collective's event-driven task chain into a
 // wse::bc::Builder. Per-coordinate parity and edge cases are resolved at
@@ -19,6 +21,8 @@
 #include <functional>
 
 #include "csl/allreduce.hpp"
+#include "csl/any_source.hpp"
+#include "csl/broadcast.hpp"
 #include "csl/halo.hpp"
 #include "wse/bytecode.hpp"
 
@@ -108,6 +112,77 @@ private:
   u8 value_dsd_, in_dsd_; // interned 1-word DSD indices
   wse::bc::Builder::Label start_, finish_;
   wse::bc::Builder::Label h_row_, h_col_, h_bcol_, h_brow_;
+};
+
+/// Lowers one two-step eastward exchange (Fig. 4 / Listing 1). Even-x
+/// PEs send in step 1 and receive in step 2, odd-x PEs the other way
+/// round; each send trails the control wavelet that flips the sender's
+/// and the receiver's switch positions. The x = 0 PE has no western
+/// neighbor: in step 2 it advances its own router and activates the done
+/// color itself. The done color's handler is rebound per step.
+class EastwardEmitter {
+public:
+  struct Spec {
+    EastwardExchange::Colors colors{};
+    wse::Dsd mine{};      // sent east
+    wse::Dsd from_west{}; // the western neighbor's block lands here
+    u8 cont_reg = 0;      // continuation register JIND'ed after step 2
+  };
+
+  EastwardEmitter(wse::bc::Builder& b, wse::PeCoord coord, Spec spec);
+
+  /// Emits the inline start sequence: the step-2 handler binding and the
+  /// step-1 action.
+  void emit_start();
+
+  /// Emits the out-of-line step-2 block and the finish (JIND through
+  /// cont_reg). Call once.
+  void emit_handlers();
+
+private:
+  void emit_send();
+  void emit_recv();
+
+  wse::bc::Builder& b_;
+  bool even_x_;
+  bool west_edge_;
+  Spec spec_;
+  u8 mine_, from_west_; // interned DSD indices
+  wse::bc::Builder::Label step2_, finish_;
+};
+
+/// Lowers one round of the any-source broadcast. The source publishes
+/// its block along its row and its column and activates the done color
+/// itself; every other PE receives the block on its phase's color, and a
+/// source-row relay republishes it into its column before finishing.
+class AnySourceEmitter {
+public:
+  struct Spec {
+    AnySourceBroadcast::Colors colors{};
+    wse::PeCoord source{}; // the broadcast root (as passed to configure)
+    wse::Dsd block{};      // payload on the source, destination elsewhere
+    u8 cont_reg = 0;       // continuation register JIND'ed when done
+  };
+
+  AnySourceEmitter(wse::bc::Builder& b, wse::PeCoord coord, i64 width,
+                   i64 height, Spec spec);
+
+  /// Emits the inline start sequence: the done-handler binding, then the
+  /// source's sends or everyone else's receive.
+  void emit_start();
+
+  /// Emits the out-of-line done block (the relay's column send, then the
+  /// JIND through cont_reg). Call once.
+  void emit_handlers();
+
+private:
+  wse::bc::Builder& b_;
+  bool is_source_;
+  bool on_source_row_;
+  i64 width_, height_;
+  Spec spec_;
+  u8 block_; // interned DSD index
+  wse::bc::Builder::Label done_;
 };
 
 } // namespace fvdf::csl

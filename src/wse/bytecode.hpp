@@ -22,13 +22,70 @@
 // op counters follow the instruction order; that order, and therefore
 // every solver result, is pinned by golden digests in the tests.
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "wse/color.hpp"
 #include "wse/dsd.hpp"
-#include "wse/program.hpp"
+
+namespace fvdf::wse {
+
+/// Static summary of a PE program's communication behavior, consumed by
+/// the fabric verifier and the channel-lookahead planner (src/analysis/).
+/// A program's routing tables are fully installed by on_start, but sends
+/// and receives happen over its whole lifetime: the analyses union what a
+/// recorded on_start did with what derive_manifest() reads off the
+/// instruction stream.
+struct ProgramManifest {
+  ColorSet injects = 0;   // colors this PE may send on (ramp injections)
+  ColorSet handles = 0;   // colors consumed here: a recv or a bound handler
+  ColorSet activates = 0; // colors this PE may activate (incl. completions)
+  ColorMask advances = 0; // routable colors advanced (control or local)
+  // Lower bound on the data words of any message this PE injects on a
+  // routable color (meaningful only where the matching `injects` bit is
+  // set). 0 — the default, and what send_control implies — claims nothing,
+  // which is always safe; a nonzero bound lets the lookahead planner
+  // charge the link-batch time of the smallest possible crossing message
+  // to a shard boundary. Record through declare_inject so the bound and
+  // the inject bit stay consistent.
+  std::array<u16, kNumRoutableColors> min_inject_words{};
+
+  /// Declares an injection on `color` whose messages always carry at least
+  /// `min_words` data words (use 0 for control wavelets or unknown sizes).
+  /// Repeat declarations keep the weakest bound.
+  ProgramManifest& declare_inject(Color color, u32 min_words) {
+    check_routable(color);
+    const u16 words =
+        static_cast<u16>(std::min<u32>(min_words, u16(0xffff)));
+    min_inject_words[color] = color_set_contains(injects, color)
+                                  ? std::min(min_inject_words[color], words)
+                                  : words;
+    injects |= color_set_bit(color);
+    return *this;
+  }
+
+  ProgramManifest& operator|=(const ProgramManifest& other) {
+    // Word bounds merge before the inject sets: a color only one side
+    // injects keeps that side's bound, a shared color keeps the weaker one.
+    for (Color c = 0; c < kNumRoutableColors; ++c) {
+      if (!color_set_contains(other.injects, c)) continue;
+      min_inject_words[c] = color_set_contains(injects, c)
+                                ? std::min(min_inject_words[c],
+                                           other.min_inject_words[c])
+                                : other.min_inject_words[c];
+    }
+    injects |= other.injects;
+    handles |= other.handles;
+    activates |= other.activates;
+    advances |= other.advances;
+    return *this;
+  }
+};
+
+} // namespace fvdf::wse
 
 namespace fvdf::wse::bc {
 
@@ -155,8 +212,8 @@ struct Program {
 /// word bound) and advances, RECV declares handles + completions, ACT
 /// declares activations, ADVL declares local advances, and a SETH-bound
 /// task color is declared handled and activatable. This is what the
-/// verifier and the channel-lookahead planner consume for bytecode
-/// programs — the stream is the source of truth, not a hand-kept list.
+/// verifier consumes for every program — the stream is the source of
+/// truth, not a hand-kept list.
 ProgramManifest derive_manifest(const Program& program);
 
 /// Static well-formedness check of the encoding itself: branch targets,

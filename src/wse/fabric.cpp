@@ -223,7 +223,8 @@ void Fabric::set_telemetry(telemetry::FabricCollector* collector) {
 std::vector<const bc::Program*> Fabric::distinct_bytecode_programs() const {
   std::vector<const bc::Program*> programs;
   for (const auto& pe : pes_) {
-    const bc::Program* program = pe->bc_prog;
+    const bc::Program* program =
+        pe->program != nullptr ? pe->program->bytecode() : nullptr;
     if (program == nullptr) continue;
     if (std::find(programs.begin(), programs.end(), program) == programs.end())
       programs.push_back(program);
@@ -970,29 +971,25 @@ void Fabric::run_task(Shard& shard, Pe& pe, Color color, f64 t) {
   emit_trace(shard, TraceEvent::TaskRun, t, pe, color, 0);
   if (color == kInvalidColor) {
     pe.program->on_start(ctx);
-    // Bytecode-compiled programs expose their instruction stream after
-    // setup; cache it so later activations skip the virtual on_task and
-    // dispatch straight into the interpreter.
-    pe.bc_prog = pe.program->bytecode();
-    pe.bc_state = pe.program->bytecode_state();
-  } else if (pe.bc_prog != nullptr) {
-    const u16 pc = pe.bc_state->handler[color];
-    FVDF_CHECK_MSG(pc != bc::kNoPc, "bytecode program: unexpected task color "
-                                        << static_cast<int>(color));
+  } else {
+    const bc::Program& program = *pe.program->bytecode();
+    bc::VmState& vm = pe.program->vm();
+    const u16 pc = vm.handler[color];
+    FVDF_CHECK_MSG(pc != bc::kNoPc, "PE (" << pe.coord.x << ", " << pe.coord.y
+                                            << "): task color "
+                                            << static_cast<int>(color)
+                                            << " activated with no bound handler");
 #ifndef FVDF_TELEMETRY_DISABLED
     // Profiled runs dispatch through the sampling instantiation of the
     // interpreter (one countdown decrement per instruction); unprofiled
     // runs keep the default instantiation, which contains no sampling code.
     if (host_prof_ != nullptr)
-      bc::run(ctx, *pe.bc_state, *pe.bc_prog, pc,
-              &host_prof_->pc_sampler(shard.id));
+      bc::run(ctx, vm, program, pc, &host_prof_->pc_sampler(shard.id));
     else
-      bc::run(ctx, *pe.bc_state, *pe.bc_prog, pc);
+      bc::run(ctx, vm, program, pc);
 #else
-    bc::run(ctx, *pe.bc_state, *pe.bc_prog, pc);
+    bc::run(ctx, vm, program, pc);
 #endif
-  } else {
-    pe.program->on_task(ctx, color);
   }
   pe.busy_until = cursor;
   shard.now = std::max(shard.now, cursor);

@@ -145,8 +145,8 @@ public:
   /// against a recording context, never the event loop). Sound under the
   /// same contract the verifier documents: routing tables are fully
   /// installed by on_start, and task-time sends are in the program's
-  /// bytecode (or, without bytecode, declared in its ProgramManifest). Defined in src/analysis/ (link fvdf_analysis);
-  /// install the result with set_channel_lookahead before run().
+  /// bytecode. Defined in src/analysis/ (link fvdf_analysis); install the
+  /// result with set_channel_lookahead before run().
   ChannelLookahead plan_channel_lookahead(const ProgramFactory& factory) const;
 
   /// Installs a channel-lookahead table (see ChannelLookahead). Must match
@@ -348,10 +348,6 @@ private:
     Router router;
     OpCounters counters;
     std::unique_ptr<PeProgram> program;
-    // Bytecode fast path, cached from the program after on_start: task
-    // activations dispatch into the interpreter without virtual calls.
-    const bc::Program* bc_prog = nullptr;
-    bc::VmState* bc_state = nullptr;
     f64 busy_until = 0;
     bool halted = false;
     std::array<Fifo<RecvDesc>, kNumRoutableColors> recv_queues;

@@ -5,12 +5,13 @@
 // It receives control when (a) the fabric starts (`on_start`) or (b) a task
 // color activates — either a local activation or the completion callback of
 // an asynchronous send/receive. All side effects go through the PeContext.
+// Every program is a bytecode stream (wse/bytecode.hpp): the fabric has
+// one dispatch path, into the interpreter (wse/bytecode_interp.hpp).
 
-#include <algorithm>
-#include <array>
 #include <functional>
 #include <memory>
 
+#include "wse/bytecode.hpp"
 #include "wse/color.hpp"
 #include "wse/dsd.hpp"
 #include "wse/geometry.hpp"
@@ -80,95 +81,53 @@ public:
   }
 };
 
-/// Static declaration of a PE program's communication behavior, consumed
-/// by the fabric verifier and the channel-lookahead planner
-/// (src/analysis/). A program's routing tables are fully installed by
-/// on_start, but sends and receives happen over its whole lifetime — the
-/// manifest is how a program tells the verifier what its event-driven
-/// future will do, the way a function signature declares effects its body
-/// performs later.
-struct ProgramManifest {
-  ColorSet injects = 0;   // colors this PE may send on (ramp injections)
-  ColorSet handles = 0;   // colors consumed here: a recv or an on_task case
-  ColorSet activates = 0; // colors this PE may activate (incl. completions)
-  ColorMask advances = 0; // routable colors advanced (control or local)
-  // Lower bound on the data words of any message this PE injects on a
-  // routable color (meaningful only where the matching `injects` bit is
-  // set). 0 — the default, and what send_control implies — claims nothing,
-  // which is always safe; a nonzero bound lets the lookahead planner
-  // charge the link-batch time of the smallest possible crossing message
-  // to a shard boundary. Declare through declare_inject so the bound and
-  // the inject bit stay consistent.
-  std::array<u16, kNumRoutableColors> min_inject_words{};
-
-  /// Declares an injection on `color` whose messages always carry at least
-  /// `min_words` data words (use 0 for control wavelets or unknown sizes).
-  /// Repeat declarations keep the weakest bound.
-  ProgramManifest& declare_inject(Color color, u32 min_words) {
-    check_routable(color);
-    const u16 words =
-        static_cast<u16>(std::min<u32>(min_words, u16(0xffff)));
-    min_inject_words[color] = color_set_contains(injects, color)
-                                  ? std::min(min_inject_words[color], words)
-                                  : words;
-    injects |= color_set_bit(color);
-    return *this;
-  }
-
-  ProgramManifest& operator|=(const ProgramManifest& other) {
-    // Word bounds merge before the inject sets: a color only one side
-    // injects keeps that side's bound, a shared color keeps the weaker one.
-    for (Color c = 0; c < kNumRoutableColors; ++c) {
-      if (!color_set_contains(other.injects, c)) continue;
-      min_inject_words[c] = color_set_contains(injects, c)
-                                ? std::min(min_inject_words[c],
-                                           other.min_inject_words[c])
-                                : other.min_inject_words[c];
-    }
-    injects |= other.injects;
-    handles |= other.handles;
-    activates |= other.activates;
-    advances |= other.advances;
-    return *this;
-  }
-};
-
-namespace bc {
-struct Program;
-struct VmState;
-} // namespace bc
-
+/// A PE's program: one flat instruction stream (wse/bytecode.hpp) and the
+/// interpreter state it keeps between tasks. At fabric start (cycle 0) the
+/// start step installs routes, allocates and uploads through the context
+/// and hands back this PE's stream; the stream's entry block then runs.
+/// Every later task activation — a local activation or the completion of
+/// a send/receive — enters the interpreter at the handler the stream bound
+/// for that color (SETH). The stream is also the only source of the PE's
+/// communication facts for the static analyses (src/analysis/): what the
+/// recorded start step did plus what the instructions can do.
 class PeProgram {
 public:
+  using Start =
+      std::function<std::shared_ptr<const bc::Program>(PeContext&)>;
+  using Setup = std::function<void(PeContext&)>;
+
+  explicit PeProgram(Start start);
+  /// A loaded stream whose entry block never runs: `setup` (may be null)
+  /// installs routes and allocations, and only the static analyses read
+  /// the stream. The seeded bytecode defects use this form.
+  PeProgram(std::shared_ptr<const bc::Program> program, Setup setup);
   virtual ~PeProgram() = default;
-  /// Runs once at fabric start (cycle 0).
-  virtual void on_start(PeContext& ctx) = 0;
-  /// Runs when `color` activates (local activation or completion callback).
-  virtual void on_task(PeContext& ctx, Color color) = 0;
+  PeProgram(const PeProgram&) = delete;
+  PeProgram& operator=(const PeProgram&) = delete;
 
-  /// Bytecode-compiled programs expose their flat instruction stream and
-  /// interpreter state (see wse/bytecode.hpp) so the fabric can dispatch
-  /// task activations straight into the interpreter instead of through
-  /// on_task. nullptr (the default) selects the virtual on_task path,
-  /// which the collectives without a lowering (the eastward exchange and
-  /// the any-source broadcast) and hand-written test programs use.
-  virtual const bc::Program* bytecode() const { return nullptr; }
-  virtual bc::VmState* bytecode_state() { return nullptr; }
+  /// Runs once at fabric start: the start step, then the entry block.
+  void on_start(PeContext& ctx);
 
-  /// Static manifest for the verifier, queried *after* on_start has run
-  /// (so it may depend on configuration established there). Bytecode
-  /// programs return wse::bc::derive_manifest of their stream. For
-  /// callback programs the declaration is the only source: the default —
-  /// an empty manifest — limits the verifier to what a recorded on_start
-  /// reveals, so programs with receives or sends in later task handlers
-  /// must override it.
-  virtual ProgramManifest manifest(PeCoord coord, i64 fabric_width,
-                                   i64 fabric_height) const {
-    (void)coord;
-    (void)fabric_width;
-    (void)fabric_height;
-    return {};
+  /// This PE's stream (null before on_start). PEs with the same lowering
+  /// may share one stream; the shared_ptr keeps it alive for a caller
+  /// that keys anything by its address.
+  const bc::Program* bytecode() const { return program_.get(); }
+  const std::shared_ptr<const bc::Program>& shared_bytecode() const {
+    return program_;
   }
+  bc::VmState& vm() { return vm_; }
+
+protected:
+  PeProgram() = default;
+  /// The start step. Subclasses whose start step is more than a function
+  /// (the solver programs, which lower at construction) override it.
+  virtual std::shared_ptr<const bc::Program> start(PeContext& ctx);
+
+private:
+  Start start_;
+  bool run_entry_ = true;
+  std::shared_ptr<const bc::Program> program_;
+  bc::VmState vm_;
 };
 
 using ProgramFactory = std::function<std::unique_ptr<PeProgram>(PeCoord)>;

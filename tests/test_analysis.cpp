@@ -13,6 +13,7 @@
 #include "analysis/abstract_interp.hpp"
 #include "analysis/cfg.hpp"
 #include "analysis/fixtures.hpp"
+#include "analysis/lookahead.hpp"
 #include "analysis/verifier.hpp"
 #include "common/error.hpp"
 #include "core/bytecode_program.hpp"
@@ -73,6 +74,7 @@ TEST(VerifyCollectives, EastwardExchangeCleanOnAllShapes) {
   for (const auto [w, h] : kShapes) {
     const auto report = verify_program(w, h, fixtures::eastward_program());
     EXPECT_TRUE(report.ok()) << w << "x" << h << ":\n" << report.summary();
+    EXPECT_GT(report.bytecode_programs, 0u) << w << "x" << h;
   }
 }
 
@@ -85,6 +87,7 @@ TEST(VerifyCollectives, AnySourceCleanOnAllShapesAndRoots) {
           verify_program(w, h, fixtures::any_source_program(root));
       EXPECT_TRUE(report.ok()) << w << "x" << h << " root (" << root.x << ", "
                                << root.y << "):\n" << report.summary();
+      EXPECT_GT(report.bytecode_programs, 0u) << w << "x" << h;
     }
   }
 }
@@ -152,27 +155,29 @@ TEST(VerifyDefects, DefectsScaleWithFabric) {
 
 // ---------- custom programs: switch liveness + diagnostics plumbing ----------
 
-/// Two switch positions but nobody ever advances the color.
-class StuckSwitchProgram final : public wse::PeProgram {
-public:
-  void on_start(wse::PeContext& ctx) override {
+/// Two switch positions but nobody ever advances the color; the
+/// injection is a control wavelet in a handler that never runs.
+std::unique_ptr<wse::PeProgram> stuck_switch_program() {
+  return std::make_unique<wse::PeProgram>([](wse::PeContext& ctx) {
     wse::ColorConfig config;
     config.positions = {
         wse::SwitchPosition{wse::DirMask::of(wse::Dir::Ramp), {}},
         wse::SwitchPosition{wse::DirMask::of(wse::Dir::Ramp), {}}};
     ctx.configure_router(7, config);
-  }
-  void on_task(wse::PeContext&, wse::Color) override {}
-  wse::ProgramManifest manifest(wse::PeCoord coord, i64, i64) const override {
-    wse::ProgramManifest m;
-    if (coord.x == 0) m.injects |= wse::color_set_bit(7);
-    return m;
-  }
-};
+    wse::bc::Builder b("stuck-switch");
+    const auto handler = b.make_label();
+    b.seth(24, handler);
+    b.ret();
+    b.bind(handler);
+    b.send_control(7, 0);
+    b.ret();
+    return std::make_shared<const wse::bc::Program>(b.finish());
+  });
+}
 
 TEST(VerifySwitchLiveness, UnadvancedMultiPositionColorIsAnError) {
   const auto report = verify_program(
-      1, 1, [](wse::PeCoord) { return std::make_unique<StuckSwitchProgram>(); });
+      1, 1, [](wse::PeCoord) { return stuck_switch_program(); });
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_error(report, Check::SwitchLiveness, "advance"))
       << report.summary();
@@ -685,6 +690,72 @@ TEST(BytecodeLookahead, WindowsMatchGolden) {
       EXPECT_EQ(edge.min_batch_cycles, kGolden[s][d].min_batch_cycles)
           << "shard " << s << " side " << d;
     }
+}
+
+// ---------- per-PE programs: the analysis caches key by the stream ----------
+// Each PE below gets its own freshly built stream, freed with its program
+// as the pass moves on; the next PE's stream may land at the same
+// address. The caches hold every stream for the whole pass, so a reused
+// address never inherits another program's analysis.
+
+// A fresh per-PE stream whose entry block never runs, on a 16-word arena.
+std::unique_ptr<wse::PeProgram> fresh_program(const char* name,
+                                              bool oob_store) {
+  bc::Builder b(name);
+  if (oob_store) b.vmovi(b.dsd(wse::Dsd{100000, 4, 1}), 0.0f);
+  b.ret();
+  return std::make_unique<wse::PeProgram>(
+      std::make_shared<const bc::Program>(b.finish()),
+      [](wse::PeContext& ctx) { ctx.memory().alloc_f32("buf", 16); });
+}
+
+TEST(VerifyCaches, FreshPerPeProgramsAreEachAnalyzed) {
+  const auto report = verify_program(2, 1, [](wse::PeCoord coord) {
+    return coord.x == 0 ? fresh_program("quiet", false)
+                        : fresh_program("oob", true);
+  });
+  EXPECT_EQ(report.bytecode_programs, 2u) << report.summary();
+  EXPECT_EQ(report.error_count(), 1u) << report.summary();
+  const auto* d = find_diag(report, Check::BytecodeMemory);
+  ASSERT_NE(d, nullptr) << report.summary();
+  EXPECT_EQ(d->pe.x, 1);
+  EXPECT_NE(d->message.find("program \"oob\""), std::string::npos) << d->message;
+}
+
+TEST(LookaheadCaches, FreshInjectorAfterAQuietProgramStillCrosses) {
+  // 2x1 fabric, one shard per column. PE (1,0)'s only send to the west
+  // sits in a handler its entry block binds but never runs, so the planner
+  // learns of it from the stream alone — not from the recorded start.
+  constexpr wse::Color kData = 0;
+  constexpr u32 kWords = 4;
+  const wse::ProgramFactory factory = [](wse::PeCoord coord) {
+    if (coord.x == 0) return fresh_program("quiet", false);
+    return std::make_unique<wse::PeProgram>([](wse::PeContext& ctx) {
+      wse::ColorConfig west;
+      west.positions = {wse::SwitchPosition{wse::DirMask::of(wse::Dir::Ramp),
+                                            wse::DirMask::of(wse::Dir::West)}};
+      ctx.configure_router(kData, west);
+      bc::Builder b("injector");
+      const u8 src = b.dsd(wse::dsd(ctx.memory().alloc_f32("src", kWords)));
+      const auto handler = b.make_label();
+      b.seth(24, handler);
+      b.ret();
+      b.bind(handler);
+      b.send(kData, src);
+      b.ret();
+      return std::make_shared<const bc::Program>(b.finish());
+    });
+  };
+  const wse::TimingParams timing;
+  const auto table = analysis::plan_channel_lookahead(
+      2, 1, {{0, 1, 0, 1}, {0, 1, 1, 2}}, 1, 2, factory, timing);
+  ASSERT_EQ(table.out.size(), 2u);
+  const auto west = wse::cardinal_index(wse::Dir::West);
+  const auto east = wse::cardinal_index(wse::Dir::East);
+  EXPECT_TRUE(table.out[1][west].crosses);
+  EXPECT_EQ(table.out[1][west].min_batch_cycles,
+            kWords / timing.words_per_cycle_link);
+  EXPECT_FALSE(table.out[0][east].crosses); // PE (0,0) injects nothing
 }
 
 // ---------- lint: register operands per encoding ----------

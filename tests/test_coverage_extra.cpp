@@ -13,7 +13,10 @@
 #include "fv/problem.hpp"
 #include "gpu/gpu_solver.hpp"
 #include "solver/pressure_solve.hpp"
+#include "wse/bytecode.hpp"
 #include "wse/fabric.hpp"
+
+#include "bc_test_program.hpp"
 
 namespace fvdf {
 namespace {
@@ -28,26 +31,10 @@ using wse::Fabric;
 using wse::MemSpan;
 using wse::PeContext;
 using wse::PeCoord;
-using wse::PeProgram;
 using wse::SwitchPosition;
 
-class LambdaProgram final : public PeProgram {
-public:
-  using StartFn = std::function<void(PeContext&)>;
-  using TaskFn = std::function<void(PeContext&, Color)>;
-  LambdaProgram(StartFn start, TaskFn task)
-      : start_(std::move(start)), task_(std::move(task)) {}
-  void on_start(PeContext& ctx) override {
-    if (start_) start_(ctx);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    if (task_) task_(ctx, color);
-  }
-
-private:
-  StartFn start_;
-  TaskFn task_;
-};
+using test_util::bc_program;
+namespace bc = wse::bc;
 
 ColorConfig route_to(Dir dir) {
   ColorConfig config;
@@ -68,45 +55,48 @@ TEST(FabricExtra, QueuedReceiveDescriptorsFillInFifoOrder) {
   Fabric fabric(2, 1);
   constexpr Color kData = 0;
   constexpr Color kFirst = 24, kSecond = 25;
-  int completions = 0;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, route_to(Dir::East));
-            const MemSpan a = ctx.memory().alloc_f32("a", 2);
-            const MemSpan b = ctx.memory().alloc_f32("b", 2);
-            for (u32 i = 0; i < 2; ++i) {
-              ctx.memory().store(a.offset_words + i, 1.0f + static_cast<f32>(i));
-              ctx.memory().store(b.offset_words + i, 10.0f + static_cast<f32>(i));
-            }
-            ctx.send(kData, dsd(a));
-            ctx.send(kData, dsd(b));
-            ctx.halt();
-          } else {
-            ctx.configure_router(kData, route_from(Dir::West));
-            const MemSpan d1 = ctx.memory().alloc_f32("d1", 2);
-            const MemSpan d2 = ctx.memory().alloc_f32("d2", 2);
-            ctx.recv(kData, dsd(d1), kFirst);
-            ctx.recv(kData, dsd(d2), kSecond);
-          }
-        },
-        [&](PeContext& ctx, Color color) {
-          ++completions;
-          if (color == kFirst) {
-            EXPECT_FLOAT_EQ(ctx.memory().load(0), 1.0f);
-            EXPECT_FLOAT_EQ(ctx.memory().load(1), 2.0f);
-          } else {
-            EXPECT_EQ(color, kSecond);
-            EXPECT_FLOAT_EQ(ctx.memory().load(2), 10.0f);
-            EXPECT_FLOAT_EQ(ctx.memory().load(3), 11.0f);
-            ctx.halt();
-          }
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        ctx.configure_router(kData, route_to(Dir::East));
+        const MemSpan first = ctx.memory().alloc_f32("a", 2);
+        const MemSpan second = ctx.memory().alloc_f32("b", 2);
+        for (u32 i = 0; i < 2; ++i) {
+          ctx.memory().store(first.offset_words + i, 1.0f + static_cast<f32>(i));
+          ctx.memory().store(second.offset_words + i, 10.0f + static_cast<f32>(i));
+        }
+        b.send(kData, b.dsd(dsd(first)));
+        b.send(kData, b.dsd(dsd(second)));
+        b.halt();
+        b.ret();
+        return;
+      }
+      ctx.configure_router(kData, route_from(Dir::West));
+      const MemSpan d1 = ctx.memory().alloc_f32("d1", 2);
+      const MemSpan d2 = ctx.memory().alloc_f32("d2", 2);
+      // The first completion leaves the PE running; the second halts it.
+      const auto on_first = b.make_label();
+      const auto on_second = b.make_label();
+      b.seth(kFirst, on_first);
+      b.seth(kSecond, on_second);
+      b.recv(kData, b.dsd(dsd(d1)), kFirst);
+      b.recv(kData, b.dsd(dsd(d2)), kSecond);
+      b.ret();
+      b.bind(on_first);
+      b.ret();
+      b.bind(on_second);
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_EQ(completions, 2);
+  const wse::PeMemory& rx = fabric.pe_memory(1, 0);
+  EXPECT_FLOAT_EQ(rx.load(0), 1.0f);
+  EXPECT_FLOAT_EQ(rx.load(1), 2.0f);
+  EXPECT_FLOAT_EQ(rx.load(2), 10.0f);
+  EXPECT_FLOAT_EQ(rx.load(3), 11.0f);
+  EXPECT_EQ(fabric.stats().tasks_run, 4u); // two starts + two completions
 }
 
 TEST(FabricExtra, StridedReceiveScattersWords) {
@@ -114,55 +104,58 @@ TEST(FabricExtra, StridedReceiveScattersWords) {
   constexpr Color kData = 0;
   constexpr Color kDone = 24;
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, route_to(Dir::East));
-            const MemSpan src = ctx.memory().alloc_f32("src", 3);
-            for (u32 i = 0; i < 3; ++i)
-              ctx.memory().store(src.offset_words + i, static_cast<f32>(i + 1));
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ctx.configure_router(kData, route_from(Dir::West));
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 6);
-            ctx.dsd().fmovs_imm(dsd(dst), 0.0f);
-            // Stride-2 receive: words land at offsets 0, 2, 4.
-            ctx.recv(kData, Dsd{dst.offset_words, 3, 2}, kDone);
-          }
-        },
-        [](PeContext& ctx, Color) {
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 1.0f);
-          EXPECT_FLOAT_EQ(ctx.memory().load(1), 0.0f);
-          EXPECT_FLOAT_EQ(ctx.memory().load(2), 2.0f);
-          EXPECT_FLOAT_EQ(ctx.memory().load(3), 0.0f);
-          EXPECT_FLOAT_EQ(ctx.memory().load(4), 3.0f);
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        ctx.configure_router(kData, route_to(Dir::East));
+        const MemSpan src = ctx.memory().alloc_f32("src", 3);
+        for (u32 i = 0; i < 3; ++i)
+          ctx.memory().store(src.offset_words + i, static_cast<f32>(i + 1));
+        b.send(kData, b.dsd(dsd(src)));
+        b.halt();
+        b.ret();
+        return;
+      }
+      ctx.configure_router(kData, route_from(Dir::West));
+      const MemSpan dst = ctx.memory().alloc_f32("dst", 6);
+      const auto done = b.make_label();
+      b.seth(kDone, done);
+      b.vmovi(b.dsd(dsd(dst)), 0.0f);
+      // Stride-2 receive: words land at offsets 0, 2, 4.
+      b.recv(kData, b.dsd(Dsd{dst.offset_words, 3, 2}), kDone);
+      b.ret();
+      b.bind(done);
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
+  const wse::PeMemory& rx = fabric.pe_memory(1, 0);
+  EXPECT_FLOAT_EQ(rx.load(0), 1.0f);
+  EXPECT_FLOAT_EQ(rx.load(1), 0.0f);
+  EXPECT_FLOAT_EQ(rx.load(2), 2.0f);
+  EXPECT_FLOAT_EQ(rx.load(3), 0.0f);
+  EXPECT_FLOAT_EQ(rx.load(4), 3.0f);
 }
 
 TEST(FabricExtra, ControlOnlySendAdvancesRemoteRouter) {
   Fabric fabric(2, 1);
   constexpr Color kCtl = 5;
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          ColorConfig ring;
-          if (coord.x == 0) {
-            ring.positions = {SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
-                              SwitchPosition{DirMask::of(Dir::East), DirMask::of(Dir::Ramp)}};
-          } else {
-            ring.positions = {SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)},
-                              SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::West)}};
-          }
-          ring.ring_mode = true;
-          ctx.configure_router(kCtl, ring);
-          if (coord.x == 0) ctx.send_control(kCtl, wse::color_bit(kCtl));
-          ctx.halt();
-        },
-        nullptr);
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      ColorConfig ring;
+      if (coord.x == 0) {
+        ring.positions = {SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
+                          SwitchPosition{DirMask::of(Dir::East), DirMask::of(Dir::Ramp)}};
+      } else {
+        ring.positions = {SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)},
+                          SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::West)}};
+      }
+      ring.ring_mode = true;
+      ctx.configure_router(kCtl, ring);
+      if (coord.x == 0) b.send_control(kCtl, wse::color_bit(kCtl));
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
   EXPECT_EQ(fabric.pe_router(0, 0).position(kCtl), 1u);
@@ -177,23 +170,28 @@ TEST(FabricExtra, LinkSerializesConsecutiveMessages) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return std::make_unique<LambdaProgram>(
-          [coord, messages](PeContext& ctx) {
-            if (coord.x == 0) {
-              ctx.configure_router(kData, route_to(Dir::East));
-              const MemSpan src = ctx.memory().alloc_f32("src", 512);
-              for (int m = 0; m < messages; ++m) ctx.send(kData, dsd(src));
-              ctx.halt();
-            } else {
-              ctx.configure_router(kData, route_from(Dir::West));
-              const MemSpan dst = ctx.memory().alloc_f32("dst", 512);
-              for (int m = 0; m < messages; ++m)
-                ctx.recv(kData, dsd(dst), kDone);
-            }
-          },
-          [messages, received = 0](PeContext& ctx, Color) mutable {
-            if (++received == messages) ctx.halt();
-          });
+      return bc_program([coord, messages](PeContext& ctx, bc::Builder& b) {
+        if (coord.x == 0) {
+          ctx.configure_router(kData, route_to(Dir::East));
+          const u8 src = b.dsd(dsd(ctx.memory().alloc_f32("src", 512)));
+          for (int m = 0; m < messages; ++m) b.send(kData, src);
+          b.halt();
+          b.ret();
+          return;
+        }
+        ctx.configure_router(kData, route_from(Dir::West));
+        const u8 dst = b.dsd(dsd(ctx.memory().alloc_f32("dst", 512)));
+        // The last of `messages` completions halts the PE.
+        const auto done = b.make_label();
+        b.seth(kDone, done);
+        b.setu(0, static_cast<u32>(messages));
+        for (int m = 0; m < messages; ++m) b.recv(kData, dst, kDone);
+        b.ret();
+        b.bind(done);
+        b.decret(0);
+        b.halt();
+        b.ret();
+      });
     });
     return fabric.run().cycles;
   };

@@ -1,8 +1,8 @@
 // CSL runtime-layer tests: the Table-I halo exchange (all parities and
-// edge cases, switch positions restored) and the 3-phase whole-fabric
-// all-reduce (== serial sum on every fabric shape), both lowered to
-// bytecode through their csl emitters, and the Fig.-4 eastward exchange
-// with a single color + ring mode.
+// edge cases, switch positions restored), the 3-phase whole-fabric
+// all-reduce (== serial sum on every fabric shape) and the Fig.-4
+// eastward exchange with a single color + ring mode, all lowered to
+// bytecode through their csl emitters.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fixtures.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/broadcast.hpp"
 #include "csl/colors.hpp"
@@ -25,7 +24,6 @@
 namespace fvdf::csl {
 namespace {
 
-using analysis::fixtures::BcFixtureProgram;
 using wse::Dir;
 using wse::dsd;
 using wse::Fabric;
@@ -57,7 +55,7 @@ struct HaloLayout {
 // for its flux).
 wse::ProgramFactory halo_test_program(u32 nz, u32 rounds, HaloLayout* out) {
   return [=](PeCoord) {
-    return std::make_unique<BcFixtureProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](PeContext& ctx) {
       HaloExchange().configure(ctx);
       HaloLayout& L = *out;
       L.column = ctx.memory().alloc_f32("column", nz);
@@ -199,7 +197,7 @@ wse::ProgramFactory allreduce_test_program(
     const std::function<f32(PeCoord)>& value_of, u32 rounds, MemSpan* results) {
   return [=](PeCoord coord) {
     const f32 value = value_of(coord);
-    return std::make_unique<BcFixtureProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](PeContext& ctx) {
       AllReduce reduce;
       reduce.configure(ctx);
       *results = ctx.memory().alloc_f32("results", rounds);
@@ -299,49 +297,35 @@ struct ExchangeLayout {
   MemSpan mine{}, theirs{};
 };
 
-class ExchangeTestProgram final : public PeProgram {
-public:
-  ExchangeTestProgram(u32 nz, ExchangeLayout* out) : nz_(nz), out_(out) {}
-
-  void on_start(PeContext& ctx) override {
-    exchange_.configure(ctx);
-    mine_ = ctx.memory().alloc_f32("mine", nz_);
-    theirs_ = ctx.memory().alloc_f32("theirs", nz_);
-    *out_ = {mine_, theirs_};
-    for (u32 z = 0; z < nz_; ++z) {
-      ctx.memory().store(mine_.offset_words + z,
-                         fingerprint(ctx.coord().x, ctx.coord().y, z));
-      ctx.memory().store(theirs_.offset_words + z, -1.0f);
-    }
-    exchange_.start(ctx, dsd(mine_), dsd(theirs_), [this](PeContext& c) {
-      verify(c);
-      c.halt();
-    });
-  }
-
-  void on_task(PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(exchange_.handles(color));
-    exchange_.on_task(ctx, color);
-  }
-
-private:
-  void verify(PeContext& ctx) {
-    const i64 x = ctx.coord().x;
-    for (u32 z = 0; z < nz_; ++z) {
-      const f32 got = ctx.memory().load(theirs_.offset_words + z);
-      if (x > 0) {
-        EXPECT_FLOAT_EQ(got, fingerprint(x - 1, ctx.coord().y, z));
-      } else {
-        EXPECT_FLOAT_EQ(got, -1.0f);
+// One eastward exchange of an nz-word fingerprint column per PE, lowered
+// through csl::EastwardEmitter, then halt.
+wse::ProgramFactory eastward_test_program(u32 nz, ExchangeLayout* out) {
+  return [=](PeCoord) {
+    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+      EastwardExchange().configure(ctx);
+      ExchangeLayout& L = *out;
+      L.mine = ctx.memory().alloc_f32("mine", nz);
+      L.theirs = ctx.memory().alloc_f32("theirs", nz);
+      for (u32 z = 0; z < nz; ++z) {
+        ctx.memory().store(L.mine.offset_words + z,
+                           fingerprint(ctx.coord().x, ctx.coord().y, z));
+        ctx.memory().store(L.theirs.offset_words + z, -1.0f);
       }
-    }
-  }
-
-  u32 nz_;
-  ExchangeLayout* out_;
-  EastwardExchange exchange_;
-  MemSpan mine_{}, theirs_{};
-};
+      bc::Builder b("eastward-test");
+      EastwardEmitter exchange(b, ctx.coord(),
+                               {{}, dsd(L.mine), dsd(L.theirs), /*cont_reg=*/0});
+      const auto done = b.make_label();
+      b.setc(0, done);
+      exchange.emit_start();
+      b.ret();
+      b.bind(done);
+      b.halt();
+      b.ret();
+      exchange.emit_handlers();
+      return std::make_shared<const bc::Program>(b.finish());
+    });
+  };
+}
 
 // One eastward exchange of nz-word fingerprint columns, digested: the
 // cycle total, every fabric statistic, every PE's sent and received words
@@ -349,11 +333,17 @@ private:
 std::string eastward_digest(i64 width, i64 height, u32 nz) {
   Fabric fabric(width, height);
   ExchangeLayout layout;
-  fabric.load([&](PeCoord) {
-    return std::make_unique<ExchangeTestProgram>(nz, &layout);
-  });
+  fabric.load(eastward_test_program(nz, &layout));
   const auto run = fabric.run();
   EXPECT_TRUE(run.all_halted) << width << "x" << height;
+  // Every PE holds its western neighbor's column; x = 0 has none.
+  for (i64 y = 0; y < height; ++y)
+    for (i64 x = 0; x < width; ++x)
+      for (u32 z = 0; z < nz; ++z)
+        EXPECT_FLOAT_EQ(
+            fabric.pe_memory(x, y).load(layout.theirs.offset_words + z),
+            x > 0 ? fingerprint(x - 1, y, z) : -1.0f)
+            << "PE(" << x << "," << y << ") z=" << z;
   golden::Digest d;
   d.add(run.cycles).add(fabric.stats());
   for (i64 y = 0; y < height; ++y)
@@ -380,9 +370,7 @@ TEST(EastwardExchange, EveryPeReceivesItsWesternNeighborData) {
 TEST(EastwardExchange, RingRestoresSwitchPositions) {
   Fabric fabric(4, 1);
   ExchangeLayout layout;
-  fabric.load([&](PeCoord) {
-    return std::make_unique<ExchangeTestProgram>(3, &layout);
-  });
+  fabric.load(eastward_test_program(3, &layout));
   ASSERT_TRUE(fabric.run().all_halted);
   for (i64 x = 0; x < 4; ++x)
     EXPECT_EQ(fabric.pe_router(x, 0).position(kExchangeX), 0u) << "PE " << x;

@@ -9,14 +9,17 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
 #include "core/validation.hpp"
 #include "csl/any_source.hpp"
+#include "csl/lowering.hpp"
 #include "fv/problem.hpp"
 #include "solver/pressure_solve.hpp"
+#include "wse/bytecode.hpp"
 #include "wse/fabric.hpp"
 #include "wse/trace.hpp"
 
@@ -206,40 +209,34 @@ TEST(Faults, CorruptedPayloadIsCaughtByValidation) {
 
 // ---------- any-source broadcast ----------
 
-class BroadcastProgram final : public wse::PeProgram {
-public:
-  BroadcastProgram(wse::PeCoord source, u32 words, wse::MemSpan* out)
-      : source_(source), words_(words), out_(out) {}
-
-  void on_start(wse::PeContext& ctx) override {
-    bcast_.configure(ctx, source_);
-    block_ = ctx.memory().alloc_f32("block", words_);
-    *out_ = block_;
-    const bool am_source = ctx.coord() == source_;
-    for (u32 i = 0; i < words_; ++i)
-      ctx.memory().store(block_.offset_words + i,
-                         am_source ? static_cast<f32>(1000 + i) : -1.0f);
-    bcast_.start(ctx, wse::dsd(block_), [this](wse::PeContext& c) {
-      for (u32 i = 0; i < words_; ++i)
-        EXPECT_FLOAT_EQ(c.memory().load(block_.offset_words + i),
-                        static_cast<f32>(1000 + i))
-            << "PE(" << c.coord().x << "," << c.coord().y << ") word " << i;
-      c.halt();
+// One any-source broadcast round of a `words`-word block rooted at
+// `source`, lowered through csl::AnySourceEmitter, then halt.
+wse::ProgramFactory broadcast_program(wse::PeCoord source, u32 words,
+                                      wse::MemSpan* out) {
+  return [=](wse::PeCoord) {
+    return std::make_unique<wse::PeProgram>([=](wse::PeContext& ctx) {
+      csl::AnySourceBroadcast().configure(ctx, source);
+      *out = ctx.memory().alloc_f32("block", words);
+      const bool am_source = ctx.coord() == source;
+      for (u32 i = 0; i < words; ++i)
+        ctx.memory().store(out->offset_words + i,
+                           am_source ? static_cast<f32>(1000 + i) : -1.0f);
+      wse::bc::Builder b("any-source-test");
+      csl::AnySourceEmitter bcast(b, ctx.coord(), ctx.fabric_width(),
+                                  ctx.fabric_height(),
+                                  {{}, source, wse::dsd(*out), /*cont_reg=*/0});
+      const auto done = b.make_label();
+      b.setc(0, done);
+      bcast.emit_start();
+      b.ret();
+      b.bind(done);
+      b.halt();
+      b.ret();
+      bcast.emit_handlers();
+      return std::make_shared<const wse::bc::Program>(b.finish());
     });
-  }
-
-  void on_task(wse::PeContext& ctx, wse::Color color) override {
-    ASSERT_TRUE(bcast_.handles(color));
-    bcast_.on_task(ctx, color);
-  }
-
-private:
-  wse::PeCoord source_;
-  u32 words_;
-  wse::MemSpan* out_;
-  csl::AnySourceBroadcast bcast_;
-  wse::MemSpan block_{};
-};
+  };
+}
 
 // One any-source broadcast of a `words`-word block, digested: the cycle
 // total, every fabric statistic, every PE's block and the final switch
@@ -247,12 +244,16 @@ private:
 std::string broadcast_digest(wse::Fabric& fabric, wse::PeCoord source,
                              u32 words) {
   wse::MemSpan block{};
-  fabric.load([&](wse::PeCoord) {
-    return std::make_unique<BroadcastProgram>(source, words, &block);
-  });
+  fabric.load(broadcast_program(source, words, &block));
   const auto run = fabric.run();
   EXPECT_TRUE(run.all_halted) << fabric.width() << "x" << fabric.height()
                               << " from (" << source.x << "," << source.y << ")";
+  for (i64 y = 0; y < fabric.height(); ++y)
+    for (i64 x = 0; x < fabric.width(); ++x)
+      for (u32 i = 0; i < words; ++i)
+        EXPECT_FLOAT_EQ(fabric.pe_memory(x, y).load(block.offset_words + i),
+                        static_cast<f32>(1000 + i))
+            << "PE(" << x << "," << y << ") word " << i;
   golden::Digest d;
   d.add(run.cycles).add(fabric.stats());
   for (i64 y = 0; y < fabric.height(); ++y)
@@ -270,6 +271,10 @@ struct BroadcastParam {
   i64 width, height, sx, sy;
   const char* digest;
 };
+
+void PrintTo(const BroadcastParam& p, std::ostream* os) {
+  *os << p.width << "x" << p.height << " from (" << p.sx << "," << p.sy << ")";
+}
 
 class AnySourceShapes : public ::testing::TestWithParam<BroadcastParam> {};
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,33 +14,15 @@
 #include "csl/halo.hpp"
 #include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
-#include "wse/bytecode_interp.hpp"
 #include "wse/fabric.hpp"
 
+#include "bc_test_program.hpp"
 #include "golden_digest.hpp"
 
 namespace fvdf::wse {
 namespace {
 
-// A configurable test program driven by lambdas.
-class LambdaProgram final : public PeProgram {
-public:
-  using StartFn = std::function<void(PeContext&)>;
-  using TaskFn = std::function<void(PeContext&, Color)>;
-  LambdaProgram(StartFn start, TaskFn task)
-      : start_(std::move(start)), task_(std::move(task)) {}
-
-  void on_start(PeContext& ctx) override {
-    if (start_) start_(ctx);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    if (task_) task_(ctx, color);
-  }
-
-private:
-  StartFn start_;
-  TaskFn task_;
-};
+using test_util::bc_program;
 
 ColorConfig to_east() {
   ColorConfig config;
@@ -54,36 +36,53 @@ ColorConfig from_west() {
   return config;
 }
 
+// Sender half of the point-to-point tests: PE (0,0) sends `words`
+// words (1, 2, ... unless `values` is given) east, then halts.
+void emit_send_east(PeContext& ctx, bc::Builder& b, Color data, u32 words,
+                    const std::vector<f32>& values = {}) {
+  ctx.configure_router(data, to_east());
+  const MemSpan src = ctx.memory().alloc_f32("src", words);
+  for (u32 i = 0; i < words; ++i)
+    ctx.memory().store(src.offset_words + i,
+                       values.empty() ? static_cast<f32>(i + 1) : values[i]);
+  b.send(data, b.dsd(dsd(src)));
+  b.halt();
+  b.ret();
+}
+
+// Receiver half: arms one `words`-word receive on `data`; its completion
+// halts the PE.
+void emit_recv_then_halt(PeContext& ctx, bc::Builder& b, Color data,
+                         Color done, u32 words) {
+  const MemSpan dst = ctx.memory().alloc_f32("dst", words);
+  const auto on_done = b.make_label();
+  b.seth(done, on_done);
+  b.recv(data, b.dsd(dsd(dst)), done);
+  b.ret();
+  b.bind(on_done);
+  b.halt();
+  b.ret();
+}
+
 TEST(Fabric, PointToPointTransferDeliversWordsInOrder) {
   Fabric fabric(2, 1);
   constexpr Color kData = 0;
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 4);
-            for (u32 i = 0; i < 4; ++i)
-              ctx.memory().store(src.offset_words + i, static_cast<f32>(i + 1));
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ctx.configure_router(kData, from_west());
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 4);
-            ctx.recv(kData, dsd(dst), kDone);
-          }
-        },
-        [=](PeContext& ctx, Color color) {
-          EXPECT_EQ(color, kDone);
-          for (u32 i = 0; i < 4; ++i)
-            EXPECT_FLOAT_EQ(ctx.memory().load(i), static_cast<f32>(i + 1));
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 4);
+      } else {
+        ctx.configure_router(kData, from_west());
+        emit_recv_then_halt(ctx, b, kData, kDone, 4);
+      }
+    });
   });
   const auto result = fabric.run();
   EXPECT_TRUE(result.all_halted);
+  for (u32 i = 0; i < 4; ++i)
+    EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(i), static_cast<f32>(i + 1));
   EXPECT_EQ(fabric.stats().words_delivered, 4u);
   EXPECT_GT(result.cycles, 0.0);
 }
@@ -95,39 +94,33 @@ TEST(Fabric, InboxBuffersDataArrivingBeforeRecv) {
   constexpr Color kData = 0;
   constexpr Color kPoke = 25;
   constexpr Color kDone = 26;
-  bool received = false;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 2);
-            ctx.memory().store(src.offset_words, 5.0f);
-            ctx.memory().store(src.offset_words + 1, 6.0f);
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ctx.configure_router(kData, from_west());
-            (void)ctx.memory().alloc_f32("dst", 2);
-            // No recv yet; let the data arrive first, then poke ourselves.
-            ctx.activate(kPoke);
-          }
-        },
-        [&](PeContext& ctx, Color color) {
-          if (color == kPoke) {
-            ctx.recv(kData, Dsd{0, 2, 1}, kDone);
-            return;
-          }
-          EXPECT_EQ(color, kDone);
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 5.0f);
-          EXPECT_FLOAT_EQ(ctx.memory().load(1), 6.0f);
-          received = true;
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 2, {5.0f, 6.0f});
+        return;
+      }
+      ctx.configure_router(kData, from_west());
+      (void)ctx.memory().alloc_f32("dst", 2);
+      // No recv yet; let the data arrive first, then poke ourselves.
+      const auto poke = b.make_label();
+      const auto done = b.make_label();
+      b.seth(kPoke, poke);
+      b.seth(kDone, done);
+      b.act(kPoke);
+      b.ret();
+      b.bind(poke);
+      b.recv(kData, b.dsd(Dsd{0, 2, 1}), kDone);
+      b.ret();
+      b.bind(done);
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_TRUE(received);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 5.0f);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(1), 6.0f);
 }
 
 TEST(Fabric, MultiHopChainForwardsThroughMiddleRouter) {
@@ -138,33 +131,24 @@ TEST(Fabric, MultiHopChainForwardsThroughMiddleRouter) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 1);
-            ctx.memory().store(src.offset_words, 9.0f);
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else if (coord.x == 1) {
-            ColorConfig passthrough;
-            passthrough.positions = {
-                SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::East)}};
-            ctx.configure_router(kData, passthrough);
-            ctx.halt();
-          } else {
-            ctx.configure_router(kData, from_west());
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-          }
-        },
-        [=](PeContext& ctx, Color color) {
-          EXPECT_EQ(color, kDone);
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 9.0f);
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 1, {9.0f});
+      } else if (coord.x == 1) {
+        ColorConfig passthrough;
+        passthrough.positions = {
+            SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::East)}};
+        ctx.configure_router(kData, passthrough);
+        b.halt();
+        b.ret();
+      } else {
+        ctx.configure_router(kData, from_west());
+        emit_recv_then_halt(ctx, b, kData, kDone, 1);
+      }
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(2, 0).load(0), 9.0f);
   EXPECT_EQ(fabric.stats().wavelet_hops, 2u); // two link traversals
 }
 
@@ -173,38 +157,28 @@ TEST(Fabric, BroadcastFanoutDeliversToRampAndForwards) {
   Fabric fabric(3, 1);
   constexpr Color kData = 2;
   constexpr Color kDone = 24;
-  int deliveries = 0;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 1);
-            ctx.memory().store(src.offset_words, 4.5f);
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else if (coord.x == 1) {
-            ColorConfig tap;
-            tap.positions = {SwitchPosition{DirMask::of(Dir::West),
-                                            DirMask::of(Dir::Ramp, Dir::East)}};
-            ctx.configure_router(kData, tap);
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-          } else {
-            ctx.configure_router(kData, from_west());
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-          }
-        },
-        [&](PeContext& ctx, Color) {
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 4.5f);
-          ++deliveries;
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 1, {4.5f});
+        return;
+      }
+      if (coord.x == 1) {
+        ColorConfig tap;
+        tap.positions = {SwitchPosition{DirMask::of(Dir::West),
+                                        DirMask::of(Dir::Ramp, Dir::East)}};
+        ctx.configure_router(kData, tap);
+      } else {
+        ctx.configure_router(kData, from_west());
+      }
+      emit_recv_then_halt(ctx, b, kData, kDone, 1);
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_EQ(deliveries, 2);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 4.5f);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(2, 0).load(0), 4.5f);
+  EXPECT_EQ(fabric.stats().words_delivered, 2u);
 }
 
 TEST(Fabric, ControlWaveletAdvancesEveryRouterItTraverses) {
@@ -213,37 +187,69 @@ TEST(Fabric, ControlWaveletAdvancesEveryRouterItTraverses) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          ColorConfig ring;
-          if (coord.x == 0) {
-            ring.positions = {
-                SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
-                SwitchPosition{DirMask::of(Dir::East), DirMask::of(Dir::Ramp)}};
-          } else {
-            ring.positions = {
-                SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)},
-                SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::West)}};
-          }
-          ring.ring_mode = true;
-          ctx.configure_router(kData, ring);
-          if (coord.x == 0) {
-            const MemSpan src = ctx.memory().alloc_f32("src", 1);
-            ctx.memory().store(src.offset_words, 1.0f);
-            // Data plus trailing control: both routers advance to pos 1.
-            ctx.send(kData, dsd(src), color_bit(kData));
-            ctx.halt();
-          } else {
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-          }
-        },
-        [](PeContext& ctx, Color) { ctx.halt(); });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      ColorConfig ring;
+      if (coord.x == 0) {
+        ring.positions = {
+            SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
+            SwitchPosition{DirMask::of(Dir::East), DirMask::of(Dir::Ramp)}};
+      } else {
+        ring.positions = {
+            SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)},
+            SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::West)}};
+      }
+      ring.ring_mode = true;
+      ctx.configure_router(kData, ring);
+      if (coord.x == 0) {
+        const MemSpan src = ctx.memory().alloc_f32("src", 1);
+        ctx.memory().store(src.offset_words, 1.0f);
+        // Data plus trailing control: both routers advance to pos 1.
+        b.send(kData, b.dsd(dsd(src)), color_bit(kData));
+        b.halt();
+        b.ret();
+      } else {
+        emit_recv_then_halt(ctx, b, kData, kDone, 1);
+      }
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
   EXPECT_EQ(fabric.pe_router(0, 0).position(kData), 1u);
   EXPECT_EQ(fabric.pe_router(1, 0).position(kData), 1u);
   EXPECT_GE(fabric.stats().control_wavelets, 1u);
+}
+
+// Receiver of the backpressure tests: its switch starts in `positions`
+// (accepting West only in the last one), arms a 1-word receive, burns
+// enough cycles that the flit arrives (and stalls) first, then each poke
+// advances the switch once.
+void emit_stalling_receiver(PeContext& ctx, bc::Builder& b, Color data,
+                            std::vector<SwitchPosition> positions,
+                            const std::vector<Color>& pokes, Color done) {
+  ColorConfig config;
+  config.positions = std::move(positions);
+  ctx.configure_router(data, config);
+  const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
+  const MemSpan scratch = ctx.memory().alloc_f32("scratch", 512);
+  std::vector<bc::Builder::Label> handlers;
+  for (Color poke : pokes) {
+    handlers.push_back(b.make_label());
+    b.seth(poke, handlers.back());
+  }
+  const auto on_done = b.make_label();
+  b.seth(done, on_done);
+  b.recv(data, b.dsd(dsd(dst)), done);
+  b.vmovi(b.dsd(dsd(scratch)), 0.0f);
+  b.act(pokes.front());
+  b.ret();
+  for (std::size_t i = 0; i < pokes.size(); ++i) {
+    b.bind(handlers[i]);
+    b.advl(color_bit(data)); // the parked flit re-dispatches
+    if (i + 1 < pokes.size()) b.act(pokes[i + 1]);
+    b.ret();
+  }
+  b.bind(on_done);
+  b.halt();
+  b.ret();
 }
 
 TEST(Fabric, BackpressureStallsUntilAdvance) {
@@ -253,46 +259,22 @@ TEST(Fabric, BackpressureStallsUntilAdvance) {
   constexpr Color kData = 0;
   constexpr Color kPoke = 25;
   constexpr Color kDone = 26;
-  bool delivered = false;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 1);
-            ctx.memory().store(src.offset_words, 2.5f);
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ColorConfig wrong_then_right;
-            wrong_then_right.positions = {
-                SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
-                SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)}};
-            ctx.configure_router(kData, wrong_then_right);
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-            // Burn enough cycles that the flit arrives (and stalls) before
-            // the poke flips the switch.
-            const MemSpan scratch = ctx.memory().alloc_f32("scratch", 512);
-            ctx.dsd().fmovs_imm(dsd(scratch), 0.0f);
-            ctx.activate(kPoke);
-          }
-        },
-        [&](PeContext& ctx, Color color) {
-          if (color == kPoke) {
-            // Flip to the accepting position; the parked flit re-dispatches.
-            ctx.advance_local(color_bit(kData));
-            return;
-          }
-          EXPECT_EQ(color, kDone);
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 2.5f);
-          delivered = true;
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 1, {2.5f});
+        return;
+      }
+      emit_stalling_receiver(
+          ctx, b, kData,
+          {SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
+           SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)}},
+          {kPoke}, kDone);
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_TRUE(delivered);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 2.5f);
   EXPECT_GE(fabric.stats().flits_stalled, 1u);
 }
 
@@ -300,14 +282,9 @@ TEST(Fabric, EdgeSendsAreDroppedAndCounted) {
   Fabric fabric(1, 1);
   constexpr Color kData = 0;
   fabric.load([&](PeCoord) {
-    return std::make_unique<LambdaProgram>(
-        [](PeContext& ctx) {
-          ctx.configure_router(kData, to_east());
-          const MemSpan src = ctx.memory().alloc_f32("src", 3);
-          ctx.send(kData, dsd(src));
-          ctx.halt();
-        },
-        nullptr);
+    return bc_program([](PeContext& ctx, bc::Builder& b) {
+      emit_send_east(ctx, b, kData, 3);
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
   EXPECT_EQ(fabric.stats().words_dropped, 3u);
@@ -320,30 +297,30 @@ TEST(Fabric, RunIsDeterministic) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return std::make_unique<LambdaProgram>(
-          [coord](PeContext& ctx) {
-            if (coord.x == 0) {
-              ctx.configure_router(kData, to_east());
-              const MemSpan src = ctx.memory().alloc_f32("src", 8);
-              for (u32 i = 0; i < 8; ++i)
-                ctx.memory().store(src.offset_words + i,
-                                   static_cast<f32>(coord.y * 100 + i));
-              ctx.send(kData, dsd(src));
-              ctx.halt();
-            } else if (coord.x == 1) {
-              ctx.configure_router(kData, from_west());
-              const MemSpan dst = ctx.memory().alloc_f32("dst", 8);
-              ctx.recv(kData, dsd(dst), kDone);
-            } else {
-              ctx.halt();
-            }
-          },
-          [](PeContext& ctx, Color) {
-            // Burn deterministic compute time proportional to the data.
-            auto& e = ctx.dsd();
-            e.fmuls_imm(Dsd{0, 8, 1}, Dsd{0, 8, 1}, 2.0f);
-            ctx.halt();
-          });
+      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+        if (coord.x == 0) {
+          std::vector<f32> values;
+          for (u32 i = 0; i < 8; ++i)
+            values.push_back(static_cast<f32>(coord.y * 100 + i));
+          emit_send_east(ctx, b, kData, 8, values);
+        } else if (coord.x == 1) {
+          ctx.configure_router(kData, from_west());
+          const MemSpan dst = ctx.memory().alloc_f32("dst", 8);
+          const auto done = b.make_label();
+          b.seth(kDone, done);
+          b.recv(kData, b.dsd(dsd(dst)), kDone);
+          b.ret();
+          // Burn deterministic compute time proportional to the data.
+          b.bind(done);
+          const u8 data = b.dsd(Dsd{0, 8, 1});
+          b.vmuli(data, data, 2.0f);
+          b.halt();
+          b.ret();
+        } else {
+          b.halt();
+          b.ret();
+        }
+      });
     });
     const auto result = fabric.run();
     return std::make_pair(result.cycles, fabric.stats().events_processed);
@@ -358,14 +335,17 @@ TEST(Fabric, CycleLimitStopsRunawayPrograms) {
   Fabric fabric(1, 1);
   constexpr Color kLoop = 24;
   fabric.load([&](PeCoord) {
-    return std::make_unique<LambdaProgram>(
-        [](PeContext& ctx) { ctx.activate(kLoop); },
-        [](PeContext& ctx, Color) {
-          // Ping-pong forever, each task burning a little time.
-          auto& e = ctx.dsd();
-          (void)e.fadds_scalar(1.0f, 2.0f);
-          ctx.activate(kLoop);
-        });
+    return bc_program([](PeContext&, bc::Builder& b) {
+      const auto loop = b.make_label();
+      b.seth(kLoop, loop);
+      b.act(kLoop);
+      b.ret();
+      // Ping-pong forever, each task burning a little time.
+      b.bind(loop);
+      b.sadd(0, 1, 2);
+      b.act(kLoop);
+      b.ret();
+    });
   });
   const auto result = fabric.run(/*max_cycles=*/5000);
   EXPECT_FALSE(result.all_halted);
@@ -373,44 +353,44 @@ TEST(Fabric, CycleLimitStopsRunawayPrograms) {
 }
 
 TEST(Fabric, SendCompletionFiresAfterInjection) {
+  // Both PEs halt only in their kSent handler: the sender's runs once its
+  // message has left the ramp, the receiver's once the words landed.
   Fabric fabric(2, 1);
   constexpr Color kData = 0;
   constexpr Color kSent = 24;
-  bool sent = false;
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 16);
-            ctx.send(kData, dsd(src), 0, kSent);
-          } else {
-            ctx.configure_router(kData, from_west());
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 16);
-            ctx.recv(kData, dsd(dst), kSent);
-          }
-        },
-        [&](PeContext& ctx, Color color) {
-          EXPECT_EQ(color, kSent);
-          if (ctx.coord().x == 0) sent = true;
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      const auto sent = b.make_label();
+      b.seth(kSent, sent);
+      if (coord.x == 0) {
+        ctx.configure_router(kData, to_east());
+        const MemSpan src = ctx.memory().alloc_f32("src", 16);
+        b.send(kData, b.dsd(dsd(src)), 0, kSent);
+      } else {
+        ctx.configure_router(kData, from_west());
+        const MemSpan dst = ctx.memory().alloc_f32("dst", 16);
+        b.recv(kData, b.dsd(dsd(dst)), kSent);
+      }
+      b.ret();
+      b.bind(sent);
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_TRUE(sent);
+  EXPECT_EQ(fabric.stats().tasks_run, 4u); // two starts + two completions
 }
 
 TEST(Fabric, StatsAggregateCounters) {
   Fabric fabric(2, 2);
   fabric.load([&](PeCoord) {
-    return std::make_unique<LambdaProgram>(
-        [](PeContext& ctx) {
-          const MemSpan a = ctx.memory().alloc_f32("a", 10);
-          ctx.dsd().fmovs_imm(dsd(a), 1.0f);
-          ctx.dsd().fmuls_imm(dsd(a), dsd(a), 2.0f);
-          ctx.halt();
-        },
-        nullptr);
+    return bc_program([](PeContext& ctx, bc::Builder& b) {
+      const u8 a = b.dsd(dsd(ctx.memory().alloc_f32("a", 10)));
+      b.vmovi(a, 1.0f);
+      b.vmuli(a, a, 2.0f);
+      b.halt();
+      b.ret();
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
   const OpCounters total = fabric.total_counters();
@@ -420,18 +400,40 @@ TEST(Fabric, StatsAggregateCounters) {
   EXPECT_EQ(fabric.pe_counters(0, 0).count(Opcode::FMUL), 10u);
 }
 
+std::unique_ptr<PeProgram> halt_program() {
+  return bc_program([](PeContext&, bc::Builder& b) {
+    b.halt();
+    b.ret();
+  });
+}
+
 TEST(Fabric, InvalidUsagesThrow) {
   Fabric fabric(1, 1);
   EXPECT_THROW(fabric.run(), Error); // run before load
-  fabric.load([&](PeCoord) {
-    return std::make_unique<LambdaProgram>([](PeContext& ctx) { ctx.halt(); },
-                                           nullptr);
-  });
-  EXPECT_THROW(fabric.load([&](PeCoord) {
-    return std::make_unique<LambdaProgram>(nullptr, nullptr);
-  }),
+  fabric.load([&](PeCoord) { return halt_program(); });
+  EXPECT_THROW(fabric.load([&](PeCoord) { return halt_program(); }),
                Error); // double load
   EXPECT_TRUE(fabric.run().all_halted);
+}
+
+TEST(Fabric, ActivatingAColorWithNoBoundHandlerThrows) {
+  // The interpreter is the only dispatch path: an activation the stream
+  // never bound a handler for is a program bug, never silently dropped.
+  Fabric fabric(1, 1);
+  constexpr Color kUnbound = 26;
+  fabric.load([&](PeCoord) {
+    return bc_program([](PeContext&, bc::Builder& b) {
+      b.act(kUnbound);
+      b.ret();
+    });
+  });
+  try {
+    fabric.run();
+    FAIL() << "an unbound task color must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("task color 26"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Fabric, HostAccessorsRejectOutOfRangeCoordinates) {
@@ -459,50 +461,24 @@ TEST(Fabric, RejectedAdvanceReparksWithoutEventOrTraceInflation) {
   constexpr Color kPoke = 25;
   constexpr Color kPoke2 = 26;
   constexpr Color kDone = 27;
-  bool delivered = false;
 
   fabric.load([&](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.x == 0) {
-            ctx.configure_router(kData, to_east());
-            const MemSpan src = ctx.memory().alloc_f32("src", 1);
-            ctx.memory().store(src.offset_words, 3.5f);
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ColorConfig wrong_wrong_right;
-            wrong_wrong_right.positions = {
-                SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
-                SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
-                SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)}};
-            ctx.configure_router(kData, wrong_wrong_right);
-            const MemSpan dst = ctx.memory().alloc_f32("dst", 1);
-            ctx.recv(kData, dsd(dst), kDone);
-            // Let the flit arrive (and stall) before the pokes advance.
-            const MemSpan scratch = ctx.memory().alloc_f32("scratch", 512);
-            ctx.dsd().fmovs_imm(dsd(scratch), 0.0f);
-            ctx.activate(kPoke);
-          }
-        },
-        [&](PeContext& ctx, Color color) {
-          if (color == kPoke) {
-            ctx.advance_local(color_bit(kData)); // position 1: still rejects
-            ctx.activate(kPoke2);
-            return;
-          }
-          if (color == kPoke2) {
-            ctx.advance_local(color_bit(kData)); // position 2: accepts
-            return;
-          }
-          EXPECT_EQ(color, kDone);
-          EXPECT_FLOAT_EQ(ctx.memory().load(0), 3.5f);
-          delivered = true;
-          ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        emit_send_east(ctx, b, kData, 1, {3.5f});
+        return;
+      }
+      // Position 1 still rejects; the second poke reaches position 2.
+      emit_stalling_receiver(
+          ctx, b, kData,
+          {SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
+           SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
+           SwitchPosition{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)}},
+          {kPoke, kPoke2}, kDone);
+    });
   });
   EXPECT_TRUE(fabric.run().all_halted);
-  EXPECT_TRUE(delivered);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 3.5f);
   EXPECT_EQ(fabric.stats().flits_stalled, 1u);
   EXPECT_EQ(trace.count(TraceEvent::FlitStalled), 1u);
 }
@@ -513,20 +489,14 @@ TEST(Fabric, LargerMessagesTakeLongerOnTheLink) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return std::make_unique<LambdaProgram>(
-          [coord, words](PeContext& ctx) {
-            if (coord.x == 0) {
-              ctx.configure_router(kData, to_east());
-              const MemSpan src = ctx.memory().alloc_f32("src", words);
-              ctx.send(kData, dsd(src));
-              ctx.halt();
-            } else {
-              ctx.configure_router(kData, from_west());
-              const MemSpan dst = ctx.memory().alloc_f32("dst", words);
-              ctx.recv(kData, dsd(dst), kDone);
-            }
-          },
-          [](PeContext& ctx, Color) { ctx.halt(); });
+      return bc_program([coord, words](PeContext& ctx, bc::Builder& b) {
+        if (coord.x == 0) {
+          emit_send_east(ctx, b, kData, words);
+        } else {
+          ctx.configure_router(kData, from_west());
+          emit_recv_then_halt(ctx, b, kData, kDone, words);
+        }
+      });
     });
     return fabric.run().cycles;
   };
@@ -543,39 +513,37 @@ f32 cell_fingerprint(i64 x, i64 y, u32 z) {
   return static_cast<f32>(x * 10000 + y * 100 + static_cast<i64>(z));
 }
 
-// One four-step halo exchange lowered through csl::HaloEmitter, then halt.
-class BytecodeHaloProgram final : public PeProgram {
-public:
-  explicit BytecodeHaloProgram(u32 nz) : nz_(nz) {}
-
+// Buffers of one halo test PE (the same offsets on every PE).
+struct HaloBuffers {
   MemSpan column{}, west{}, east{}, south{}, north{};
+};
 
-  void on_start(PeContext& ctx) override {
+// One four-step halo exchange lowered through csl::HaloEmitter, then halt.
+std::unique_ptr<PeProgram> halo_program(u32 nz, HaloBuffers* out) {
+  return bc_program([nz, out](PeContext& ctx, bc::Builder& b) {
     csl::HaloExchange().configure(ctx);
-    column = ctx.memory().alloc_f32("column", nz_);
-    for (u32 z = 0; z < nz_; ++z)
-      ctx.memory().store(column.offset_words + z,
+    HaloBuffers& L = *out;
+    L.column = ctx.memory().alloc_f32("column", nz);
+    for (u32 z = 0; z < nz; ++z)
+      ctx.memory().store(L.column.offset_words + z,
                          cell_fingerprint(ctx.coord().x, ctx.coord().y, z));
-    for (MemSpan* buf : {&west, &east, &south, &north}) {
-      *buf = ctx.memory().alloc_f32("halo", nz_);
-      for (u32 z = 0; z < nz_; ++z)
+    for (MemSpan* buf : {&L.west, &L.east, &L.south, &L.north}) {
+      *buf = ctx.memory().alloc_f32("halo", nz);
+      for (u32 z = 0; z < nz; ++z)
         ctx.memory().store(buf->offset_words + z, -1.0f);
     }
 
-    bc::Builder b("halo-test");
     csl::HaloEmitter::Spec spec;
-    spec.column = dsd(column);
-    spec.west = dsd(west);
-    spec.east = dsd(east);
-    spec.south = dsd(south);
-    spec.north = dsd(north);
+    spec.column = dsd(L.column);
+    spec.west = dsd(L.west);
+    spec.east = dsd(L.east);
+    spec.south = dsd(L.south);
+    spec.north = dsd(L.north);
     spec.cont_reg = 0;
     spec.pending_ureg = 0;
     csl::HaloEmitter halo(b, ctx.coord(), ctx.fabric_width(), ctx.fabric_height(),
                           std::move(spec));
-    const auto entry = b.make_label();
     const auto done = b.make_label();
-    b.bind(entry);
     b.setc(0, done);
     halo.emit_start();
     b.ret(); // the start sequence falls through to the caller's next op
@@ -583,24 +551,8 @@ public:
     b.halt();
     b.ret(); // HALT records the halt but does not stop interpretation
     halo.emit_handlers();
-    b.set_entry(entry);
-    program_ = std::make_shared<bc::Program>(b.finish());
-    EXPECT_TRUE(bc::lint_program(*program_).empty());
-    bc::run(ctx, vm_, *program_, program_->entry);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    const u16 pc = vm_.handler[color];
-    ASSERT_NE(pc, bc::kNoPc);
-    bc::run(ctx, vm_, *program_, pc);
-  }
-  const bc::Program* bytecode() const override { return program_.get(); }
-  bc::VmState* bytecode_state() override { return &vm_; }
-
-private:
-  u32 nz_;
-  std::shared_ptr<bc::Program> program_;
-  bc::VmState vm_;
-};
+  });
+}
 
 TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
   constexpr u32 nz = 6;
@@ -611,25 +563,20 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
                  {3, 4, "b2448a3ec7c3dd64"}, {5, 1, "def06d971059e14a"}, {1, 5, "5bd9a2c174afd80c"}};
   for (const auto& [width, height, digest] : kShapes) {
     Fabric bc_fabric(width, height);
-    std::vector<BytecodeHaloProgram*> bc_pes;
-    bc_fabric.load([&](PeCoord) {
-      auto p = std::make_unique<BytecodeHaloProgram>(nz);
-      bc_pes.push_back(p.get());
-      return p;
-    });
+    HaloBuffers L;
+    bc_fabric.load([&](PeCoord) { return halo_program(nz, &L); });
     const auto bc_run = bc_fabric.run();
     ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
+    for (const bc::Program* program : bc_fabric.distinct_bytecode_programs())
+      EXPECT_TRUE(bc::lint_program(*program).empty());
 
     // Every word of every buffer — column untouched, halos delivered.
     golden::Digest d;
     d.add(bc_run.cycles).add(bc_fabric.stats());
     for (i64 y = 0; y < height; ++y) {
       for (i64 x = 0; x < width; ++x) {
-        const std::size_t i = static_cast<std::size_t>(y * width + x);
         PeMemory& bm = bc_fabric.pe_memory(x, y);
-        for (const MemSpan* span :
-             {&bc_pes[i]->column, &bc_pes[i]->west, &bc_pes[i]->east,
-              &bc_pes[i]->south, &bc_pes[i]->north}) {
+        for (const MemSpan* span : {&L.column, &L.west, &L.east, &L.south, &L.north}) {
           for (u32 z = 0; z < nz; ++z) {
             d.add(bm.load(span->offset_words + z));
           }
@@ -641,54 +588,30 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
 }
 
 // Whole-fabric all-reduce, one round, result stored to a known slot.
-class BytecodeReduceProgram final : public PeProgram {
-public:
-  explicit BytecodeReduceProgram(f32 value) : value_(value) {}
-
-  MemSpan result{};
-
-  void on_start(PeContext& ctx) override {
+std::unique_ptr<PeProgram> reduce_program(f32 value, MemSpan* result) {
+  return bc_program([value, result](PeContext& ctx, bc::Builder& b) {
     csl::AllReduce reduce;
     reduce.configure(ctx); // allocates the value/in slots + routes
-    result = ctx.memory().alloc_f32("result", 1);
+    *result = ctx.memory().alloc_f32("result", 1);
 
-    bc::Builder b("reduce-test");
     csl::ReduceEmitter::Spec spec;
     spec.slot_value = reduce.slot_value().offset_words;
     spec.slot_in = reduce.slot_in().offset_words;
     spec.cont_reg = 1;
     csl::ReduceEmitter emitter(b, ctx.coord(), ctx.fabric_width(),
                                ctx.fabric_height(), spec);
-    const auto entry = b.make_label();
     const auto after = b.make_label();
-    b.bind(entry);
     emitter.emit_handler_bindings();
-    b.umovi(0, value_); // contribution in f0
+    b.umovi(0, value); // contribution in f0
     b.setc(1, after);
     b.jmp(emitter.start_label());
     b.bind(after); // fabric total back in f0
-    b.rstore(0, result.offset_words);
+    b.rstore(0, result->offset_words);
     b.halt();
     b.ret(); // HALT records the halt but does not stop interpretation
     emitter.emit_blocks();
-    b.set_entry(entry);
-    program_ = std::make_shared<bc::Program>(b.finish());
-    EXPECT_TRUE(bc::lint_program(*program_).empty());
-    bc::run(ctx, vm_, *program_, program_->entry);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    const u16 pc = vm_.handler[color];
-    ASSERT_NE(pc, bc::kNoPc);
-    bc::run(ctx, vm_, *program_, pc);
-  }
-  const bc::Program* bytecode() const override { return program_.get(); }
-  bc::VmState* bytecode_state() override { return &vm_; }
-
-private:
-  f32 value_;
-  std::shared_ptr<bc::Program> program_;
-  bc::VmState vm_;
-};
+  });
+}
 
 TEST(BytecodeCollectives, AllReduceMatchesGolden) {
   const struct {
@@ -702,22 +625,18 @@ TEST(BytecodeCollectives, AllReduceMatchesGolden) {
     };
 
     Fabric bc_fabric(width, height);
-    std::vector<BytecodeReduceProgram*> bc_pes;
-    bc_fabric.load([&](PeCoord c) {
-      auto p = std::make_unique<BytecodeReduceProgram>(value_of(c));
-      bc_pes.push_back(p.get());
-      return p;
-    });
+    MemSpan result{};
+    bc_fabric.load([&](PeCoord c) { return reduce_program(value_of(c), &result); });
     const auto bc_run = bc_fabric.run();
     ASSERT_TRUE(bc_run.all_halted) << width << "x" << height;
+    for (const bc::Program* program : bc_fabric.distinct_bytecode_programs())
+      EXPECT_TRUE(bc::lint_program(*program).empty());
 
     golden::Digest d;
     d.add(bc_run.cycles).add(bc_fabric.stats());
     for (i64 y = 0; y < height; ++y) {
       for (i64 x = 0; x < width; ++x) {
-        const std::size_t i = static_cast<std::size_t>(y * width + x);
-        const f32 bc_total =
-            bc_fabric.pe_memory(x, y).load(bc_pes[i]->result.offset_words);
+        const f32 bc_total = bc_fabric.pe_memory(x, y).load(result.offset_words);
         d.add(bc_total);
         EXPECT_NE(bc_total, 0.0f); // the reduction actually ran
       }

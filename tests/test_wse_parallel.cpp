@@ -29,27 +29,29 @@
 #include "wse/trace.hpp"
 #include "wse/worker_pool.hpp"
 
+#include "bc_test_program.hpp"
+
 namespace fvdf::wse {
 namespace {
 
-class LambdaProgram final : public PeProgram {
-public:
-  using StartFn = std::function<void(PeContext&)>;
-  using TaskFn = std::function<void(PeContext&, Color)>;
-  LambdaProgram(StartFn start, TaskFn task)
-      : start_(std::move(start)), task_(std::move(task)) {}
+using test_util::bc_program;
 
-  void on_start(PeContext& ctx) override {
-    if (start_) start_(ctx);
-  }
-  void on_task(PeContext& ctx, Color color) override {
-    if (task_) task_(ctx, color);
-  }
+// Counts `count` activations of `done` in u-register 0 and halts on the
+// last: emits the binding and the counter set-up inline and returns the
+// handler label, which emit_join_handler binds after the entry block.
+bc::Builder::Label emit_join(bc::Builder& b, Color done, u32 count) {
+  const auto handler = b.make_label();
+  b.seth(done, handler);
+  b.setu(0, count);
+  return handler;
+}
 
-private:
-  StartFn start_;
-  TaskFn task_;
-};
+void emit_join_handler(bc::Builder& b, bc::Builder::Label handler) {
+  b.bind(handler);
+  b.decret(0);
+  b.halt();
+  b.ret();
+}
 
 bool same_bits(const std::vector<f32>& a, const std::vector<f32>& b) {
   return a.size() == b.size() &&
@@ -105,34 +107,35 @@ void load_cross_shard_program(Fabric& fabric) {
   constexpr Color kData = 0;
   constexpr Color kDone = 24;
   fabric.load([](PeCoord coord) {
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          const bool sender = coord.y == 0 || coord.y == 2;
-          const u32 words = 4 + static_cast<u32>(coord.x) * 3;
-          if (sender) {
-            ColorConfig south;
-            south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
-                                              DirMask::of(Dir::South)}};
-            ctx.configure_router(kData, south);
-            const MemSpan src = ctx.memory().alloc_f32("src", words);
-            for (u32 i = 0; i < words; ++i)
-              ctx.memory().store(src.offset_words + i,
-                                 static_cast<f32>(coord.x * 100 + i));
-            const MemSpan burn = ctx.memory().alloc_f32("burn", 64);
-            for (i64 n = 0; n <= coord.x; ++n)
-              ctx.dsd().fmovs_imm(dsd(burn), static_cast<f32>(n));
-            ctx.send(kData, dsd(src));
-            ctx.halt();
-          } else {
-            ColorConfig north;
-            north.positions = {SwitchPosition{DirMask::of(Dir::North),
-                                              DirMask::of(Dir::Ramp)}};
-            ctx.configure_router(kData, north);
-            const MemSpan dst = ctx.memory().alloc_f32("dst", words);
-            ctx.recv(kData, dsd(dst), kDone);
-          }
-        },
-        [](PeContext& ctx, Color) { ctx.halt(); });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      const bool sender = coord.y == 0 || coord.y == 2;
+      const u32 words = 4 + static_cast<u32>(coord.x) * 3;
+      if (sender) {
+        ColorConfig south;
+        south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                          DirMask::of(Dir::South)}};
+        ctx.configure_router(kData, south);
+        const MemSpan src = ctx.memory().alloc_f32("src", words);
+        for (u32 i = 0; i < words; ++i)
+          ctx.memory().store(src.offset_words + i,
+                             static_cast<f32>(coord.x * 100 + i));
+        const u8 burn = b.dsd(dsd(ctx.memory().alloc_f32("burn", 64)));
+        for (i64 n = 0; n <= coord.x; ++n) b.vmovi(burn, static_cast<f32>(n));
+        b.send(kData, b.dsd(dsd(src)));
+        b.halt();
+        b.ret();
+      } else {
+        ColorConfig north;
+        north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                          DirMask::of(Dir::Ramp)}};
+        ctx.configure_router(kData, north);
+        const MemSpan dst = ctx.memory().alloc_f32("dst", words);
+        const auto done = emit_join(b, kDone, 1);
+        b.recv(kData, b.dsd(dsd(dst)), kDone);
+        b.ret();
+        emit_join_handler(b, done);
+      }
+    });
   });
 }
 
@@ -180,49 +183,45 @@ TEST(ParallelFabric, BackpressureStallsAcrossShardBoundary) {
     constexpr Color kData = 0;
     constexpr Color kCtl = 1;
     constexpr Color kDone = 24;
-    bool delivered = false;
 
     fabric.load([&](PeCoord coord) {
-      return std::make_unique<LambdaProgram>(
-          [coord](PeContext& ctx) {
-            if (coord.y == 0) {
-              ColorConfig south;
-              south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
-                                                DirMask::of(Dir::South)}};
-              ctx.configure_router(kData, south);
-              ctx.configure_router(kCtl, south);
-              const MemSpan src = ctx.memory().alloc_f32("src", 3);
-              for (u32 i = 0; i < 3; ++i)
-                ctx.memory().store(src.offset_words + i, static_cast<f32>(7 + i));
-              ctx.send(kData, dsd(src));
-              // Trails the data; advances kData's switch at the receiver.
-              ctx.send_control(kCtl, color_bit(kData));
-              ctx.halt();
-            } else {
-              ColorConfig wrong_then_right;
-              wrong_then_right.positions = {
-                  SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::South)},
-                  SwitchPosition{DirMask::of(Dir::North), DirMask::of(Dir::Ramp)}};
-              ctx.configure_router(kData, wrong_then_right);
-              ColorConfig from_north;
-              from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
-                                                     DirMask::of(Dir::Ramp)}};
-              ctx.configure_router(kCtl, from_north);
-              const MemSpan dst = ctx.memory().alloc_f32("dst", 3);
-              ctx.recv(kData, dsd(dst), kDone);
-            }
-          },
-          [&](PeContext& ctx, Color color) {
-            EXPECT_EQ(color, kDone);
-            for (u32 i = 0; i < 3; ++i)
-              EXPECT_FLOAT_EQ(ctx.memory().load(i), static_cast<f32>(7 + i));
-            delivered = true;
-            ctx.halt();
-          });
+      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+        if (coord.y == 0) {
+          ColorConfig south;
+          south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                            DirMask::of(Dir::South)}};
+          ctx.configure_router(kData, south);
+          ctx.configure_router(kCtl, south);
+          const MemSpan src = ctx.memory().alloc_f32("src", 3);
+          for (u32 i = 0; i < 3; ++i)
+            ctx.memory().store(src.offset_words + i, static_cast<f32>(7 + i));
+          b.send(kData, b.dsd(dsd(src)));
+          // Trails the data; advances kData's switch at the receiver.
+          b.send_control(kCtl, color_bit(kData));
+          b.halt();
+          b.ret();
+        } else {
+          ColorConfig wrong_then_right;
+          wrong_then_right.positions = {
+              SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::South)},
+              SwitchPosition{DirMask::of(Dir::North), DirMask::of(Dir::Ramp)}};
+          ctx.configure_router(kData, wrong_then_right);
+          ColorConfig from_north;
+          from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                                 DirMask::of(Dir::Ramp)}};
+          ctx.configure_router(kCtl, from_north);
+          const MemSpan dst = ctx.memory().alloc_f32("dst", 3);
+          const auto done = emit_join(b, kDone, 1);
+          b.recv(kData, b.dsd(dsd(dst)), kDone);
+          b.ret();
+          emit_join_handler(b, done);
+        }
+      });
     });
     const auto result = fabric.run();
     EXPECT_TRUE(result.all_halted);
-    EXPECT_TRUE(delivered);
+    for (u32 i = 0; i < 3; ++i)
+      EXPECT_FLOAT_EQ(fabric.pe_memory(0, 1).load(i), static_cast<f32>(7 + i));
     EXPECT_GE(fabric.stats().flits_stalled, 1u);
     return std::make_pair(result.cycles, fabric.stats());
   };
@@ -241,13 +240,11 @@ TEST(ParallelFabric, LocalOnlyWorkloadFinishesInOneRound) {
     EXPECT_EQ(fabric.shard_count(), 6u);
     fabric.set_threads(threads);
     fabric.load([](PeCoord) {
-      return std::make_unique<LambdaProgram>(
-          [](PeContext& ctx) {
-            const MemSpan buf = ctx.memory().alloc_f32("buf", 16);
-            ctx.dsd().fmovs_imm(dsd(buf), 1.0f);
-            ctx.halt();
-          },
-          nullptr);
+      return bc_program([](PeContext& ctx, bc::Builder& b) {
+        b.vmovi(b.dsd(dsd(ctx.memory().alloc_f32("buf", 16))), 1.0f);
+        b.halt();
+        b.ret();
+      });
     });
     EXPECT_TRUE(fabric.run().all_halted);
     return std::make_pair(fabric.last_run_rounds(), fabric.stats());
@@ -545,8 +542,10 @@ TEST(ParallelFabric, AutoLayoutIsOneShardAtOneWorker) {
   // how many workers run() uses.
   Fabric loaded(1, 40);
   loaded.load([](PeCoord) {
-    return std::make_unique<LambdaProgram>([](PeContext& ctx) { ctx.halt(); },
-                                           nullptr);
+    return bc_program([](PeContext&, bc::Builder& b) {
+      b.halt();
+      b.ret();
+    });
   });
   loaded.set_threads(4);
   EXPECT_EQ(loaded.shard_count(), 1u);
@@ -576,12 +575,11 @@ TEST(ParallelFabric, RelayoutResetsLookaheadAndRebindsTelemetry) {
   ASSERT_EQ(fabric.shard_count(), 4u); // 8x8 -> 2x2 tiles
   EXPECT_EQ(fabric.channel_lookahead().out.size(), 4u);
   fabric.load([](PeCoord) {
-    return std::make_unique<LambdaProgram>(
-        [](PeContext& ctx) {
-          ctx.mark_phase(1);
-          ctx.halt();
-        },
-        nullptr);
+    return bc_program([](PeContext&, bc::Builder& b) {
+      b.phase(1);
+      b.halt();
+      b.ret();
+    });
   });
   const auto result = fabric.run();
   EXPECT_TRUE(result.all_halted);
@@ -612,44 +610,42 @@ FifoRun run_fifo_program(ShardGrid grid, u32 threads) {
   TraceBuffer buffer;
   fabric.set_trace(buffer.sink());
   fabric.load([&](PeCoord coord) {
-    auto completions = std::make_shared<u32>(0);
-    return std::make_unique<LambdaProgram>(
-        [coord](PeContext& ctx) {
-          if (coord.y == 0) {
-            ColorConfig south;
-            south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
-                                              DirMask::of(Dir::South)}};
-            ctx.configure_router(kData, south);
-            ctx.configure_router(kCtl, south);
-            const MemSpan src = ctx.memory().alloc_f32("src", kWords);
-            for (u32 i = 0; i < kWords; ++i)
-              ctx.memory().store(src.offset_words + i, static_cast<f32>(10 + i));
-            ctx.send(kData, dsd(src));
-            ctx.send_control(kCtl, color_bit(kData)); // still rejecting
-            ctx.send_control(kCtl, color_bit(kData)); // accepting
-            ctx.halt();
-          } else {
-            const SwitchPosition reject{DirMask::of(Dir::Ramp),
-                                        DirMask::of(Dir::South)};
-            ColorConfig data;
-            data.positions = {reject, reject,
-                              SwitchPosition{DirMask::of(Dir::North),
-                                             DirMask::of(Dir::Ramp)}};
-            ctx.configure_router(kData, data);
-            ColorConfig from_north;
-            from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
-                                                   DirMask::of(Dir::Ramp)}};
-            ctx.configure_router(kCtl, from_north);
-            const MemSpan dst = ctx.memory().alloc_f32("dst", kWords);
-            ctx.recv(kData, Dsd{dst.offset_words, 1, 1}, kDone);
-            ctx.recv(kData, Dsd{dst.offset_words + 1, 2, 1}, kDone);
-            ctx.recv(kData, Dsd{dst.offset_words + 3, 3, 1}, kDone);
-          }
-        },
-        [completions](PeContext& ctx, Color color) {
-          EXPECT_EQ(color, Color{kDone});
-          if (++*completions == 3) ctx.halt();
-        });
+    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      if (coord.y == 0) {
+        ColorConfig south;
+        south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                          DirMask::of(Dir::South)}};
+        ctx.configure_router(kData, south);
+        ctx.configure_router(kCtl, south);
+        const MemSpan src = ctx.memory().alloc_f32("src", kWords);
+        for (u32 i = 0; i < kWords; ++i)
+          ctx.memory().store(src.offset_words + i, static_cast<f32>(10 + i));
+        b.send(kData, b.dsd(dsd(src)));
+        b.send_control(kCtl, color_bit(kData)); // still rejecting
+        b.send_control(kCtl, color_bit(kData)); // accepting
+        b.halt();
+        b.ret();
+      } else {
+        const SwitchPosition reject{DirMask::of(Dir::Ramp),
+                                    DirMask::of(Dir::South)};
+        ColorConfig data;
+        data.positions = {reject, reject,
+                          SwitchPosition{DirMask::of(Dir::North),
+                                         DirMask::of(Dir::Ramp)}};
+        ctx.configure_router(kData, data);
+        ColorConfig from_north;
+        from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                               DirMask::of(Dir::Ramp)}};
+        ctx.configure_router(kCtl, from_north);
+        const MemSpan dst = ctx.memory().alloc_f32("dst", kWords);
+        const auto done = emit_join(b, kDone, 3);
+        b.recv(kData, b.dsd(Dsd{dst.offset_words, 1, 1}), kDone);
+        b.recv(kData, b.dsd(Dsd{dst.offset_words + 1, 2, 1}), kDone);
+        b.recv(kData, b.dsd(Dsd{dst.offset_words + 3, 3, 1}), kDone);
+        b.ret();
+        emit_join_handler(b, done);
+      }
+    });
   });
   const auto result = fabric.run();
   EXPECT_TRUE(result.all_halted);
@@ -707,36 +703,35 @@ TEST(ParallelFabric, LongDescriptorQueueDrainsInOrder) {
     Fabric fabric(1, 2, {}, {}, grid);
     fabric.set_threads(threads);
     fabric.load([&](PeCoord coord) {
-      auto completions = std::make_shared<u32>(0);
-      return std::make_unique<LambdaProgram>(
-          [coord](PeContext& ctx) {
-            if (coord.y == 0) {
-              ColorConfig south;
-              south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
-                                                DirMask::of(Dir::South)}};
-              ctx.configure_router(kData, south);
-              const MemSpan src = ctx.memory().alloc_f32("src", kSlots);
-              for (u32 i = 0; i < kSlots; ++i)
-                ctx.memory().store(src.offset_words + i, static_cast<f32>(i));
-              ctx.send(kData, Dsd{src.offset_words, 150, 1});
-              ctx.send(kData, Dsd{src.offset_words + 150, kSlots - 150, 1});
-              ctx.halt();
-            } else {
-              ColorConfig from_north;
-              from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
-                                                     DirMask::of(Dir::Ramp)}};
-              ctx.configure_router(kData, from_north);
-              const MemSpan dst = ctx.memory().alloc_f32("dst", kSlots);
-              // Descriptor i lands word i at slot kSlots-1-i: reversed
-              // placement shows each word met its own descriptor.
-              for (u32 i = 0; i < kSlots; ++i)
-                ctx.recv(kData, Dsd{dst.offset_words + kSlots - 1 - i, 1, 1},
-                         kDone);
-            }
-          },
-          [completions](PeContext& ctx, Color) {
-            if (++*completions == kSlots) ctx.halt();
-          });
+      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+        if (coord.y == 0) {
+          ColorConfig south;
+          south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
+                                            DirMask::of(Dir::South)}};
+          ctx.configure_router(kData, south);
+          const MemSpan src = ctx.memory().alloc_f32("src", kSlots);
+          for (u32 i = 0; i < kSlots; ++i)
+            ctx.memory().store(src.offset_words + i, static_cast<f32>(i));
+          b.send(kData, b.dsd(Dsd{src.offset_words, 150, 1}));
+          b.send(kData, b.dsd(Dsd{src.offset_words + 150, kSlots - 150, 1}));
+          b.halt();
+          b.ret();
+        } else {
+          ColorConfig from_north;
+          from_north.positions = {SwitchPosition{DirMask::of(Dir::North),
+                                                 DirMask::of(Dir::Ramp)}};
+          ctx.configure_router(kData, from_north);
+          const MemSpan dst = ctx.memory().alloc_f32("dst", kSlots);
+          const auto done = emit_join(b, kDone, kSlots);
+          // Descriptor i lands word i at slot kSlots-1-i: reversed
+          // placement shows each word met its own descriptor.
+          for (u32 i = 0; i < kSlots; ++i)
+            b.recv(kData, b.dsd(Dsd{dst.offset_words + kSlots - 1 - i, 1, 1}),
+                   kDone);
+          b.ret();
+          emit_join_handler(b, done);
+        }
+      });
     });
     EXPECT_TRUE(fabric.run().all_halted);
     std::vector<f32> words;
