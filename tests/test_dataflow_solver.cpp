@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/solver.hpp"
 #include "core/validation.hpp"
 #include "fv/problem.hpp"
@@ -245,6 +247,44 @@ TEST(GoldenDigest, EveryThreadCount) {
     EXPECT_EQ(golden_cg(problem, config).digest, "c1160f552f3b48d4")
         << "threads=" << threads;
   }
+}
+
+// Timings the default parameters never produce, each pinned as one shard
+// and as a forced 2x2 tile grid. Off-grid costs put event times between
+// the half-cycle steps the defaults land on; a hop latency above 2,048
+// cycles schedules every link arrival that far ahead of the event that
+// emitted it. The solves agree bit for bit across layouts, but off the
+// half-cycle grid the Metrics bundle's task-cycle sum is added per shard
+// and reassociates, so the two layouts carry their own literals.
+void expect_digest_under_layouts(const FlowProblem& problem,
+                                 DataflowConfig config, const char* one_shard,
+                                 const char* tiled) {
+  for (const auto& [grid, digest] :
+       {std::pair{wse::ShardGrid{1, 1}, one_shard},
+        std::pair{wse::ShardGrid{2, 2}, tiled}}) {
+    config.shard_grid = grid;
+    const auto run = golden_cg(problem, config);
+    EXPECT_TRUE(run.result.converged);
+    EXPECT_EQ(run.digest, digest) << grid.rows << "x" << grid.cols << " tiles";
+  }
+}
+
+TEST(GoldenDigest, OffGridTiming) {
+  const auto problem = FlowProblem::quarter_five_spot(5, 6, 4, /*seed=*/29);
+  DataflowConfig config = tight_config();
+  config.timing.words_per_cycle_link = 3;
+  config.timing.hop_latency_cycles = 1.25;
+  config.timing.task_dispatch_cycles = 7.3;
+  expect_digest_under_layouts(problem, config, "58a4002cc5fbbecd",
+                              "85d7c56f905d3689");
+}
+
+TEST(GoldenDigest, FarFutureHops) {
+  const auto problem = FlowProblem::quarter_five_spot(4, 5, 4, /*seed=*/31);
+  DataflowConfig config = tight_config();
+  config.timing.hop_latency_cycles = 3000;
+  expect_digest_under_layouts(problem, config, "2ecb5b0903d9964d",
+                              "2ecb5b0903d9964d");
 }
 
 } // namespace
