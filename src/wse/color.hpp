@@ -40,6 +40,9 @@ inline ColorMask color_bit(Color color) {
   return ColorMask{1} << color;
 }
 
+/// Every routable color's bit: a mask's bits above it name no color.
+constexpr ColorMask kRoutableColorMask = (ColorMask{1} << kNumRoutableColors) - 1;
+
 /// Bitmask over *all* colors (routable and local task ids), used by the
 /// static program verifier's manifests (see wse/program.hpp).
 using ColorSet = u64;

@@ -1,9 +1,9 @@
 #include "wse/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -128,6 +128,9 @@ Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
     : width_(width), height_(height), timing_(timing), mem_params_(mem),
       grid_(grid) {
   FVDF_CHECK_MSG(width >= 1 && height >= 1, "fabric dims must be positive");
+  FVDF_CHECK_MSG(width <= kMaxPes / height,
+                 width << "x" << height << " fabric exceeds the event order "
+                       "key's 2^24 PEs");
   pes_.reserve(static_cast<std::size_t>(width * height));
   for (i64 y = 0; y < height; ++y)
     for (i64 x = 0; x < width; ++x) {
@@ -368,7 +371,7 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
     for (;;) {
       f64 tmin = kInfCycles;
       for (const Shard& shard : shards_) tmin = std::min(tmin, shard.tmin);
-      // After the merge every pending event sits in a heap, so no record
+      // After the merge every pending event sits in a queue, so no record
       // below the global minimum can still appear.
       if (trace_) release_traces(tmin);
       if (tmin == kInfCycles) break; // drained
@@ -465,7 +468,7 @@ void Fabric::compute_horizons(f64 tmin_global) {
   }
   if (any_changed) {
     const f64 hop = timing_.hop_latency_cycles;
-    // Per-shard emission bounds only see the shard's own heap, but
+    // Per-shard emission bounds only see the shard's own queue, but
     // causality chains hop tile to tile: an event two tiles away can cross
     // into this one after cascading through a neighbor. Propagate bounds
     // transitively over the directed tile-boundary graph with a min-plus
@@ -563,7 +566,7 @@ void Fabric::round_phase_a(Shard& shard, f64 max_cycles) {
 #ifndef FVDF_TELEMETRY_DISABLED
   if (host_prof_ != nullptr) {
     // Stall classification: a shard either worked (window admitted events),
-    // was starved (heap empty — no local work exists), or was closed out by
+    // was starved (queue empty — no local work exists), or was closed out by
     // its lookahead window. The last case splits in phase B on whether
     // inbound traffic actually arrived (backpressure) or the installed
     // table was simply conservative (window-limited). Exactly one bin per
@@ -618,7 +621,7 @@ void Fabric::round_phase_b(Shard& shard) {
 
 void Fabric::process_window(Shard& shard, f64 horizon, f64 max_cycles) {
   // A one-shard run is a single window: release its trace records as it
-  // goes, below the heap top (no later event is earlier), so the buffer
+  // goes, below the queue top (no later event is earlier), so the buffer
   // stays bounded. Multi-shard windows wait for the barrier's watermark.
   const bool stream_trace = trace_ && shards_.size() == 1;
   bool any = false;
@@ -636,63 +639,29 @@ void Fabric::process_window(Shard& shard, f64 horizon, f64 max_cycles) {
     case EventKind::TaskStart: handle_task_start(shard, event); break;
     }
   }
-  // A shard idle up to its horizon leaves the heap untouched: its bounds
+  // A shard idle up to its horizon leaves the queue untouched: its bounds
   // stay valid and phase B skips the rescan entirely (adaptive fast path).
   if (any) shard.dirty = true;
 }
 
 u32 Fabric::merge_inbound(Shard& dest) {
-  // Gather order is irrelevant to results: the sort below uses the full
-  // (t, src, seq) key, which is unique per event and stamped at emission.
-  constexpr std::array<std::size_t, 4> kInboundSides = {
-      cardinal_index(Dir::North), cardinal_index(Dir::West),
-      cardinal_index(Dir::East), cardinal_index(Dir::South)};
-  std::array<SpscChannel*, 4> inbound{};
-  std::array<u32, 4> counts{};
+  // Gather order is irrelevant to results: the queue orders by the full
+  // (t, order) key, which is unique per event and stamped at emission.
   u32 total = 0;
-  for (std::size_t k = 0; k < 4; ++k) {
-    const i64 nb = neighbor_shard(dest, kInboundSides[k]);
+  for (std::size_t side = 0; side < 4; ++side) {
+    const i64 nb = neighbor_shard(dest, side);
     if (nb < 0) continue;
     // The neighbor's channel pointing back at us: its side opposite ours.
     SpscChannel& channel =
-        shards_[static_cast<std::size_t>(nb)]
-            .out[opposite_cardinal(kInboundSides[k])];
-    inbound[k] = &channel;
-    counts[k] = channel.published.load(std::memory_order_acquire);
-    total += counts[k];
+        shards_[static_cast<std::size_t>(nb)].out[opposite_cardinal(side)];
+    const u32 count = channel.published.load(std::memory_order_acquire);
+    if (count == 0) continue;
+    for (u32 i = 0; i < count; ++i) dest.events.push(std::move(channel.slots[i]));
+    channel.slots.clear();
+    channel.published.store(0, std::memory_order_relaxed);
+    total += count;
   }
-  if (total == 0) return 0;
-
-  // Gather, then sort ascending under the engine's total event order
-  // (time, emitting PE, emission index) — independent of the thread count,
-  // the shard layout and the channel gather order.
-  dest.merge_scratch.clear();
-  for (std::size_t k = 0; k < 4; ++k)
-    for (u32 i = 0; i < counts[k]; ++i)
-      dest.merge_scratch.push_back(&inbound[k]->slots[i]);
-  std::sort(dest.merge_scratch.begin(), dest.merge_scratch.end(),
-            [](const Event* a, const Event* b) {
-              if (a->t != b->t) return a->t < b->t;
-              if (a->src != b->src) return a->src < b->src;
-              return a->seq < b->seq;
-            });
-
-  // Bulk-load: the staging buffer is sorted ascending under the heap's
-  // comparator, so an empty heap absorbs it with no sift work at all and a
-  // busy one with a single make_heap.
-  dest.merge_sorted.clear();
-  dest.merge_sorted.reserve(total);
-  for (Event* event : dest.merge_scratch)
-    dest.merge_sorted.push_back(std::move(*event));
-  dest.events.bulk_push(std::make_move_iterator(dest.merge_sorted.begin()),
-                        std::make_move_iterator(dest.merge_sorted.end()));
-  dest.dirty = true;
-
-  for (std::size_t k = 0; k < 4; ++k) {
-    if (inbound[k] == nullptr || counts[k] == 0) continue;
-    inbound[k]->slots.clear();
-    inbound[k]->published.store(0, std::memory_order_relaxed);
-  }
+  if (total > 0) dest.dirty = true;
   return total;
 }
 
@@ -741,8 +710,7 @@ void Fabric::update_shard_bounds(Shard& shard) {
       want[d] = edge[d].crosses;
       wanted += want[d] ? 1u : 0u;
     }
-    for (const Event& e : shard.events.items()) {
-      if (wanted == 0) break;
+    shard.events.visit([&](const Event& e) {
       const i64 row = e.pe_index / width_;
       const i64 col = e.pe_index % width_;
       const f64 own_batch =
@@ -766,7 +734,8 @@ void Fabric::update_shard_bounds(Shard& shard) {
           --wanted;
         }
       }
-    }
+      return wanted > 0;
+    });
   }
   shard.bound = bound;
   // Feed the quiet-neighborhood detector (compute_horizons): a rescan that
@@ -801,8 +770,8 @@ void Fabric::release_traces(f64 watermark) {
 
 void Fabric::advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t) {
   pe.router.advance(mask);
-  for (Color color = 0; color < kNumRoutableColors; ++color) {
-    if ((mask & color_bit(color)) == 0) continue;
+  for (ColorMask bits = mask & kRoutableColorMask; bits != 0; bits &= bits - 1) {
+    const Color color = static_cast<Color>(std::countr_zero(bits));
     auto& parked = pe.stalled[color];
     if (parked.empty()) continue;
     // Flits the new position accepts re-dispatch in FIFO order; the rest
@@ -1060,7 +1029,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
   event.kind = EventKind::FlitArrive;
   event.pe_index = pe_index(pe.coord.x, pe.coord.y);
   event.from = Dir::Ramp;
-  event.flit = Flit{color, std::move(payload), advance_after};
+  event.flit = Flit{std::move(payload), advance_after, color};
   event.t = start + batch_cycles;
   stamp(pe, event);
   push_event(shard, std::move(event));
@@ -1097,7 +1066,7 @@ void Fabric::ctx_send_control(Shard& shard, Pe& pe, Color color, ColorMask advan
   event.kind = EventKind::FlitArrive;
   event.pe_index = pe_index(pe.coord.x, pe.coord.y);
   event.from = Dir::Ramp;
-  event.flit = Flit{color, PayloadRef{}, advance};
+  event.flit = Flit{PayloadRef{}, advance, color};
   event.t = start + 1.0;
   stamp(pe, event);
   push_event(shard, std::move(event));

@@ -45,7 +45,7 @@
 #include "perf/opcount.hpp"
 #include "wse/color.hpp"
 #include "wse/dsd.hpp"
-#include "wse/event_heap.hpp"
+#include "wse/event_queue.hpp"
 #include "wse/geometry.hpp"
 #include "wse/memory.hpp"
 #include "wse/payload_pool.hpp"
@@ -236,7 +236,7 @@ public:
   /// run(). The sink sees records in a defined total order — by cycle,
   /// then PE index, then the PE's own record index — released once no
   /// pending event can emit an earlier one (at window barriers, and inside
-  /// a one-shard window at the event heap's top). The stream is therefore
+  /// a one-shard window at the event queue's top). The stream is therefore
   /// identical under any shard layout and thread count.
   void set_trace(TraceSink sink) { trace_ = std::move(sink); }
 
@@ -293,9 +293,9 @@ private:
   friend class FabricPeContext;
 
   struct Flit {
-    Color color = kInvalidColor;
     PayloadRef data; // null for control-only wavelets
     ColorMask advance_after = 0; // trailing control wavelet, 0 = none
+    Color color = kInvalidColor;
   };
 
   struct RecvDesc {
@@ -375,31 +375,29 @@ private:
 
   enum class EventKind : u8 { FlitArrive, TaskStart };
 
-  /// Events are totally ordered by (t, src, seq): time first, ties broken
-  /// by the emitting PE and its per-PE emission counter. The tie-break is
-  /// stamped at emission and is a property of the simulated program alone
-  /// — each PE processes the same event sequence under any conservative
-  /// schedule, so it emits the same events with the same counters — which
-  /// is what makes results bitwise identical under ANY shard layout (2D
-  /// tiles, 1D strips, a single serial shard), not just any thread count.
+  /// Events are totally ordered by (t, order): time first, ties broken by
+  /// the emitting PE and its per-PE emission counter, packed into one key
+  /// as `emitting PE index << 40 | emission counter`. Both fields fit: the
+  /// constructor allows fewer than 2^24 PEs and stamp() fewer than 2^40
+  /// emissions per PE.
+  /// The tie-break is stamped at emission and is a property of the
+  /// simulated program alone — each PE processes the same event sequence
+  /// under any conservative schedule, so it emits the same events with the
+  /// same counters — which is what makes results bitwise identical under
+  /// ANY shard layout (2D tiles, 1D strips, a single serial shard), not
+  /// just any thread count.
   struct Event {
     f64 t = 0;
-    i64 src = 0; // emitting PE index
-    u64 seq = 0; // per-emitting-PE emission counter
+    u64 order = 0;
+    Flit flit; // FlitArrive
+    u32 pe_index = 0;
     EventKind kind = EventKind::TaskStart;
-    i64 pe_index = 0;
-    Dir from = Dir::Ramp; // FlitArrive
-    Flit flit;            // FlitArrive
+    Dir from = Dir::Ramp;        // FlitArrive
     Color color = kInvalidColor; // TaskStart
   };
-
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      if (a.src != b.src) return a.src > b.src;
-      return a.seq > b.seq; // unique per (src, seq): a strict total order
-    }
-  };
+  static_assert(sizeof(Event) == 40, "the event queue moves Events by value");
+  static constexpr u32 kEmitSeqBits = 40;
+  static constexpr i64 kMaxPes = i64{1} << (64 - kEmitSeqBits);
 
   /// A trace record with the rest of its trace-order key (see set_trace).
   struct PendingTrace {
@@ -440,24 +438,22 @@ private:
     i64 row_end = 0;
     i64 col_begin = 0;
     i64 col_end = 0;
-    EventHeap<Event, EventOrder> events;
+    EventQueue<Event> events;
     f64 now = 0;
     i64 halted = 0;
     FabricStats stats;
     PayloadPool* payloads = nullptr;    // this shard's arena (see payload_pools_)
     std::array<SpscChannel, 4> out;     // emissions per cardinal side this window
     std::vector<PendingTrace> trace;    // not yet gathered for release
-    std::vector<Event*> merge_scratch;  // merge-phase gather/sort buffer
-    std::vector<Event> merge_sorted;    // merge-phase bulk-load staging
     // Engine scheduling state, recomputed after every merge:
     f64 tmin = 0;            // earliest pending event time (+inf when drained)
     std::array<f64, 4> bound{}; // earliest cycle pending work could cross side d
     f64 horizon = 0;     // this round's processing horizon (set by the driver)
-    bool dirty = true;   // heap changed since bounds were last computed
+    bool dirty = true;   // queue changed since bounds were last computed
     bool bounds_changed = true; // tmin/bounds moved since the last horizon pass
   };
 
-  i64 pe_index(i64 x, i64 y) const { return y * width_ + x; }
+  u32 pe_index(i64 x, i64 y) const { return static_cast<u32>(y * width_ + x); }
   Pe& at(i64 index) { return *pes_[static_cast<std::size_t>(index)]; }
   Shard& shard_of(i64 pe_idx) {
     return shards_[shard_id_of(pe_idx % width_, pe_idx / width_)];
@@ -488,8 +484,11 @@ private:
   /// PE's index and its next emission counter value. Every event enters the
   /// engine through exactly one stamp.
   void stamp(Pe& pe, Event& event) {
-    event.src = pe_index(pe.coord.x, pe.coord.y);
-    event.seq = pe.emit_seq++;
+    FVDF_CHECK_MSG(pe.emit_seq < (u64{1} << kEmitSeqBits),
+                   "PE (" << pe.coord.x << ", " << pe.coord.y
+                          << ") exhausted its 2^40 event emissions");
+    event.order = u64{pe_index(pe.coord.x, pe.coord.y)} << kEmitSeqBits |
+                  pe.emit_seq++;
   }
 
   /// Routes `event` from code running inside `from`: same-shard events
@@ -511,9 +510,8 @@ private:
   void round_phase_b(Shard& shard);
   void process_window(Shard& shard, f64 horizon, f64 max_cycles);
   /// Merge half of the barrier: drains the neighbors' channels toward
-  /// `dest` in (t, emitting PE, emission index) order via a sorted
-  /// bulk-load into the event heap. Returns the number of events merged
-  /// (the host profiler's backpressure-vs-window-limited discriminator).
+  /// `dest` into its event queue. Returns the number of events merged (the
+  /// host profiler's backpressure-vs-window-limited discriminator).
   u32 merge_inbound(Shard& dest);
   void update_shard_bounds(Shard& shard);
   /// Hands the sink every trace record below `watermark` in trace order

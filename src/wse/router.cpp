@@ -1,5 +1,6 @@
 #include "wse/router.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <sstream>
 
@@ -80,8 +81,8 @@ bool Router::may_transmit(Color color, Dir dir) const {
 }
 
 void Router::advance(ColorMask mask) {
-  for (Color color = 0; color < kNumRoutableColors; ++color) {
-    if ((mask & color_bit(color)) == 0) continue;
+  for (ColorMask bits = mask & kRoutableColorMask; bits != 0; bits &= bits - 1) {
+    const Color color = static_cast<Color>(std::countr_zero(bits));
     auto& state = colors_[color];
     if (!state.configured) continue; // advancing unknown colors is a no-op
     const u32 last = static_cast<u32>(state.config.positions.size()) - 1;

@@ -5,15 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "csl/allreduce.hpp"
 #include "csl/halo.hpp"
 #include "csl/lowering.hpp"
 #include "wse/bytecode.hpp"
+#include "wse/event_queue.hpp"
 #include "wse/fabric.hpp"
 
 #include "bc_test_program.hpp"
@@ -643,6 +648,206 @@ TEST(BytecodeCollectives, AllReduceMatchesGolden) {
     }
     EXPECT_EQ(d.hex(), digest) << width << "x" << height;
   }
+}
+
+// --- EventQueue: differential against std::priority_queue -----------------
+// Every test drives the calendar queue and a priority_queue on the same
+// (t, order) keys and requires the same top after every operation and the
+// same pop sequence.
+
+struct Keyed {
+  f64 t = 0;
+  u64 order = 0;
+};
+
+struct KeyedLater {
+  bool operator()(const Keyed& a, const Keyed& b) const {
+    if (a.t != b.t) return a.t > b.t;
+    return a.order > b.order;
+  }
+};
+
+class QueueDiff {
+public:
+  explicit QueueDiff(u64 seed) : rng_(seed) {}
+
+  /// Pushes an event at `t` under a fresh random tie-break key (unique via
+  /// its low bits).
+  void push(f64 t) {
+    const Keyed event{t, rng_.next_u64() << 24 | next_++};
+    model_.push(event);
+    queue_.push(Keyed(event));
+    expect_same_top();
+  }
+
+  Keyed pop() {
+    EXPECT_FALSE(queue_.empty());
+    const Keyed expected = model_.top();
+    model_.pop();
+    const Keyed got = queue_.pop();
+    EXPECT_EQ(got.t, expected.t);
+    EXPECT_EQ(got.order, expected.order);
+    last_popped_ = got.t;
+    expect_same_top();
+    return got;
+  }
+
+  void drain() {
+    while (!model_.empty()) pop();
+    EXPECT_TRUE(queue_.empty());
+  }
+
+  /// visit() shows each pending event exactly once.
+  void expect_visit_sees_all() const {
+    std::vector<Keyed> seen;
+    queue_.visit([&](const Keyed& event) {
+      seen.push_back(event);
+      return true;
+    });
+    std::sort(seen.begin(), seen.end(), [](const Keyed& a, const Keyed& b) {
+      return KeyedLater{}(b, a);
+    });
+    auto model = model_;
+    ASSERT_EQ(seen.size(), model.size());
+    for (const Keyed& event : seen) {
+      EXPECT_EQ(event.t, model.top().t);
+      EXPECT_EQ(event.order, model.top().order);
+      model.pop();
+    }
+  }
+
+  std::size_t size() const { return model_.size(); }
+  f64 top_t() const { return model_.top().t; }
+  f64 last_popped() const { return last_popped_; }
+  Rng& rng() { return rng_; }
+  EventQueue<Keyed>& queue() { return queue_; }
+
+private:
+  void expect_same_top() const {
+    ASSERT_EQ(queue_.size(), model_.size());
+    if (model_.empty()) return;
+    EXPECT_EQ(queue_.top().t, model_.top().t);
+    EXPECT_EQ(queue_.top().order, model_.top().order);
+  }
+
+  Rng rng_;
+  EventQueue<Keyed> queue_;
+  std::priority_queue<Keyed, std::vector<Keyed>, KeyedLater> model_;
+  u64 next_ = 0;
+  f64 last_popped_ = 0;
+};
+
+TEST(EventQueue, EqualTimesPopInOrderKeyOrder) {
+  QueueDiff diff(101);
+  for (int round = 0; round < 20; ++round) {
+    const f64 t = 0.5 * round;
+    for (int i = 0; i < 300; ++i) diff.push(t);
+    for (int i = 0; i < 150; ++i) diff.pop(); // half stay behind
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, SubTickTimesPopInExactOrder) {
+  QueueDiff diff(202);
+  // Times off the half-cycle grid: several distinct times share a bucket,
+  // and some land in the bucket of the last pop but before its time.
+  for (int step = 0; step < 4000; ++step) {
+    const f64 base = std::floor(diff.last_popped() * 2) / 2;
+    const u64 pushes = diff.rng().uniform_index(4);
+    for (u64 i = 0; i < pushes; ++i) {
+      const f64 t = diff.rng().uniform() < 0.3
+                        ? base + 0.5 * diff.rng().uniform()
+                        : diff.last_popped() + 7.3 * diff.rng().uniform();
+      diff.push(std::max(t, base));
+    }
+    if (diff.size() > 0 && diff.rng().uniform() < 0.6) diff.pop();
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, OverflowEventsMoveIntoTheRing) {
+  QueueDiff diff(303);
+  // Beyond the ring's window, at its edge, and far beyond it, mixed with
+  // near events; popping the near ones slides the window over the rest.
+  const f64 window = 0.5 * static_cast<f64>(EventQueue<Keyed>::kBuckets);
+  for (int i = 0; i < 200; ++i) {
+    diff.push(diff.rng().uniform(0, 30));
+    diff.push(window + diff.rng().uniform(-1, 1));
+    diff.push(diff.rng().uniform(window, 10 * window));
+    diff.push(1e6 + std::floor(diff.rng().uniform(0, 8)) * 0.25);
+  }
+  diff.expect_visit_sees_all();
+  while (diff.size() > 0) {
+    const Keyed popped = diff.pop();
+    // Keep emitting relative to the advancing cursor, past the window too.
+    if (diff.rng().uniform() < 0.2) diff.push(popped.t + diff.rng().uniform(0, 3 * window));
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, SortedBatchesBelowTheTopButNotThePast) {
+  QueueDiff diff(404);
+  // The tiled engine's merge barrier: after a window, a batch sorted in
+  // (t, order) order arrives below the current top but never before the
+  // last event popped. top() peeks between batches and must not move the
+  // window.
+  f64 t = 0;
+  for (int i = 0; i < 64; ++i) diff.push(t += diff.rng().uniform(0, 4));
+  for (int round = 0; round < 500; ++round) {
+    for (int i = 0; i < 5 && diff.size() > 1; ++i) diff.pop();
+    const f64 lo = diff.last_popped();
+    const f64 hi = diff.top_t();
+    std::vector<f64> batch(diff.rng().uniform_index(6));
+    for (f64& b : batch) b = diff.rng().uniform() < 0.2 ? lo : diff.rng().uniform(lo, hi);
+    std::sort(batch.begin(), batch.end());
+    for (const f64 b : batch) diff.push(b);
+    diff.push(hi + diff.rng().uniform(0, 40));
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, VisitSeesEveryPendingEventAndStopsEarly) {
+  QueueDiff diff(505);
+  for (int i = 0; i < 500; ++i) diff.push(std::floor(diff.rng().uniform(0, 5000)) * 0.5);
+  diff.expect_visit_sees_all();
+  for (int i = 0; i < 200; ++i) diff.pop();
+  diff.expect_visit_sees_all();
+  int visited = 0;
+  diff.queue().visit([&](const Keyed&) { return ++visited < 7; });
+  EXPECT_EQ(visited, 7);
+}
+
+TEST(EventQueue, RandomMixMatchesPriorityQueue) {
+  QueueDiff diff(606);
+  for (int step = 0; step < 100000; ++step) {
+    const f64 now = diff.last_popped();
+    const f64 u = diff.rng().uniform();
+    if (u < 0.35 && diff.size() > 0) {
+      diff.pop();
+    } else if (u < 0.55) {
+      diff.push(now); // same time as the last pop
+    } else if (u < 0.9) {
+      diff.push(now + 0.5 * static_cast<f64>(diff.rng().uniform_index(200)));
+    } else if (u < 0.97) {
+      diff.push(now + diff.rng().uniform(0, 100));
+    } else {
+      diff.push(now + diff.rng().uniform(2000, 9000));
+    }
+    if (step % 20000 == 0) diff.expect_visit_sees_all();
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, EventInThePastThrows) {
+  EventQueue<Keyed> queue;
+  queue.push(Keyed{10.0, 1});
+  queue.push(Keyed{20.0, 2});
+  EXPECT_EQ(queue.pop().t, 10.0);
+  queue.push(Keyed{10.25, 3}); // the last pop's bucket: still allowed
+  EXPECT_THROW(queue.push(Keyed{9.5, 4}), Error);
+  EXPECT_EQ(queue.pop().t, 10.25);
+  EXPECT_EQ(queue.pop().t, 20.0);
+  EXPECT_TRUE(queue.empty());
 }
 
 } // namespace
