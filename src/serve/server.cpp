@@ -23,6 +23,19 @@ namespace fvdf::serve {
 
 namespace {
 
+// The most a client may send as one NDJSON line, one HTTP header block or
+// one HTTP body. Anything larger is refused before it is buffered further.
+constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
+std::string error_event(const std::string& id, const std::string& code,
+                        const std::string& message) {
+  telemetry::JsonWriter writer;
+  writer.begin_object().kv("event", "error");
+  if (!id.empty()) writer.kv("id", id);
+  writer.kv("code", code).kv("message", message).end_object();
+  return writer.take();
+}
+
 // send() with MSG_NOSIGNAL so a disconnected client yields EPIPE instead
 // of killing the daemon; short writes retried.
 bool send_all(int fd, const char* data, std::size_t size) {
@@ -211,23 +224,36 @@ void Server::accept_loop_http() {
 void Server::serve_ndjson(int fd) {
   auto conn = std::make_shared<ClientConn>();
   conn->fd = fd;
-  std::string buffer;
+  std::string buffer; // the unterminated tail of the stream
   char chunk[4096];
-  while (true) {
+  bool oversized = false;
+  while (!oversized) {
     const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) break;
+    // Only the new bytes can hold a newline: the tail was searched already.
+    std::size_t scan_from = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(got));
+    std::size_t line_start = 0;
     std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+    while ((newline = buffer.find('\n', scan_from)) != std::string::npos) {
+      if (newline - line_start > kMaxRequestBytes) {
+        oversized = true;
+        break;
+      }
+      std::string line = buffer.substr(line_start, newline - line_start);
+      line_start = scan_from = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       handle_line(conn, line);
     }
+    buffer.erase(0, line_start);
+    oversized = oversized || buffer.size() > kMaxRequestBytes;
     if (stopping_.load()) break;
   }
+  if (oversized)
+    conn->write_line(error_event("", "bad_request",
+                                 "request line exceeds the 1 MiB limit"));
   conn->close_fd();
   untrack_and_close_fd(fd);
 }
@@ -236,11 +262,7 @@ void Server::handle_line(const std::shared_ptr<ClientConn>& conn,
                          const std::string& line) {
   auto reply_error = [&](const std::string& id, const std::string& code,
                          const std::string& message) {
-    telemetry::JsonWriter writer;
-    writer.begin_object().kv("event", "error");
-    if (!id.empty()) writer.kv("id", id);
-    writer.kv("code", code).kv("message", message).end_object();
-    conn->write_line(writer.take());
+    conn->write_line(error_event(id, code, message));
   };
 
   JsonValue request;
@@ -346,16 +368,19 @@ std::string Server::stats_json() const {
 void Server::serve_http(int fd) {
   std::string buffer;
   char chunk[4096];
-  // Read until the header terminator.
-  while (buffer.find("\r\n\r\n") == std::string::npos) {
+  // Read until the header terminator, searching only where it could end.
+  std::size_t header_end = std::string::npos;
+  while (header_end == std::string::npos) {
     const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) {
       untrack_and_close_fd(fd);
       return;
     }
+    const std::size_t scan_from = buffer.size() < 3 ? 0 : buffer.size() - 3;
     buffer.append(chunk, static_cast<std::size_t>(got));
-    if (buffer.size() > (1u << 20)) break; // oversized header
+    header_end = buffer.find("\r\n\r\n", scan_from);
+    if (buffer.size() > kMaxRequestBytes) break; // oversized header
   }
 
   auto respond = [&](const char* status, const std::string& body,
@@ -369,7 +394,6 @@ void Server::serve_http(int fd) {
     send_all(fd, text.data(), text.size());
   };
 
-  const std::size_t header_end = buffer.find("\r\n\r\n");
   if (header_end == std::string::npos) {
     respond("400 Bad Request", "malformed request\n");
     untrack_and_close_fd(fd);
@@ -389,6 +413,11 @@ void Server::serve_http(int fd) {
     if (pos != std::string::npos)
       content_length = static_cast<std::size_t>(
           std::strtoull(head.c_str() + pos + 15, nullptr, 10));
+  }
+  if (content_length > kMaxRequestBytes) {
+    respond("413 Payload Too Large", "request body exceeds the 1 MiB limit\n");
+    untrack_and_close_fd(fd);
+    return;
   }
   std::string body = buffer.substr(header_end + 4);
   while (body.size() < content_length) {

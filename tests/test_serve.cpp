@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -24,6 +26,13 @@
 #include "serve/server.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/registry.hpp"
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 namespace fvdf::serve {
 namespace {
@@ -493,6 +502,110 @@ TEST(ServeServer, SolvesOverUnixSocketWithCacheHits) {
   client.close();
   server.wait();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+// ---------- Request size limits ----------
+// Raw sockets with a receive timeout: a daemon that keeps buffering an
+// oversized request never answers, and the read gives up instead of
+// hanging the suite.
+
+int connect_raw(const sockaddr* addr, socklen_t size) {
+  const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  EXPECT_EQ(::connect(fd, addr, size), 0) << std::strerror(errno);
+  return fd;
+}
+
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  return connect_raw(reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+}
+
+int connect_loopback(i32 port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<u16>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return connect_raw(reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+}
+
+// Sends what the peer accepts; a peer that closes early just stops it.
+void send_best_effort(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t sent = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (sent <= 0) return;
+    off += static_cast<std::size_t>(sent);
+  }
+}
+
+// Everything the peer sends before it closes (or the timeout fires).
+std::string read_to_close(int fd) {
+  std::string out;
+  char chunk[4096];
+  ssize_t got;
+  while ((got = ::recv(fd, chunk, sizeof chunk, 0)) > 0)
+    out.append(chunk, static_cast<std::size_t>(got));
+  return out;
+}
+
+struct LimitsDaemon {
+  std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       ("fvdf_serve_limits_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::unique_ptr<Server> server;
+
+  LimitsDaemon() {
+    ServerConfig config;
+    config.socket_path = socket_path;
+    config.http_port = 0;
+    config.jobs.workers = 1;
+    server = std::make_unique<Server>(std::move(config));
+    server->start();
+  }
+  ~LimitsDaemon() {
+    server->request_shutdown();
+    server->wait();
+  }
+};
+
+TEST(ServeServer, RejectsAnUnterminatedLineOverOneMiB) {
+  LimitsDaemon daemon;
+  const int fd = connect_unix(daemon.socket_path);
+  send_best_effort(fd, std::string((std::size_t{1} << 20) + 8192, 'x'));
+  const std::string reply = read_to_close(fd);
+  ::close(fd);
+  ASSERT_FALSE(reply.empty()) << "no reply: the daemon kept buffering";
+  const JsonValue event = JsonValue::parse(reply.substr(0, reply.find('\n')));
+  EXPECT_EQ(event.get_string("event", ""), "error");
+  EXPECT_EQ(event.get_string("code", ""), "bad_request");
+
+  // The daemon still serves other connections.
+  Client client;
+  client.connect(daemon.socket_path);
+  client.ping();
+  EXPECT_EQ(client.read_event().get_string("event", ""), "pong");
+}
+
+TEST(ServeServer, RejectsAnHttpBodyOverOneMiBBeforeReadingIt) {
+  LimitsDaemon daemon;
+  const int fd = connect_loopback(daemon.server->http_port());
+  // The header announces 2 MiB; no body follows.
+  send_best_effort(fd, "POST /solve HTTP/1.1\r\nHost: localhost\r\n"
+                       "Content-Length: 2097152\r\n\r\n");
+  const std::string reply = read_to_close(fd);
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("HTTP/1.1 413 ", 0), 0u) << reply;
+
+  const int health = connect_loopback(daemon.server->http_port());
+  send_best_effort(health, "GET /healthz HTTP/1.1\r\n\r\n");
+  EXPECT_NE(read_to_close(health).find("\r\n\r\nok\n"), std::string::npos);
+  ::close(health);
 }
 
 } // namespace
