@@ -226,8 +226,7 @@ void Server::serve_ndjson(int fd) {
   conn->fd = fd;
   std::string buffer; // the unterminated tail of the stream
   char chunk[4096];
-  bool oversized = false;
-  while (!oversized) {
+  while (true) {
     const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) break;
@@ -236,11 +235,8 @@ void Server::serve_ndjson(int fd) {
     buffer.append(chunk, static_cast<std::size_t>(got));
     std::size_t line_start = 0;
     std::size_t newline;
-    while ((newline = buffer.find('\n', scan_from)) != std::string::npos) {
-      if (newline - line_start > kMaxRequestBytes) {
-        oversized = true;
-        break;
-      }
+    while ((newline = buffer.find('\n', scan_from)) != std::string::npos &&
+           newline - line_start <= kMaxRequestBytes) {
       std::string line = buffer.substr(line_start, newline - line_start);
       line_start = scan_from = newline + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -248,12 +244,14 @@ void Server::serve_ndjson(int fd) {
       handle_line(conn, line);
     }
     buffer.erase(0, line_start);
-    oversized = oversized || buffer.size() > kMaxRequestBytes;
+    // What is left starts with an unterminated or an oversized line.
+    if (buffer.size() > kMaxRequestBytes) {
+      conn->write_line(error_event("", "bad_request",
+                                   "request line exceeds the 1 MiB limit"));
+      break;
+    }
     if (stopping_.load()) break;
   }
-  if (oversized)
-    conn->write_line(error_event("", "bad_request",
-                                 "request line exceeds the 1 MiB limit"));
   conn->close_fd();
   untrack_and_close_fd(fd);
 }
@@ -368,18 +366,15 @@ std::string Server::stats_json() const {
 void Server::serve_http(int fd) {
   std::string buffer;
   char chunk[4096];
-  // Read until the header terminator, searching only where it could end.
-  std::size_t header_end = std::string::npos;
-  while (header_end == std::string::npos) {
+  // Read until the header terminator.
+  while (buffer.find("\r\n\r\n") == std::string::npos) {
     const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) {
       untrack_and_close_fd(fd);
       return;
     }
-    const std::size_t scan_from = buffer.size() < 3 ? 0 : buffer.size() - 3;
     buffer.append(chunk, static_cast<std::size_t>(got));
-    header_end = buffer.find("\r\n\r\n", scan_from);
     if (buffer.size() > kMaxRequestBytes) break; // oversized header
   }
 
@@ -394,6 +389,7 @@ void Server::serve_http(int fd) {
     send_all(fd, text.data(), text.size());
   };
 
+  const std::size_t header_end = buffer.find("\r\n\r\n");
   if (header_end == std::string::npos) {
     respond("400 Bad Request", "malformed request\n");
     untrack_and_close_fd(fd);

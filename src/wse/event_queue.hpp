@@ -87,15 +87,15 @@ public:
     return out;
   }
 
-  /// Calls `visit(event)` on every pending event until it returns false.
-  template <typename Visit>
-  void visit(Visit&& visit) const {
+  /// Calls `fn(event)` on every pending event until it returns false.
+  template <typename Fn>
+  void visit(Fn&& fn) const {
     for (std::size_t w = 0; w < kWords; ++w)
       for (u64 bits = occupied_[w]; bits != 0; bits &= bits - 1)
         for (const T& event : ring_[(w << 6) | std::countr_zero(bits)])
-          if (!visit(event)) return;
+          if (!fn(event)) return;
     for (const T& event : overflow_)
-      if (!visit(event)) return;
+      if (!fn(event)) return;
   }
 
 private:
