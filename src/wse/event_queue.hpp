@@ -43,8 +43,8 @@ public:
 
   EventQueue() : ring_(kBuckets) {}
 
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return ring_size_ + overflow_.size(); }
 
   /// The event pop() would remove next.
   const T& top() const {
@@ -58,7 +58,6 @@ public:
     FVDF_CHECK_MSG(bucket >= cursor_, "event in the past: t="
                                           << event.t << " before bucket "
                                           << cursor_);
-    ++size_;
     if (bucket - cursor_ >= kBuckets) {
       overflow_.push_back(std::move(event));
       std::push_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -75,7 +74,6 @@ public:
     refill();
     std::vector<T>& bucket = ring_[head_ & kMask];
     T out = heap_pop(bucket);
-    --size_;
     --ring_size_;
     if (bucket.empty()) {
       occupied_[(head_ & kMask) >> 6] &= ~(u64{1} << (head_ & 63));
@@ -159,7 +157,6 @@ private:
   u64 cursor_ = 0;          // bucket of the last pop; the window's start
   u64 head_ = 0;            // earliest non-empty ring bucket
   std::size_t ring_size_ = 0;
-  std::size_t size_ = 0;
 };
 
 } // namespace fvdf::wse

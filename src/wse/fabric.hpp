@@ -378,7 +378,7 @@ private:
   /// Events are totally ordered by (t, order): time first, ties broken by
   /// the emitting PE and its per-PE emission counter, packed into one key
   /// as `emitting PE index << 40 | emission counter`. Both fields fit: the
-  /// constructor allows fewer than 2^24 PEs and stamp() fewer than 2^40
+  /// constructor allows at most 2^24 PEs and stamp() fewer than 2^40
   /// emissions per PE.
   /// The tie-break is stamped at emission and is a property of the
   /// simulated program alone — each PE processes the same event sequence
