@@ -32,12 +32,13 @@ namespace {
 
 // The PE program that runs the tour: exchange columns with the four
 // neighbors, reduce a scalar across the fabric, then do some vector
-// arithmetic with the result. The start step configures the routes,
-// allocates memory and lowers this PE's stream; its entry block then runs,
-// and the fabric dispatches every later task into the stream. PE (0,0)
-// reports where the all-reduce result lands (the same offset on every PE).
+// arithmetic with the result. The body writes this PE's image: routes,
+// allocations, the uploaded column and the lowered stream. At cycle 0 the
+// stream's entry block runs, and the fabric dispatches every later task
+// into the stream. PE (0,0) reports where the all-reduce result lands (the
+// same offset on every PE).
 std::unique_ptr<PeProgram> tour_program(u32 nz, MemSpan* total_out) {
-  return std::make_unique<PeProgram>([=](PeContext& ctx) {
+  return std::make_unique<PeProgram>([=](ImageBuilder& ctx) {
     csl::HaloExchange().configure(ctx);
     csl::AllReduce reduce;
     reduce.configure(ctx);

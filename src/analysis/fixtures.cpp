@@ -21,7 +21,7 @@ using wse::ColorConfig;
 using wse::Dir;
 using wse::DirMask;
 using wse::Dsd;
-using wse::PeContext;
+using wse::ImageBuilder;
 using wse::PeCoord;
 using wse::PeProgram;
 using wse::ProgramFactory;
@@ -51,7 +51,7 @@ private:
 
 /// Coordinate parity and fabric edges: everything the halo and
 /// all-reduce emitters branch on.
-u32 shape_key(const PeContext& ctx) {
+u32 shape_key(const ImageBuilder& ctx) {
   const PeCoord c = ctx.coord();
   return (c.x % 2 != 0 ? 1u : 0u) | (c.y % 2 != 0 ? 2u : 0u) |
          (c.x == 0 ? 4u : 0u) | (c.x == ctx.fabric_width() - 1 ? 8u : 0u) |
@@ -108,7 +108,7 @@ ProgramFactory routing_defect(std::function<ColorConfig(PeCoord)> route,
   auto quiet = routing_defect_stream(false);
   return [=](PeCoord coord) {
     return std::make_unique<PeProgram>(
-        [=](PeContext& ctx) {
+        [=](ImageBuilder& ctx) {
           ctx.configure_router(kDefectColor, route(coord));
           return injects(coord) ? injector : quiet;
         });
@@ -120,7 +120,7 @@ ProgramFactory routing_defect(std::function<ColorConfig(PeCoord)> route,
 ProgramFactory halo_program(u32 nz) {
   auto programs = std::make_shared<ProgramsByKey>();
   return [nz, programs](PeCoord) {
-    return std::make_unique<PeProgram>([nz, programs](PeContext& ctx) {
+    return std::make_unique<PeProgram>([nz, programs](ImageBuilder& ctx) {
       csl::HaloExchange().configure(ctx);
       csl::HaloEmitter::Spec spec;
       spec.column = wse::dsd(ctx.memory().alloc_f32("column", nz));
@@ -139,7 +139,7 @@ ProgramFactory halo_program(u32 nz) {
 ProgramFactory allreduce_program() {
   auto programs = std::make_shared<ProgramsByKey>();
   return [programs](PeCoord) {
-    return std::make_unique<PeProgram>([programs](PeContext& ctx) {
+    return std::make_unique<PeProgram>([programs](ImageBuilder& ctx) {
       csl::AllReduce reduce;
       reduce.configure(ctx);
       return programs->get(shape_key(ctx), [&] {
@@ -166,7 +166,7 @@ ProgramFactory allreduce_program() {
 ProgramFactory eastward_program(u32 block) {
   auto programs = std::make_shared<ProgramsByKey>();
   return [block, programs](PeCoord) {
-    return std::make_unique<PeProgram>([block, programs](PeContext& ctx) {
+    return std::make_unique<PeProgram>([block, programs](ImageBuilder& ctx) {
       csl::EastwardExchange().configure(ctx);
       csl::EastwardEmitter::Spec spec;
       spec.mine = wse::dsd(ctx.memory().alloc_f32("mine", block));
@@ -186,7 +186,7 @@ ProgramFactory eastward_program(u32 block) {
 ProgramFactory any_source_program(PeCoord source, u32 block) {
   auto programs = std::make_shared<ProgramsByKey>();
   return [source, block, programs](PeCoord) {
-    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](ImageBuilder& ctx) {
       csl::AnySourceBroadcast().configure(ctx, source);
       csl::AnySourceEmitter::Spec spec;
       spec.source = source;
@@ -250,7 +250,7 @@ ProgramFactory arena_overflow_defect() {
   // diagnostic (with the full allocation map).
   return [](PeCoord) {
     return std::make_unique<PeProgram>(
-        [](PeContext& ctx) -> std::shared_ptr<const wse::bc::Program> {
+        [](ImageBuilder& ctx) -> std::shared_ptr<const wse::bc::Program> {
           const u64 words = ctx.memory().capacity_bytes() / 4 + 1;
           ctx.memory().alloc_f32("overflow", static_cast<u32>(words));
           return nullptr; // unreachable: the allocation throws
@@ -268,7 +268,7 @@ ProgramFactory bc_oob_span_defect() {
   auto program =
       std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<PeProgram>(program, [](PeContext& ctx) {
+    return std::make_unique<PeProgram>(program, [](ImageBuilder& ctx) {
       ctx.memory().alloc_f32("buf", 16);
     });
   };
@@ -279,7 +279,7 @@ ProgramFactory bc_unset_continuation_defect() {
   b.jind(0); // pc 0: no reachable SETC ever arms cont0
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<PeProgram>(program, nullptr);
+    return std::make_unique<PeProgram>(program, [](ImageBuilder&) {});
   };
 }
 
@@ -293,7 +293,7 @@ ProgramFactory bc_unbounded_loop_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<PeProgram>(program, nullptr);
+    return std::make_unique<PeProgram>(program, [](ImageBuilder&) {});
   };
 }
 
@@ -310,7 +310,7 @@ ProgramFactory bc_send_overlap_defect() {
   b.ret();
   auto program = std::make_shared<const wse::bc::Program>(b.finish());
   return [program](PeCoord) {
-    return std::make_unique<PeProgram>(program, [](PeContext& ctx) {
+    return std::make_unique<PeProgram>(program, [](ImageBuilder& ctx) {
       ctx.memory().alloc_f32("buf", 16);
       // Self-delivery loop: inject from the ramp, deliver to the ramp.
       ctx.configure_router(kDefectColor,
@@ -332,7 +332,7 @@ ProgramFactory bc_unbalanced_send_defect() {
   return [tx_program, rx_program](PeCoord coord) {
     if (coord.x == 0) {
       return std::make_unique<PeProgram>(
-          tx_program, [](PeContext& ctx) {
+          tx_program, [](ImageBuilder& ctx) {
             ctx.memory().alloc_f32("buf", 16);
             ctx.configure_router(kDefectColor,
                                  one_position(DirMask::of(Dir::Ramp),
@@ -340,7 +340,7 @@ ProgramFactory bc_unbalanced_send_defect() {
           });
     }
     return std::make_unique<PeProgram>(
-        rx_program, [](PeContext& ctx) {
+        rx_program, [](ImageBuilder& ctx) {
           ctx.memory().alloc_f32("buf", 16);
           ctx.configure_router(kDefectColor,
                                one_position(DirMask::of(Dir::West),

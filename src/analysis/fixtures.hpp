@@ -54,7 +54,7 @@ wse::ProgramFactory arena_overflow_defect();
 // or the send/recv balance check; see abstract_interp.hpp and
 // verifier.hpp check 6). Every program lints clean at the encoding level
 // — the defects are semantic, visible only to the abstract interpreter.
-// They load their stream without running its entry block (the
+// Their images do not run the stream's entry block (the
 // PeProgram(program, setup) form): only the static passes read them.
 
 /// 1x1: the program's only DSD span ends far outside the PE arena

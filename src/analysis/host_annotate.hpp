@@ -54,8 +54,8 @@ const char* phase_label(u8 value);
 
 /// Annotates every program key the profiler sampled with name, opcode
 /// mnemonics and CFG-propagated phase labels, reading the fabric's loaded
-/// programs (wse::Fabric::distinct_bytecode_programs — populated once the
-/// run has executed on_start). No-op when the profiler captured nothing.
+/// programs (wse::Fabric::distinct_bytecode_programs). Call after run();
+/// a no-op when the profiler captured nothing.
 void annotate_host_profile(telemetry::HostProfiler& profiler,
                            const wse::Fabric& fabric);
 

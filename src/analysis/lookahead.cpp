@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "analysis/abstract_interp.hpp"
-#include "analysis/static_context.hpp"
 #include "common/error.hpp"
 #include "wse/bytecode.hpp"
 
@@ -28,13 +27,6 @@ struct InjectSummary {
                        ? std::min(min_words[c], words)
                        : words;
     injected |= wse::color_set_bit(c);
-  }
-
-  void absorb(const wse::ProgramManifest& manifest) {
-    for (Color c = 0; c < wse::kNumRoutableColors; ++c) {
-      if (wse::color_set_contains(manifest.injects, c))
-        add(c, manifest.min_inject_words[c]);
-    }
   }
 
   /// Bytecode-derived injections: only colors a *reachable* SEND/SENDC can
@@ -93,11 +85,11 @@ plan_channel_lookahead(i64 width, i64 height,
                  "tile layout does not match its grid dimensions");
   if (tiles.size() == 1) return conservative_table(1, 1);
 
-  // Instantiate every PE statically: real routers (for the crossing scan)
-  // plus the injection summary from observed sends and the abstract
-  // interpreter's reachable-SEND facts. Analyses are cached per distinct
-  // program; the cache holds each stream for the whole pass, so a freed
-  // per-PE stream's address cannot be reused by a later PE's stream.
+  // Read every PE's image: its routes go into a model router (for the
+  // crossing scan), its stream into the injection summary through the
+  // abstract interpreter's reachable-SEND facts. Analyses are cached per
+  // distinct program; the cache holds each stream for the whole pass, so a
+  // freed per-PE stream's address cannot be reused by a later PE's stream.
   std::vector<wse::Router> routers(static_cast<std::size_t>(width * height));
   std::map<const wse::bc::Program*,
            std::pair<std::shared_ptr<const wse::bc::Program>, ProgramAnalysis>>
@@ -110,17 +102,15 @@ plan_channel_lookahead(i64 width, i64 height,
       const wse::PeCoord coord{x, y};
       wse::Router& router = routers[static_cast<std::size_t>(y * width + x)];
       router.set_coord(coord);
-      wse::PeMemory memory(mem.capacity_bytes, mem.reserved_bytes);
-      StaticPeContext ctx(coord, width, height, router, memory, timing);
       try {
-        std::unique_ptr<wse::PeProgram> program = factory(coord);
-        if (program == nullptr) return conservative_table(tile_rows, tile_cols);
-        program->on_start(ctx);
+        const std::unique_ptr<wse::PeProgram> program =
+            wse::instantiate(factory, {coord, width, height, mem});
+        for (const auto& [color, config] : program->image().routes)
+          router.configure(color, config);
         const auto& bytecode = program->shared_bytecode();
         auto [it, fresh] = analyses.try_emplace(bytecode.get());
         if (fresh)
           it->second = {bytecode, analyze_program(*bytecode, analysis_params)};
-        injects.absorb(ctx.observed()); // on_start sends are real traffic
         injects.absorb(it->second.second);
       } catch (const Error&) {
         // A PE that cannot instantiate leaves its routes unknown; claim

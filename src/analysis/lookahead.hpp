@@ -10,22 +10,19 @@
 // side d), *can* any configured route carry a wavelet across at all, and
 // if so, what is the smallest link batch any crossing message can occupy?
 //
-// The pass instantiates every PE's routing configuration the same way the
-// verifier does — on_start runs against a recording context, never the
-// event loop — and combines three facts:
+// The pass reads every PE's image (wse/program.hpp) — nothing runs — and
+// combines three facts:
 //   1. which colors the boundary-row (or boundary-column) routers can
 //      transmit across the boundary (Router::may_transmit over all switch
-//      positions),
-//   2. which colors any PE ever injects (observed on_start sends plus the
-//      reachable SENDs of its bytecode), and
-//   3. the minimum words per injected color (the shortest reachable SEND;
-//      observed sends record their actual lengths).
+//      positions of the image's routes),
+//   2. which colors any PE ever injects (the reachable SENDs of its
+//      stream), and
+//   3. the minimum words per injected color (the shortest reachable SEND).
 // A boundary no injected color can cross is marked non-crossing, which
-// decouples the two shards entirely. Soundness rests on the same contract
-// the verifier documents: routes are fully installed by on_start and
-// task-time sends are in the bytecode. Programs that break the contract
-// must not install the resulting table (the fabric's default — every
-// boundary crossing-capable at zero cost — is always safe).
+// decouples the two shards entirely. Soundness rests on what an image is:
+// a PE's routes are all in its route table and its sends are all in its
+// stream. The fabric's default table — every boundary crossing-capable
+// at zero cost — is always safe.
 //
 // See docs/simulator.md ("Parallel execution model") for how the engine
 // consumes the table and the full safety argument.
@@ -51,13 +48,13 @@ struct ShardTile {
 /// Computes the lookahead table for `factory` on the given tile layout
 /// (`tiles.size() == tile_rows * tile_cols`, row-major). Falls back to the
 /// fully conservative table (every existing boundary crossing at zero
-/// minimum batch) if any PE fails to instantiate — the planner never
-/// throws for program bugs; load()/verify() surface those.
+/// minimum batch) if any PE's image fails to build or apply — the planner
+/// never throws for program bugs; load()/verify() surface those.
 ///
 /// Each program contributes the injected colors and minimum message words
 /// of its *reachable* SEND/SENDC instructions (from the abstract
-/// interpreter's per-color dataflow summary), plus its on_start-observed
-/// sends.
+/// interpreter's per-color dataflow summary). `mem` sizes the arenas the
+/// images are built for.
 wse::ChannelLookahead
 plan_channel_lookahead(i64 width, i64 height,
                        const std::vector<ShardTile>& tiles, u32 tile_rows,

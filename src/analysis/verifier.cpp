@@ -10,13 +10,9 @@
 #include <utility>
 
 #include "analysis/abstract_interp.hpp"
-#include "analysis/static_context.hpp"
 #include "common/error.hpp"
 #include "wse/bytecode.hpp"
-#include "wse/dsd.hpp"
-#include "wse/memory.hpp"
 #include "wse/router.hpp"
-#include "wse/timing.hpp"
 
 namespace fvdf::analysis {
 
@@ -41,7 +37,7 @@ struct PeModel {
   wse::Router router;
   ProgramManifest manifest{};
   u64 used_bytes = 0;
-  bool usable = false; // factory + on_start succeeded
+  bool usable = false; // the factory built the image and its routes apply
   // Abstract-interpretation result for this PE's bytecode (owned by the
   // Verifier's per-program cache); set exactly when `usable`.
   const ProgramAnalysis* bytecode = nullptr;
@@ -91,6 +87,9 @@ private:
   }
 
   // --- instantiation (and check 5: memory budget) ---
+  // Each PE's image gives its routes and its allocated bytes; an image
+  // the factory cannot build (an arena overflow, say) or whose routes the
+  // router rejects becomes a diagnostic.
 
   void instantiate() {
     pes_.resize(static_cast<std::size_t>(width_ * height_));
@@ -100,14 +99,11 @@ private:
         PeModel& model = pes_[index(coord)];
         model.coord = coord;
         model.router.set_coord(coord);
-        wse::PeMemory memory(mem_.capacity_bytes, mem_.reserved_bytes);
-        StaticPeContext ctx(coord, width_, height_, model.router, memory,
-                            timing_);
         std::unique_ptr<wse::PeProgram> program;
         try {
-          program = factory_(coord);
-          FVDF_CHECK_MSG(program != nullptr, "program factory returned null");
-          program->on_start(ctx);
+          program = wse::instantiate(factory_, {coord, width_, height_, mem_});
+          for (const auto& [color, config] : program->image().routes)
+            model.router.configure(color, config);
         } catch (const Error& e) {
           const std::string_view what(e.what());
           const bool oom = what.find("PE memory overflow") !=
@@ -117,14 +113,12 @@ private:
           diag(oom ? Check::MemoryBudget : Check::Instantiation,
                Severity::Error, coord, wse::kInvalidColor,
                std::string(what.substr(0, what.find('\n'))));
-          model.used_bytes = memory.used_bytes();
           continue;
         }
-        model.used_bytes = memory.used_bytes();
+        model.used_bytes = program->image().used_bytes();
         const CachedProgram& cached =
             analyze_bytecode(program->shared_bytecode(), model);
-        model.manifest = ctx.observed();
-        model.manifest |= cached.manifest;
+        model.manifest = cached.manifest;
         model.bytecode = &cached.analysis;
         model.usable = true;
         if (model.used_bytes > report_.memory_high_water_bytes) {
@@ -610,7 +604,6 @@ private:
   i64 height_;
   const wse::ProgramFactory& factory_;
   wse::PeMemoryParams mem_;
-  wse::TimingParams timing_{};
   std::vector<PeModel> pes_;
   std::map<const wse::bc::Program*, CachedProgram> analyses_;
   VerifyReport report_;

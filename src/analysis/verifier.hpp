@@ -1,10 +1,10 @@
 #pragma once
 // Static fabric-program verifier (docs/static_verification.md).
 //
-// Given the fabric geometry and a ProgramFactory, the verifier instantiates
-// every PE's router, memory and task configuration — running each program's
-// on_start against a recording PeContext, never the event loop — and proves
-// five properties of the resulting device program:
+// Given the fabric geometry and a ProgramFactory, the verifier reads every
+// PE's image (wse/program.hpp) — its route table, its allocated bytes and
+// its stream; nothing runs — and proves six properties of the resulting
+// device program:
 //
 //   1. Route completeness  — every injected wavelet reaches switch
 //      positions that accept it at every hop, and no route exits the
@@ -28,13 +28,13 @@
 //      injectors send, with exact per-round word and word-hop volumes
 //      cross-checkable against telemetry.
 //
-// A program's routing tables are fully installed by on_start, but sends and
-// receives happen over its whole lifetime; the verifier unions what the
-// recorded on_start reveals with the ProgramManifest derived from the
-// program's instruction stream (wse::bc::derive_manifest). Approximation,
-// documented and deliberate: every configured switch position is
-// considered reachable, and the stream's injections are traced regardless
-// of when the program would issue them.
+// A program's routes are all in its image, and its sends and receives are
+// all in its stream: the verifier installs the routes into model routers
+// and takes each PE's communication facts from the ProgramManifest derived
+// from the stream (wse::bc::derive_manifest). Approximation, documented
+// and deliberate: every configured switch position is considered
+// reachable, and the stream's injections are traced regardless of when
+// the program would issue them.
 
 #include <string>
 #include <vector>
@@ -48,7 +48,7 @@
 namespace fvdf::analysis {
 
 enum class Check : u8 {
-  Instantiation,     // factory / on_start threw (other than memory overflow)
+  Instantiation,     // the image failed to build or apply (not an overflow)
   RouteCompleteness, // check 1
   DeadlockFreedom,   // check 2
   DeliveryLiveness,  // check 3

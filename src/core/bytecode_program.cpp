@@ -6,19 +6,16 @@
 #include "core/flux_kernels.hpp"
 #include "csl/lowering.hpp"
 #include "telemetry/phase.hpp"
-#include "wse/bytecode_interp.hpp"
 
 namespace fvdf::core {
 
 using wse::Dir;
 using wse::Dsd;
 using wse::dsd;
-using wse::PeContext;
 namespace bc = wse::bc;
 
 namespace {
 
-constexpr u8 kSetup = static_cast<u8>(telemetry::Phase::Setup);
 constexpr u8 kHalo = static_cast<u8>(telemetry::Phase::Halo);
 constexpr u8 kFlux = static_cast<u8>(telemetry::Phase::Flux);
 constexpr u8 kLocalDot = static_cast<u8>(telemetry::Phase::LocalDot);
@@ -75,22 +72,27 @@ ProgramCache::get_or_lower(const Key& key, const Lower& lower) {
   return slot;
 }
 
+LoweringSite plan_site(wse::ImageBuilder& image, u32 nz, FluxMode mode,
+                       u32 dirichlet_count, bool jacobi, bool with_source) {
+  LoweringSite site;
+  site.coord = image.coord();
+  site.width = image.fabric_width();
+  site.height = image.fabric_height();
+  site.layout = PeLayout::plan(image.memory(), nz, mode, dirichlet_count,
+                               jacobi, with_source);
+  csl::HaloExchange().configure(image);
+  csl::AllReduce reduce;
+  reduce.configure(image);
+  site.slot_value = reduce.slot_value().offset_words;
+  site.slot_in = reduce.slot_in().offset_words;
+  return site;
+}
+
 LoweringSite plan_site(wse::PeCoord coord, i64 width, i64 height,
                        const wse::PeMemoryParams& mem, u32 nz, FluxMode mode,
                        u32 dirichlet_count, bool jacobi, bool with_source) {
-  LoweringSite site;
-  site.coord = coord;
-  site.width = width;
-  site.height = height;
-  // Replay on_start's exact allocation sequence (PeLayout::plan, then the
-  // AllReduce slots) against a probe arena: the real run's offsets follow
-  // deterministically from the same inputs.
-  wse::PeMemory probe(mem.capacity_bytes, mem.reserved_bytes);
-  site.layout = PeLayout::plan(probe, nz, mode, dirichlet_count, jacobi,
-                               with_source);
-  site.slot_value = probe.alloc_f32("allreduce.value", 1).offset_words;
-  site.slot_in = probe.alloc_f32("allreduce.in", 1).offset_words;
-  return site;
+  wse::ImageBuilder image({coord, width, height, mem});
+  return plan_site(image, nz, mode, dirichlet_count, jacobi, with_source);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ std::shared_ptr<const bc::Program> lower_cg(const CgPeConfig& config,
   const auto fin_fail = b.make_label();
   const u32 kmax = b.konst(config.max_iterations);
 
-  // --- entry (the post-setup tail of on_start) ---
+  // --- entry (the fabric's start task runs it at cycle 0) ---
   b.bind(entry);
   b.set_entry(entry);
   reduce.emit_handler_bindings();
@@ -435,77 +437,52 @@ lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site) {
 }
 
 // ---------------------------------------------------------------------------
-// PeProgram wrappers
+// Solver PE images
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// The shared start step: plans the real arena, installs the collectives'
-/// routes, checks the probe layout the stream was lowered against, then
-/// uploads this PE's column data.
-void start_solver_pe(PeContext& ctx, const LoweringSite& site, u32 nz,
-                     FluxMode mode, bool jacobi, const PeInit& init,
-                     const char* what) {
-  ctx.mark_phase(kSetup); // state INIT
-  const PeLayout layout = PeLayout::plan(
-      ctx.memory(), nz, mode, static_cast<u32>(init.dirichlet_z.size()),
-      jacobi, !init.source.empty());
-  csl::HaloExchange().configure(ctx);
-  csl::AllReduce reduce;
-  reduce.configure(ctx);
-  // The program was lowered against a probe arena; the real allocation
-  // sequence just ran and must land every offset in the same place.
-  FVDF_CHECK_MSG(layout.x.offset_words == site.layout.x.offset_words &&
-                     reduce.slot_value().offset_words == site.slot_value &&
-                     reduce.slot_in().offset_words == site.slot_in,
-                 what << ": probe layout diverged from the arena");
-  upload_pe_init(ctx, layout, init, mode, jacobi);
+/// A solver PE's image: the planned arena and routes (plan_site), this
+/// PE's uploaded column, and the stream `lower` compiles for the site,
+/// once per distinct site through the cache.
+template <typename Config, typename Lower>
+wse::PeImage solver_image(const Config& config, const wse::ImageSite& where,
+                          bool jacobi, ProgramCache& cache, Lower lower) {
+  FVDF_CHECK(config.nz >= 1);
+  FVDF_CHECK(config.init.p0.size() == config.nz);
+  wse::ImageBuilder image(where);
+  const LoweringSite site = plan_site(
+      image, config.nz, config.mode,
+      static_cast<u32>(config.init.dirichlet_z.size()), jacobi,
+      !config.init.source.empty());
+  upload_pe_init(image, site.layout, config.init, config.mode, jacobi);
+  return image.finish(cache.get_or_lower(ProgramCache::key_for(site), [&] {
+    return lower(config, site);
+  }));
+}
+
+const ChebyshevPeConfig& checked(const ChebyshevPeConfig& config) {
+  FVDF_CHECK_MSG(config.lambda_max > config.lambda_min && config.lambda_min > 0,
+                 "Chebyshev needs valid spectral bounds");
+  FVDF_CHECK(config.check_every >= 1);
+  return config;
 }
 
 } // namespace
 
-BytecodeCgProgram::BytecodeCgProgram(CgPeConfig config, wse::PeCoord coord,
-                                     i64 width, i64 height,
+BytecodeCgProgram::BytecodeCgProgram(const CgPeConfig& config,
+                                     wse::PeCoord coord, i64 width,
+                                     i64 height,
                                      const wse::PeMemoryParams& mem,
-                                     std::shared_ptr<ProgramCache> cache)
-    : config_(std::move(config)) {
-  FVDF_CHECK(config_.nz >= 1);
-  FVDF_CHECK(config_.init.p0.size() == config_.nz);
-  site_ = plan_site(coord, width, height, mem, config_.nz, config_.mode,
-                    static_cast<u32>(config_.init.dirichlet_z.size()),
-                    config_.jacobi, !config_.init.source.empty());
-  lowered_ = cache->get_or_lower(ProgramCache::key_for(site_),
-                                 [&] { return lower_cg(config_, site_); });
-}
-
-std::shared_ptr<const bc::Program> BytecodeCgProgram::start(PeContext& ctx) {
-  start_solver_pe(ctx, site_, config_.nz, config_.mode, config_.jacobi,
-                  config_.init, "bytecode CG program");
-  return lowered_;
-}
+                                     const std::shared_ptr<ProgramCache>& cache)
+    : PeProgram(solver_image(config, {coord, width, height, mem},
+                             config.jacobi, *cache, lower_cg)) {}
 
 BytecodeChebyshevProgram::BytecodeChebyshevProgram(
-    ChebyshevPeConfig config, wse::PeCoord coord, i64 width, i64 height,
-    const wse::PeMemoryParams& mem, std::shared_ptr<ProgramCache> cache)
-    : config_(std::move(config)) {
-  FVDF_CHECK(config_.nz >= 1);
-  FVDF_CHECK_MSG(config_.lambda_max > config_.lambda_min &&
-                     config_.lambda_min > 0,
-                 "Chebyshev needs valid spectral bounds");
-  FVDF_CHECK(config_.check_every >= 1);
-  site_ = plan_site(coord, width, height, mem, config_.nz, config_.mode,
-                    static_cast<u32>(config_.init.dirichlet_z.size()),
-                    /*jacobi=*/false, !config_.init.source.empty());
-  lowered_ =
-      cache->get_or_lower(ProgramCache::key_for(site_),
-                          [&] { return lower_chebyshev(config_, site_); });
-}
-
-std::shared_ptr<const bc::Program>
-BytecodeChebyshevProgram::start(PeContext& ctx) {
-  start_solver_pe(ctx, site_, config_.nz, config_.mode, /*jacobi=*/false,
-                  config_.init, "bytecode Chebyshev program");
-  return lowered_;
-}
+    const ChebyshevPeConfig& config, wse::PeCoord coord, i64 width,
+    i64 height, const wse::PeMemoryParams& mem,
+    const std::shared_ptr<ProgramCache>& cache)
+    : PeProgram(solver_image(checked(config), {coord, width, height, mem},
+                             /*jacobi=*/false, *cache, lower_chebyshev)) {}
 
 } // namespace fvdf::core

@@ -8,16 +8,15 @@
 // iteration — including their csl collectives — into one flat
 // wse::bc::Program per PE shape. BytecodeCgProgram /
 // BytecodeChebyshevProgram are the PeProgram the solver loads: their
-// start step plans the layout, configures the routes and uploads the
-// column; the stream's entry block then runs, and the fabric dispatches
-// every later task activation into the stream.
+// constructors build the PE's image — plan the arena, write the
+// collectives' routes, upload the column — and take the stream lowered
+// against that same arena, so every embedded offset is the image's own.
+// The fabric's start task runs the stream's entry block, and the fabric
+// dispatches every later task activation into the stream.
 //
-// Lowering happens eagerly at construction against a probe PeMemory (the
-// same allocation sequence the start step later performs against the
-// real arena, so embedded offsets agree); the start step checks that
-// agreement. PEs whose lowering inputs coincide (coordinate parity,
-// fabric edges, Dirichlet count) share one immutable Program through a
-// mutex-guarded cache.
+// PEs whose lowering inputs coincide (coordinate parity, fabric edges,
+// Dirichlet count) share one immutable Program through a mutex-guarded
+// cache.
 
 #include <functional>
 #include <memory>
@@ -85,8 +84,8 @@ std::shared_ptr<const wse::bc::Program>
 lower_chebyshev(const ChebyshevPeConfig& config, const LoweringSite& site);
 
 /// Thread-safe Program cache shared by every PE of one solve (programs are
-/// lowered lazily per distinct site shape; on_start runs concurrently
-/// across fabric shards).
+/// lowered lazily per distinct site shape; the serve daemon shares one
+/// cache between concurrent solves of a case).
 class ProgramCache {
 public:
   using Key = std::tuple<u32, u32, u32>; // (shape bits, dirichlet count, slot)
@@ -102,42 +101,33 @@ private:
   std::map<Key, std::shared_ptr<const wse::bc::Program>> programs_;
 };
 
-/// Computes the lowering site a PE at `coord` will see: plans the layout
-/// against a probe arena with the exact allocation sequence on_start
-/// performs, so every embedded offset matches the real run.
+/// Plans a solver PE's arena in `image` — the layout (PeLayout::plan),
+/// then the collectives' routes and all-reduce slots — and returns the
+/// lowering site it yields. Every solver image runs this one allocation
+/// sequence, so a stream lowered for the site matches the image's arena.
+LoweringSite plan_site(wse::ImageBuilder& image, u32 nz, FluxMode mode,
+                       u32 dirichlet_count, bool jacobi, bool with_source);
+
+/// The lowering site a PE at `coord` sees, planned in a throwaway image.
 LoweringSite plan_site(wse::PeCoord coord, i64 width, i64 height,
                        const wse::PeMemoryParams& mem, u32 nz, FluxMode mode,
                        u32 dirichlet_count, bool jacobi, bool with_source);
 
+/// A CG solver PE: its image, with the stream `cache` lowers for its site.
 class BytecodeCgProgram final : public wse::PeProgram {
 public:
-  BytecodeCgProgram(CgPeConfig config, wse::PeCoord coord, i64 width,
+  BytecodeCgProgram(const CgPeConfig& config, wse::PeCoord coord, i64 width,
                     i64 height, const wse::PeMemoryParams& mem,
-                    std::shared_ptr<ProgramCache> cache);
-
-protected:
-  std::shared_ptr<const wse::bc::Program> start(wse::PeContext& ctx) override;
-
-private:
-  CgPeConfig config_;
-  LoweringSite site_;
-  std::shared_ptr<const wse::bc::Program> lowered_;
+                    const std::shared_ptr<ProgramCache>& cache);
 };
 
+/// A Chebyshev solver PE (see BytecodeCgProgram).
 class BytecodeChebyshevProgram final : public wse::PeProgram {
 public:
-  BytecodeChebyshevProgram(ChebyshevPeConfig config, wse::PeCoord coord,
+  BytecodeChebyshevProgram(const ChebyshevPeConfig& config, wse::PeCoord coord,
                            i64 width, i64 height,
                            const wse::PeMemoryParams& mem,
-                           std::shared_ptr<ProgramCache> cache);
-
-protected:
-  std::shared_ptr<const wse::bc::Program> start(wse::PeContext& ctx) override;
-
-private:
-  ChebyshevPeConfig config_;
-  LoweringSite site_;
-  std::shared_ptr<const wse::bc::Program> lowered_;
+                           const std::shared_ptr<ProgramCache>& cache);
 };
 
 } // namespace fvdf::core

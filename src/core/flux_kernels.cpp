@@ -7,11 +7,9 @@ namespace fvdf::core {
 using wse::Dir;
 using wse::Dsd;
 using wse::dsd;
-using wse::PeContext;
-
-void upload_pe_init(PeContext& ctx, const PeLayout& layout, const PeInit& init,
-                    FluxMode mode, bool jacobi) {
-  auto& mem = ctx.memory();
+void upload_pe_init(wse::ImageBuilder& image, const PeLayout& layout,
+                    const PeInit& init, FluxMode mode, bool jacobi) {
+  auto& mem = image.memory();
   auto put = [&](const wse::MemSpan& span, const std::vector<f32>& data) {
     FVDF_CHECK(span.length == data.size());
     for (u32 i = 0; i < span.length; ++i) mem.store(span.offset_words + i, data[i]);

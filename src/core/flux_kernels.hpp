@@ -11,10 +11,11 @@
 
 namespace fvdf::core {
 
-/// Host-style upload of `init` into a planned layout (free of cycle cost,
-/// models the SDK memcpy path). Zeroes every solver-state buffer.
-void upload_pe_init(wse::PeContext& ctx, const PeLayout& layout, const PeInit& init,
-                    FluxMode mode, bool jacobi);
+/// Host-style upload of `init` into a planned layout of the PE's image
+/// (free of cycle cost, models the SDK memcpy path). Zeroes every
+/// solver-state buffer.
+void upload_pe_init(wse::ImageBuilder& image, const PeLayout& layout,
+                    const PeInit& init, FluxMode mode, bool jacobi);
 
 // Bytecode emitters: each appends the charged DsdEngine operation
 // sequence of one kernel to the program being lowered.

@@ -39,9 +39,9 @@ namespace fvdf::core {
 /// Sharing across *different* scalar configs (tolerance, max_iterations,
 /// flux mode, jacobi, diagonal_shift, memory/timing params) is NOT safe —
 /// lowered programs embed them as immediates. DataflowConfig::initial_field
-/// is uploaded at on_start and never lowered, so solves that differ only
-/// in the initial field (the steps of one transient run, repeat service
-/// requests) may share artifacts freely.
+/// is uploaded into each PE's image and never lowered, so solves that
+/// differ only in the initial field (the steps of one transient run, repeat
+/// service requests) may share artifacts freely.
 class ProgramCache; // core/bytecode_program.hpp
 
 struct CaseArtifacts {

@@ -20,7 +20,7 @@ ColorConfig route(DirMask rx, DirMask tx) {
 AllReduce::AllReduce() : AllReduce(Colors{}) {}
 AllReduce::AllReduce(Colors colors) : colors_(colors) {}
 
-void AllReduce::configure(PeContext& ctx) {
+void AllReduce::configure(ImageBuilder& ctx) {
   const i64 x = ctx.coord().x;
   const i64 y = ctx.coord().y;
   const i64 width = ctx.fabric_width();

@@ -19,7 +19,7 @@
 
 namespace fvdf::csl {
 
-using wse::PeContext;
+using wse::ImageBuilder;
 
 class AllReduce {
 public:
@@ -39,9 +39,9 @@ public:
   AllReduce();
   explicit AllReduce(Colors colors);
 
-  /// Installs static routes and allocates the scalar slots this component
-  /// needs in PE memory. Call from on_start.
-  void configure(PeContext& ctx);
+  /// Writes the static routes into the PE's image and allocates the
+  /// scalar slots this component needs in PE memory.
+  void configure(ImageBuilder& ctx);
 
   /// Memory slots (valid after configure); their word offsets are the
   /// csl::ReduceEmitter::Spec slots.

@@ -21,7 +21,7 @@ ColorConfig route(DirMask rx, DirMask tx) {
 AnySourceBroadcast::AnySourceBroadcast() : AnySourceBroadcast(Colors{}) {}
 AnySourceBroadcast::AnySourceBroadcast(Colors colors) : colors_(colors) {}
 
-void AnySourceBroadcast::configure(PeContext& ctx, PeCoord source) {
+void AnySourceBroadcast::configure(ImageBuilder& ctx, PeCoord source) {
   FVDF_CHECK(source.x >= 0 && source.x < ctx.fabric_width());
   FVDF_CHECK(source.y >= 0 && source.y < ctx.fabric_height());
   const i64 x = ctx.coord().x;

@@ -19,7 +19,7 @@
 
 namespace fvdf::csl {
 
-using wse::PeContext;
+using wse::ImageBuilder;
 using wse::PeCoord;
 
 /// The broadcast's colors and flood routes. csl::AnySourceEmitter
@@ -35,9 +35,9 @@ public:
   AnySourceBroadcast();
   explicit AnySourceBroadcast(Colors colors);
 
-  /// Installs routes for a broadcast rooted at `source`. Call in on_start;
+  /// Writes routes for a broadcast rooted at `source` into the PE's image;
   /// the root is a layout-time parameter, exactly like a CSL layout block.
-  void configure(PeContext& ctx, PeCoord source);
+  void configure(ImageBuilder& ctx, PeCoord source);
 
 private:
   Colors colors_;

@@ -17,7 +17,7 @@ const SwitchPosition kReceiving{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)};
 EastwardExchange::EastwardExchange() : EastwardExchange(Colors{}) {}
 EastwardExchange::EastwardExchange(Colors colors) : colors_(colors) {}
 
-void EastwardExchange::configure(PeContext& ctx) {
+void EastwardExchange::configure(ImageBuilder& ctx) {
   // Listing 1's two-position ring; even PEs start in the Sending position,
   // odd PEs in the Receiving one (expressed by rotating the position list,
   // since a freshly configured color starts at position 0).

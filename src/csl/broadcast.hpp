@@ -23,7 +23,7 @@
 
 namespace fvdf::csl {
 
-using wse::PeContext;
+using wse::ImageBuilder;
 
 /// The exchange's colors and ring route. csl::EastwardEmitter
 /// (csl/lowering.hpp) emits the two steps themselves as bytecode.
@@ -37,8 +37,8 @@ public:
   EastwardExchange();
   explicit EastwardExchange(Colors colors);
 
-  /// Installs the two-position ring route (Listing 1). Call from on_start.
-  void configure(PeContext& ctx);
+  /// Writes the two-position ring route (Listing 1) into the PE's image.
+  void configure(ImageBuilder& ctx);
 
 private:
   Colors colors_;

@@ -37,7 +37,7 @@ ColorConfig receiver_route(Dir first, Dir second) {
 HaloExchange::HaloExchange() : HaloExchange(Colors{}) {}
 HaloExchange::HaloExchange(Colors colors) : colors_(colors) {}
 
-void HaloExchange::configure(PeContext& ctx) {
+void HaloExchange::configure(ImageBuilder& ctx) {
   const bool odd_x = (ctx.coord().x % 2) != 0;
   const bool odd_y = (ctx.coord().y % 2) != 0;
 

@@ -26,7 +26,7 @@
 
 namespace fvdf::csl {
 
-using wse::PeContext;
+using wse::ImageBuilder;
 
 /// The exchange's colors and router configuration. csl::HaloEmitter
 /// (csl/lowering.hpp) emits the four steps themselves as bytecode.
@@ -44,9 +44,9 @@ public:
   HaloExchange();
   explicit HaloExchange(Colors colors);
 
-  /// Installs the parity-dependent router configurations. Call from
-  /// on_start, once per PE.
-  void configure(PeContext& ctx);
+  /// Writes the parity-dependent router configurations into the PE's
+  /// image, once per PE.
+  void configure(ImageBuilder& ctx);
 
 private:
   Colors colors_;

@@ -1,11 +1,10 @@
 #pragma once
-// Parsed JSON values for the serve protocol (docs/serving.md). The
-// telemetry subsystem ships a deterministic JSON *writer* and a strict
-// well-formedness *validator* (telemetry/json.hpp); the serve daemon also
-// needs to read client requests, so this adds the missing third piece: a
+// Parsed JSON values: the project's one JSON reader. The serve daemon
+// reads client requests with it (docs/serving.md), and the tests parse the
+// telemetry writer's documents (telemetry/json.hpp) back through it. A
 // small recursive-descent parser producing an immutable value tree, with
-// the same strict RFC 8259 grammar the validator enforces. Throws
-// fvdf::Error with a byte offset on malformed input.
+// the strict RFC 8259 grammar. Throws fvdf::Error with a byte offset on
+// malformed input.
 
 #include <memory>
 #include <string>

@@ -164,6 +164,7 @@ void Server::wait() {
     std::lock_guard<std::mutex> conns(conns_mutex_);
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
     threads.swap(conn_threads_);
+    finished_.clear();
   }
   for (auto& thread : threads)
     if (thread.joinable()) thread.join();
@@ -195,6 +196,36 @@ void Server::untrack_and_close_fd(int fd) {
   ::close(fd);
 }
 
+void Server::spawn_connection(void (Server::*serve)(int), int fd) {
+  track_fd(fd);
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  reap_finished_locked();
+  conn_threads_.emplace_back([this, serve, fd] {
+    (this->*serve)(fd);
+    std::lock_guard<std::mutex> done(conns_mutex_);
+    finished_.push_back(std::this_thread::get_id());
+  });
+}
+
+void Server::reap_finished_locked() {
+  // A finished thread has only its return left to run: joining it under
+  // the lock cannot wait on anything that needs the lock.
+  for (const std::thread::id id : finished_) {
+    const auto it = std::find_if(
+        conn_threads_.begin(), conn_threads_.end(),
+        [id](const std::thread& thread) { return thread.get_id() == id; });
+    if (it == conn_threads_.end()) continue;
+    it->join();
+    conn_threads_.erase(it);
+  }
+  finished_.clear();
+}
+
+std::size_t Server::connection_threads() {
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  return conn_threads_.size();
+}
+
 void Server::accept_loop_unix() {
   while (!stopping_.load()) {
     const int fd = ::accept(unix_fd_, nullptr, nullptr);
@@ -202,9 +233,7 @@ void Server::accept_loop_unix() {
       if (errno == EINTR) continue;
       return; // listener closed (shutdown) or fatal
     }
-    track_fd(fd);
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conn_threads_.emplace_back([this, fd] { serve_ndjson(fd); });
+    spawn_connection(&Server::serve_ndjson, fd);
   }
 }
 
@@ -215,9 +244,7 @@ void Server::accept_loop_http() {
       if (errno == EINTR) continue;
       return;
     }
-    track_fd(fd);
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conn_threads_.emplace_back([this, fd] { serve_http(fd); });
+    spawn_connection(&Server::serve_http, fd);
   }
 }
 

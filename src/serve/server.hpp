@@ -75,6 +75,11 @@ public:
   /// requested); -1 when HTTP is disabled.
   i32 http_port() const { return http_port_; }
 
+  /// Connection threads not yet joined. Each accepted connection joins
+  /// the ones that have finished, so this counts the live connections plus
+  /// those that ended since the last accept.
+  std::size_t connection_threads();
+
   JobManager& jobs() { return *jobs_; }
   ArtifactCache& cache() { return *cache_; }
 
@@ -87,6 +92,10 @@ private:
   void serve_http(int fd);
   void handle_line(const std::shared_ptr<ClientConn>& conn,
                    const std::string& line);
+  /// Starts the thread serving an accepted connection, after joining the
+  /// connection threads that have finished.
+  void spawn_connection(void (Server::*serve)(int), int fd);
+  void reap_finished_locked(); // caller holds conns_mutex_
   void track_fd(int fd);
   void untrack_and_close_fd(int fd);
 
@@ -106,6 +115,7 @@ private:
   std::thread http_accept_;
   std::mutex conns_mutex_;
   std::vector<std::thread> conn_threads_;
+  std::vector<std::thread::id> finished_; // conn_threads_ that have returned
   std::vector<int> open_fds_; // accepted connections not yet closed
   std::atomic<u64> http_job_counter_{0};
 };

@@ -1,6 +1,5 @@
 #include "telemetry/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -133,168 +132,6 @@ std::string json_escape(std::string_view text) {
     }
   }
   return out;
-}
-
-// --- validator -------------------------------------------------------------
-
-namespace {
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& reason) {
-    if (error.empty())
-      error = "offset " + std::to_string(pos) + ": " + reason;
-    return false;
-  }
-
-  bool eof() const { return pos >= text.size(); }
-  char peek() const { return text[pos]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r'))
-      ++pos;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return fail("invalid literal");
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (eof() || peek() != '"') return fail("expected string");
-    ++pos;
-    while (!eof()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return fail("raw control char");
-      if (c == '\\') {
-        if (eof()) break;
-        const char esc = text[pos++];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(text[pos])))
-              return fail("bad \\u escape");
-            ++pos;
-          }
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return fail("bad escape");
-        }
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-      return fail("expected digit");
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos;
-    return true;
-  }
-
-  bool number() {
-    if (!eof() && peek() == '-') ++pos;
-    if (eof()) return fail("truncated number");
-    if (peek() == '0') {
-      ++pos;
-    } else if (!digits()) {
-      return false;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos;
-      if (!digits()) return false;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > 256) return fail("nesting too deep");
-    skip_ws();
-    if (eof()) return fail("expected value");
-    switch (peek()) {
-    case '{': return object(depth);
-    case '[': return array(depth);
-    case '"': return string();
-    case 't': return literal("true");
-    case 'f': return literal("false");
-    case 'n': return literal("null");
-    default: return number();
-    }
-  }
-
-  bool object(int depth) {
-    ++pos; // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':'");
-      ++pos;
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(int depth) {
-    ++pos; // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos;
-      return true;
-    }
-    for (;;) {
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-};
-
-} // namespace
-
-bool validate_json(std::string_view text, std::string* error) {
-  Parser parser{text, 0, {}};
-  bool ok = parser.value(0);
-  if (ok) {
-    parser.skip_ws();
-    if (!parser.eof()) ok = parser.fail("trailing garbage");
-  }
-  if (!ok && error) *error = parser.error;
-  return ok;
 }
 
 } // namespace fvdf::telemetry

@@ -1,13 +1,13 @@
 #pragma once
-// Minimal deterministic JSON writer + validator for telemetry exports.
+// Minimal deterministic JSON writer for telemetry exports.
 //
 // The writer emits keys in exactly the order the caller provides them and
 // formats floating-point values with shortest-round-trip std::to_chars, so
 // a given data set serializes to bitwise-identical bytes on every run and
 // thread count — the property the telemetry determinism tests compare.
-// The validator is a strict recursive-descent parser used by tests and
-// tools to prove emitted documents are well-formed (the CI smoke job
-// additionally runs them through `python3 -m json.tool`).
+// The one JSON reader is serve::JsonValue (serve/json.hpp); the tests
+// parse emitted documents back through it, and the CI smoke job runs
+// them through `python3 -m json.tool`.
 
 #include <string>
 #include <string_view>
@@ -58,10 +58,5 @@ private:
 
 /// Escapes a string for inclusion in a JSON document (no quotes added).
 std::string json_escape(std::string_view text);
-
-/// Strict well-formedness check (RFC 8259 grammar, no extensions).
-/// Returns true when `text` is exactly one valid JSON value; on failure
-/// fills `error` (if non-null) with a byte offset and reason.
-bool validate_json(std::string_view text, std::string* error = nullptr);
 
 } // namespace fvdf::telemetry

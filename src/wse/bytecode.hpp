@@ -35,10 +35,9 @@ namespace fvdf::wse {
 
 /// Static summary of a PE program's communication behavior, consumed by
 /// the fabric verifier and the channel-lookahead planner (src/analysis/).
-/// A program's routing tables are fully installed by on_start, but sends
-/// and receives happen over its whole lifetime: the analyses union what a
-/// recorded on_start did with what derive_manifest() reads off the
-/// instruction stream.
+/// A program's routes are all in its image (wse/program.hpp), and its
+/// sends and receives are all in its instruction stream: derive_manifest()
+/// reads them off it.
 struct ProgramManifest {
   ColorSet injects = 0;   // colors this PE may send on (ramp injections)
   ColorSet handles = 0;   // colors consumed here: a recv or a bound handler
@@ -64,23 +63,6 @@ struct ProgramManifest {
                                   ? std::min(min_inject_words[color], words)
                                   : words;
     injects |= color_set_bit(color);
-    return *this;
-  }
-
-  ProgramManifest& operator|=(const ProgramManifest& other) {
-    // Word bounds merge before the inject sets: a color only one side
-    // injects keeps that side's bound, a shared color keeps the weaker one.
-    for (Color c = 0; c < kNumRoutableColors; ++c) {
-      if (!color_set_contains(other.injects, c)) continue;
-      min_inject_words[c] = color_set_contains(injects, c)
-                                ? std::min(min_inject_words[c],
-                                           other.min_inject_words[c])
-                                : other.min_inject_words[c];
-    }
-    injects |= other.injects;
-    handles |= other.handles;
-    activates |= other.activates;
-    advances |= other.advances;
     return *this;
   }
 };
@@ -204,7 +186,7 @@ struct Program {
   std::vector<Instr> code;
   std::vector<Dsd> dsds;   // DSD operand table
   std::vector<u64> consts; // u64 constants (iteration limits)
-  u16 entry = 0;           // pc interpreted at the end of on_start
+  u16 entry = 0;           // pc the start task interprets at cycle 0
 };
 
 /// Reconstructs the static communication manifest from the instruction

@@ -2,10 +2,8 @@
 // The bytecode interpreter loop.
 //
 // Header-only template so the fabric can instantiate it against its
-// concrete (final) PeContext implementation — every ctx.dsd()/ctx.send()
-// call devirtualizes — while the analysis layer instantiates the same
-// loop against the generic PeContext for recorded (static) execution.
-// One source of truth for instruction semantics, two specializations.
+// concrete (final) PeContext implementation: every ctx.dsd()/ctx.send()
+// call devirtualizes.
 //
 // Charged instructions map 1:1 onto DsdEngine calls, so cycle cursors,
 // op counters and scheduled events follow the instruction stream exactly;

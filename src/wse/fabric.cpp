@@ -67,16 +67,8 @@ public:
       : fabric_(fabric), shard_(shard), pe_(pe), cursor_(cursor),
         engine_(pe.memory, pe.counters, fabric.timing(), cursor) {}
 
-  PeCoord coord() const override { return pe_.coord; }
-  i64 fabric_width() const override { return fabric_.width(); }
-  i64 fabric_height() const override { return fabric_.height(); }
-
   PeMemory& memory() override { return pe_.memory; }
   DsdEngine& dsd() override { return engine_; }
-
-  void configure_router(Color color, ColorConfig config) override {
-    pe_.router.configure(color, std::move(config));
-  }
 
   void send(Color color, Dsd src, ColorMask advance_after, Color completion) override {
     fabric_.ctx_send(shard_, pe_, color, src, advance_after, completion, cursor_);
@@ -112,8 +104,6 @@ public:
       ++shard_.halted;
     }
   }
-
-  f64 now() const override { return cursor_; }
 
 private:
   Fabric& fabric_;
@@ -239,12 +229,16 @@ void Fabric::load(const ProgramFactory& factory) {
   FVDF_CHECK_MSG(!loaded_, "fabric already loaded");
   loaded_ = true;
   for (auto& pe : pes_) {
-    pe->program = factory(pe->coord);
-    FVDF_CHECK(pe->program != nullptr);
+    pe->program = instantiate(factory, ImageSite{pe->coord, width_, height_,
+                                                 mem_params_});
+    const PeImage& image = pe->program->image();
+    for (const auto& [color, config] : image.routes)
+      pe->router.configure(color, config);
+    pe->memory.assign(image.allocations, image.arena);
     Event event;
     event.kind = EventKind::TaskStart;
     event.pe_index = pe_index(pe->coord.x, pe->coord.y);
-    event.color = kInvalidColor; // sentinel: on_start
+    event.color = kInvalidColor; // sentinel: the start task
     event.t = 0;
     stamp(*pe, event);
     enqueue_local(shard_of(event.pe_index), std::move(event));
@@ -938,11 +932,13 @@ void Fabric::run_task(Shard& shard, Pe& pe, Color color, f64 t) {
   FabricPeContext ctx(*this, shard, pe, cursor);
   ++shard.stats.tasks_run;
   emit_trace(shard, TraceEvent::TaskRun, t, pe, color, 0);
+  const bc::Program& program = *pe.program->bytecode();
+  bc::VmState& vm = pe.program->vm();
   if (color == kInvalidColor) {
-    pe.program->on_start(ctx);
+    // The start task: load() applied the image, so only the stream's
+    // entry block is left to run.
+    if (pe.program->image().run_entry) bc::run(ctx, vm, program, program.entry);
   } else {
-    const bc::Program& program = *pe.program->bytecode();
-    bc::VmState& vm = pe.program->vm();
     const u16 pc = vm.handler[color];
     FVDF_CHECK_MSG(pc != bc::kNoPc, "PE (" << pe.coord.x << ", " << pe.coord.y
                                             << "): task color "

@@ -81,11 +81,6 @@ struct FabricStats {
   bool operator==(const FabricStats&) const = default;
 };
 
-struct PeMemoryParams {
-  u64 capacity_bytes = 48 * 1024;
-  u64 reserved_bytes = 2048; // models program text + stack
-};
-
 /// Static per-directed-boundary lookahead information for the parallel
 /// engine. `out[s][d]` covers wavelets leaving shard s through cardinal
 /// side d (d indexes kCardinalDirs via cardinal_index: N=0, E=1, S=2,
@@ -128,25 +123,27 @@ public:
   i64 width() const { return width_; }
   i64 height() const { return height_; }
 
-  /// Instantiates one program per PE and schedules every on_start at t=0.
+  /// Instantiates one program per PE (wse::instantiate) and applies its
+  /// image: the routes, then the allocation map and the arena bytes. An
+  /// image that does not fit the arena, or a route the router rejects,
+  /// throws here. Then schedules every PE's start task at t=0, which runs
+  /// the stream's entry block.
   void load(const ProgramFactory& factory);
 
   /// Statically verifies `factory` against this fabric's geometry and
   /// memory parameters without running the event loop: route completeness,
   /// deadlock freedom, delivery liveness, switch-position liveness and the
-  /// per-PE memory budget. Does not modify this fabric — verification runs
-  /// on freshly instantiated per-PE state. Defined in src/analysis/ (link
+  /// per-PE memory budget. Does not modify this fabric — the verifier reads
+  /// freshly instantiated images. Defined in src/analysis/ (link
   /// fvdf_analysis to use it); see docs/static_verification.md.
   analysis::VerifyReport verify(const ProgramFactory& factory) const;
 
   /// Computes the channel-lookahead table for `factory` on this fabric's
-  /// shard layout by instantiating every PE's routing configuration
-  /// statically (the same recording pass the verifier uses — on_start runs
-  /// against a recording context, never the event loop). Sound under the
-  /// same contract the verifier documents: routing tables are fully
-  /// installed by on_start, and task-time sends are in the program's
-  /// bytecode. Defined in src/analysis/ (link fvdf_analysis); install the
-  /// result with set_channel_lookahead before run().
+  /// shard layout from every PE's image: its route table and the sends
+  /// its stream can make. Nothing runs. Sound because a PE's routes are
+  /// all in its image and its task-time sends are all in its stream.
+  /// Defined in src/analysis/ (link fvdf_analysis); install the result
+  /// with set_channel_lookahead before run().
   ChannelLookahead plan_channel_lookahead(const ProgramFactory& factory) const;
 
   /// Installs a channel-lookahead table (see ChannelLookahead). Must match
@@ -284,9 +281,8 @@ public:
 
   /// The distinct bytecode programs the loaded PEs dispatch into (PEs with
   /// coinciding lowering sites share one immutable program, so this is
-  /// small). Populated once on_start has run — i.e. after run() — which is
-  /// when the host profiler's pc histograms need names attached
-  /// (analysis::annotate_host_profile).
+  /// small). Valid after load(); the host profiler's pc histograms need
+  /// their names after run() (analysis::annotate_host_profile).
   std::vector<const bc::Program*> distinct_bytecode_programs() const;
 
 private:

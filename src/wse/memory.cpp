@@ -1,5 +1,6 @@
 #include "wse/memory.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -13,18 +14,20 @@ PeMemory::PeMemory(u64 capacity_bytes, u64 reserved_bytes)
   storage_.resize(capacity_ - reserved_, 0);
 }
 
+void PeMemory::overflow_fail(const std::string& name, u64 bytes) const {
+  std::ostringstream os;
+  os << "PE memory overflow allocating '" << name << "' (" << bytes
+     << " B): used " << used_ << " of " << (capacity_ - reserved_)
+     << " allocatable B (capacity " << capacity_ << ", reserved " << reserved_
+     << ")\n"
+     << allocation_map();
+  throw Error(os.str());
+}
+
 u32 PeMemory::alloc_raw(const std::string& name, u32 bytes) {
   // 4-byte aligned bump allocation.
   const u32 aligned = (bytes + 3u) & ~3u;
-  if (used_ + aligned > capacity_ - reserved_) {
-    std::ostringstream os;
-    os << "PE memory overflow allocating '" << name << "' (" << bytes
-       << " B): used " << used_ << " of " << (capacity_ - reserved_)
-       << " allocatable B (capacity " << capacity_ << ", reserved " << reserved_
-       << ")\n"
-       << allocation_map();
-    throw Error(os.str());
-  }
+  if (used_ + aligned > capacity_ - reserved_) overflow_fail(name, bytes);
   const u32 offset = static_cast<u32>(used_);
   used_ += aligned;
   allocations_.push_back({name, offset, aligned});
@@ -41,6 +44,15 @@ MemSpan PeMemory::alloc_bytes(const std::string& name, u32 count) {
   // For byte spans, offset_words carries the *byte* offset and length the
   // byte count; byte accessors interpret it that way.
   return MemSpan{offset_bytes, count};
+}
+
+void PeMemory::assign(const std::vector<Allocation>& allocations,
+                      const std::vector<u8>& contents) {
+  if (contents.size() > capacity_ - reserved_)
+    overflow_fail("image", contents.size());
+  std::copy(contents.begin(), contents.end(), storage_.begin());
+  used_ = contents.size();
+  allocations_ = allocations;
 }
 
 void PeMemory::bounds_fail(u32 word_offset, u32 count) const {

@@ -14,6 +14,12 @@
 
 namespace fvdf::wse {
 
+/// A fabric's per-PE arena size.
+struct PeMemoryParams {
+  u64 capacity_bytes = 48 * 1024;
+  u64 reserved_bytes = 2048; // models program text + stack
+};
+
 /// Handle to an fp32 array inside a PE's memory.
 struct MemSpan {
   u32 offset_words = 0; // offset in 32-bit words
@@ -22,6 +28,13 @@ struct MemSpan {
 
 class PeMemory {
 public:
+  /// One named span of the allocation map.
+  struct Allocation {
+    std::string name;
+    u32 offset_bytes;
+    u32 size_bytes;
+  };
+
   /// `capacity_bytes` models the PE's SRAM; `reserved_bytes` accounts for
   /// program text + stack (not individually simulated) and is subtracted
   /// from the allocatable budget.
@@ -98,13 +111,20 @@ public:
   /// Human-readable allocation map (used in OOM diagnostics and tests).
   std::string allocation_map() const;
 
-private:
-  struct Allocation {
-    std::string name;
-    u32 offset_bytes;
-    u32 size_bytes;
-  };
+  /// The allocation map and the allocated bytes [0, used_bytes()): what a
+  /// PE image (wse/program.hpp) records of the arena it was built in.
+  const std::vector<Allocation>& allocations() const { return allocations_; }
+  std::vector<u8> contents() const {
+    return std::vector<u8>(storage_.begin(),
+                           storage_.begin() + static_cast<std::ptrdiff_t>(used_));
+  }
 
+  /// Replaces the allocation map and the allocated bytes with an image's.
+  /// Throws the allocator's overflow error when they do not fit.
+  void assign(const std::vector<Allocation>& allocations,
+              const std::vector<u8>& contents);
+
+private:
   u32 alloc_raw(const std::string& name, u32 bytes);
 
   void check_words(u32 word_offset, u32 count) const {
@@ -112,6 +132,7 @@ private:
       bounds_fail(word_offset, count);
   }
   [[noreturn]] void bounds_fail(u32 word_offset, u32 count) const;
+  [[noreturn]] void overflow_fail(const std::string& name, u64 bytes) const;
 
   u64 capacity_;
   u64 reserved_;

@@ -1,16 +1,26 @@
 #pragma once
 // The SPMD program interface for simulated PEs.
 //
-// A PE program is event-driven, like CSL: it never loops waiting for data.
-// It receives control when (a) the fabric starts (`on_start`) or (b) a task
-// color activates — either a local activation or the completion callback of
-// an asynchronous send/receive. All side effects go through the PeContext.
-// Every program is a bytecode stream (wse/bytecode.hpp): the fabric has
-// one dispatch path, into the interpreter (wse/bytecode_interp.hpp).
+// A PE program has two parts, like a CSL program: a static layout and the
+// tasks that run on it. The layout is plain data, a PeImage: the PE's
+// route table, its allocation map with the initial arena bytes, and the
+// bytecode stream (wse/bytecode.hpp). Fabric::load applies the image; the
+// static analyses (src/analysis/) read it without running anything.
+//
+// The tasks are event-driven: a PE never loops waiting for data. It
+// receives control when the fabric starts (the stream's entry block) or
+// when a task color activates — either a local activation or the
+// completion callback of an asynchronous send/receive. Every side effect
+// of a task goes through the PeContext, and the fabric has one dispatch
+// path, into the interpreter (wse/bytecode_interp.hpp).
 
 #include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "common/types.hpp"
 #include "wse/bytecode.hpp"
 #include "wse/color.hpp"
 #include "wse/dsd.hpp"
@@ -26,15 +36,8 @@ class PeContext {
 public:
   virtual ~PeContext() = default;
 
-  virtual PeCoord coord() const = 0;
-  virtual i64 fabric_width() const = 0;
-  virtual i64 fabric_height() const = 0;
-
   virtual PeMemory& memory() = 0;
   virtual DsdEngine& dsd() = 0;
-
-  /// Installs a route for `color` on this PE's router.
-  virtual void configure_router(Color color, ColorConfig config) = 0;
 
   /// Asynchronously sends `src` out on `color` (the router's current switch
   /// position decides where it goes). If `advance_after` is non-zero, a
@@ -62,9 +65,6 @@ public:
   /// Marks this PE finished; the fabric run completes when all PEs halt.
   virtual void halt() = 0;
 
-  /// Current task-local time in cycles.
-  virtual f64 now() const = 0;
-
   // --- telemetry hooks (no-ops unless the fabric has a collector; see
   // telemetry/collector.hpp and docs/observability.md) ---
 
@@ -81,55 +81,125 @@ public:
   }
 };
 
-/// A PE's program: one flat instruction stream (wse/bytecode.hpp) and the
-/// interpreter state it keeps between tasks. At fabric start (cycle 0) the
-/// start step installs routes, allocates and uploads through the context
-/// and hands back this PE's stream; the stream's entry block then runs.
-/// Every later task activation — a local activation or the completion of
-/// a send/receive — enters the interpreter at the handler the stream bound
-/// for that color (SETH). The stream is also the only source of the PE's
-/// communication facts for the static analyses (src/analysis/): what the
-/// recorded start step did plus what the instructions can do.
+/// Where a PE program is built: the PE and the fabric it loads into.
+struct ImageSite {
+  PeCoord coord{};
+  i64 width = 1;
+  i64 height = 1;
+  PeMemoryParams mem{};
+};
+
+/// One PE's program as a plain value: the static layout plus the stream.
+struct PeImage {
+  std::vector<std::pair<Color, ColorConfig>> routes; // in install order
+  std::vector<PeMemory::Allocation> allocations;      // the allocation map
+  std::vector<u8> arena; // initial arena contents, bytes [0, used_bytes())
+  /// PEs with the same lowering may share one stream; the shared_ptr keeps
+  /// it alive for a caller that keys anything by its address.
+  std::shared_ptr<const bc::Program> program;
+  /// Whether the fabric interprets the stream's entry block at cycle 0.
+  /// Off for streams only the static analyses read (seeded defects).
+  bool run_entry = true;
+
+  u64 used_bytes() const { return arena.size(); }
+};
+
+/// Writes a PeImage: routes and allocations go into the image, and uploads
+/// are stores into a probe arena of the site's size, whose allocated bytes
+/// become the image's initial contents. An allocation past the arena
+/// throws the allocator's overflow error here, when the image is built.
+class ImageBuilder {
+public:
+  explicit ImageBuilder(const ImageSite& site);
+
+  PeCoord coord() const { return site_.coord; }
+  i64 fabric_width() const { return site_.width; }
+  i64 fabric_height() const { return site_.height; }
+
+  /// Records a route for `color` (a later route for the same color
+  /// replaces it when the image is applied, as Router::configure does).
+  void configure_router(Color color, ColorConfig config) {
+    routes_.emplace_back(color, std::move(config));
+  }
+
+  PeMemory& memory() { return memory_; }
+
+  /// The finished image, with `program` as its stream.
+  PeImage finish(std::shared_ptr<const bc::Program> program,
+                 bool run_entry = true);
+
+private:
+  ImageSite site_;
+  PeMemory memory_;
+  std::vector<std::pair<Color, ColorConfig>> routes_;
+};
+
+/// The site the calling thread is instantiating a program factory for.
+/// Throws outside instantiate(): see PeProgram(body).
+const ImageSite& current_image_site();
+
+/// A PE's program: one image and the interpreter state it keeps between
+/// tasks. At fabric start (cycle 0) the stream's entry block runs; every
+/// later task activation enters the interpreter at the handler the stream
+/// bound for that color (SETH).
 class PeProgram {
 public:
-  using Start =
-      std::function<std::shared_ptr<const bc::Program>(PeContext&)>;
-  using Setup = std::function<void(PeContext&)>;
+  explicit PeProgram(PeImage image);
 
-  explicit PeProgram(Start start);
-  /// A loaded stream whose entry block never runs: `setup` (may be null)
-  /// installs routes and allocations, and only the static analyses read
-  /// the stream. The seeded bytecode defects use this form.
-  PeProgram(std::shared_ptr<const bc::Program> program, Setup setup);
+  /// Builds the image at the current image site by running `body`, which
+  /// writes routes, allocations and uploads through the ImageBuilder and
+  /// returns the stream. For factories that know no more than the PE's
+  /// coordinate (tests, fixtures and examples).
+  template <typename Body,
+            typename = std::enable_if_t<std::is_invocable_v<Body&, ImageBuilder&>>>
+  explicit PeProgram(Body&& body)
+      : PeProgram(build(current_image_site(), body, true)) {}
+
+  /// A stream whose entry block never runs: `setup` writes routes and
+  /// allocations, and only the static analyses read the stream. The
+  /// seeded bytecode defects use this form.
+  template <typename Setup>
+  PeProgram(std::shared_ptr<const bc::Program> program, Setup&& setup)
+      : PeProgram(build(
+            current_image_site(),
+            [&](ImageBuilder& image) {
+              setup(image);
+              return std::move(program);
+            },
+            false)) {}
+
+  /// Virtual only so that the solver's constructor-only subclasses
+  /// (core/bytecode_program.hpp) can be deleted through a PeProgram.
   virtual ~PeProgram() = default;
   PeProgram(const PeProgram&) = delete;
   PeProgram& operator=(const PeProgram&) = delete;
 
-  /// Runs once at fabric start: the start step, then the entry block.
-  void on_start(PeContext& ctx);
-
-  /// This PE's stream (null before on_start). PEs with the same lowering
-  /// may share one stream; the shared_ptr keeps it alive for a caller
-  /// that keys anything by its address.
-  const bc::Program* bytecode() const { return program_.get(); }
+  const PeImage& image() const { return image_; }
+  const bc::Program* bytecode() const { return image_.program.get(); }
   const std::shared_ptr<const bc::Program>& shared_bytecode() const {
-    return program_;
+    return image_.program;
   }
   bc::VmState& vm() { return vm_; }
 
-protected:
-  PeProgram() = default;
-  /// The start step. Subclasses whose start step is more than a function
-  /// (the solver programs, which lower at construction) override it.
-  virtual std::shared_ptr<const bc::Program> start(PeContext& ctx);
-
 private:
-  Start start_;
-  bool run_entry_ = true;
-  std::shared_ptr<const bc::Program> program_;
+  template <typename Body>
+  static PeImage build(const ImageSite& site, Body&& body, bool run_entry) {
+    ImageBuilder image(site);
+    std::shared_ptr<const bc::Program> program = body(image);
+    return image.finish(std::move(program), run_entry);
+  }
+
+  PeImage image_;
   bc::VmState vm_;
 };
 
 using ProgramFactory = std::function<std::unique_ptr<PeProgram>(PeCoord)>;
+
+/// Calls `factory` for `site.coord` with `site` as the current image site,
+/// so programs built from a start body alone see the PE, the fabric and
+/// the arena size the caller loads them into. Fabric::load, the verifier
+/// and the lookahead planner instantiate every PE through this.
+std::unique_ptr<PeProgram> instantiate(const ProgramFactory& factory,
+                                       const ImageSite& site);
 
 } // namespace fvdf::wse

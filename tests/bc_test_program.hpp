@@ -1,8 +1,8 @@
 #pragma once
 // Hand-written test programs. A test program is what every PE program is:
-// a start step that installs routes, allocates and uploads through the
-// context, and a bytecode stream (wse/bytecode.hpp). `body` does both —
-// it configures the PE and writes the stream, whose first instruction is
+// an image (wse/program.hpp) holding routes, allocations, uploads and a
+// bytecode stream (wse/bytecode.hpp). `body` writes both — the layout
+// through the image builder, and the stream, whose first instruction is
 // the entry block; task handlers are blocks bound with SETH.
 
 #include <functional>
@@ -15,11 +15,11 @@
 namespace fvdf::test_util {
 
 using ProgramBody =
-    std::function<void(wse::PeContext&, wse::bc::Builder&)>;
+    std::function<void(wse::ImageBuilder&, wse::bc::Builder&)>;
 
 inline std::unique_ptr<wse::PeProgram> bc_program(ProgramBody body) {
   return std::make_unique<wse::PeProgram>(
-      [body = std::move(body)](wse::PeContext& ctx) {
+      [body = std::move(body)](wse::ImageBuilder& ctx) {
         wse::bc::Builder b("test");
         body(ctx, b);
         return std::make_shared<const wse::bc::Program>(b.finish());

@@ -158,7 +158,7 @@ TEST(VerifyDefects, DefectsScaleWithFabric) {
 /// Two switch positions but nobody ever advances the color; the
 /// injection is a control wavelet in a handler that never runs.
 std::unique_ptr<wse::PeProgram> stuck_switch_program() {
-  return std::make_unique<wse::PeProgram>([](wse::PeContext& ctx) {
+  return std::make_unique<wse::PeProgram>([](wse::ImageBuilder& ctx) {
     wse::ColorConfig config;
     config.positions = {
         wse::SwitchPosition{wse::DirMask::of(wse::Dir::Ramp), {}},
@@ -706,7 +706,7 @@ std::unique_ptr<wse::PeProgram> fresh_program(const char* name,
   b.ret();
   return std::make_unique<wse::PeProgram>(
       std::make_shared<const bc::Program>(b.finish()),
-      [](wse::PeContext& ctx) { ctx.memory().alloc_f32("buf", 16); });
+      [](wse::ImageBuilder& ctx) { ctx.memory().alloc_f32("buf", 16); });
 }
 
 TEST(VerifyCaches, FreshPerPeProgramsAreEachAnalyzed) {
@@ -730,7 +730,7 @@ TEST(LookaheadCaches, FreshInjectorAfterAQuietProgramStillCrosses) {
   constexpr u32 kWords = 4;
   const wse::ProgramFactory factory = [](wse::PeCoord coord) {
     if (coord.x == 0) return fresh_program("quiet", false);
-    return std::make_unique<wse::PeProgram>([](wse::PeContext& ctx) {
+    return std::make_unique<wse::PeProgram>([](wse::ImageBuilder& ctx) {
       wse::ColorConfig west;
       west.positions = {wse::SwitchPosition{wse::DirMask::of(wse::Dir::Ramp),
                                             wse::DirMask::of(wse::Dir::West)}};

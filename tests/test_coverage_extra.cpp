@@ -29,7 +29,7 @@ using wse::Dsd;
 using wse::dsd;
 using wse::Fabric;
 using wse::MemSpan;
-using wse::PeContext;
+using wse::ImageBuilder;
 using wse::PeCoord;
 using wse::SwitchPosition;
 
@@ -57,7 +57,7 @@ TEST(FabricExtra, QueuedReceiveDescriptorsFillInFifoOrder) {
   constexpr Color kFirst = 24, kSecond = 25;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         ctx.configure_router(kData, route_to(Dir::East));
         const MemSpan first = ctx.memory().alloc_f32("a", 2);
@@ -104,7 +104,7 @@ TEST(FabricExtra, StridedReceiveScattersWords) {
   constexpr Color kData = 0;
   constexpr Color kDone = 24;
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         ctx.configure_router(kData, route_to(Dir::East));
         const MemSpan src = ctx.memory().alloc_f32("src", 3);
@@ -141,7 +141,7 @@ TEST(FabricExtra, ControlOnlySendAdvancesRemoteRouter) {
   Fabric fabric(2, 1);
   constexpr Color kCtl = 5;
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       ColorConfig ring;
       if (coord.x == 0) {
         ring.positions = {SwitchPosition{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)},
@@ -170,7 +170,7 @@ TEST(FabricExtra, LinkSerializesConsecutiveMessages) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return bc_program([coord, messages](PeContext& ctx, bc::Builder& b) {
+      return bc_program([coord, messages](ImageBuilder& ctx, bc::Builder& b) {
         if (coord.x == 0) {
           ctx.configure_router(kData, route_to(Dir::East));
           const u8 src = b.dsd(dsd(ctx.memory().alloc_f32("src", 512)));

@@ -28,7 +28,7 @@ using wse::Dir;
 using wse::dsd;
 using wse::Fabric;
 using wse::MemSpan;
-using wse::PeContext;
+using wse::ImageBuilder;
 using wse::PeCoord;
 using wse::PeProgram;
 namespace bc = wse::bc;
@@ -55,7 +55,7 @@ struct HaloLayout {
 // for its flux).
 wse::ProgramFactory halo_test_program(u32 nz, u32 rounds, HaloLayout* out) {
   return [=](PeCoord) {
-    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](ImageBuilder& ctx) {
       HaloExchange().configure(ctx);
       HaloLayout& L = *out;
       L.column = ctx.memory().alloc_f32("column", nz);
@@ -197,7 +197,7 @@ wse::ProgramFactory allreduce_test_program(
     const std::function<f32(PeCoord)>& value_of, u32 rounds, MemSpan* results) {
   return [=](PeCoord coord) {
     const f32 value = value_of(coord);
-    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](ImageBuilder& ctx) {
       AllReduce reduce;
       reduce.configure(ctx);
       *results = ctx.memory().alloc_f32("results", rounds);
@@ -301,7 +301,7 @@ struct ExchangeLayout {
 // through csl::EastwardEmitter, then halt.
 wse::ProgramFactory eastward_test_program(u32 nz, ExchangeLayout* out) {
   return [=](PeCoord) {
-    return std::make_unique<PeProgram>([=](PeContext& ctx) {
+    return std::make_unique<PeProgram>([=](ImageBuilder& ctx) {
       EastwardExchange().configure(ctx);
       ExchangeLayout& L = *out;
       L.mine = ctx.memory().alloc_f32("mine", nz);

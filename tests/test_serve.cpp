@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
@@ -606,6 +607,26 @@ TEST(ServeServer, RejectsAnHttpBodyOverOneMiBBeforeReadingIt) {
   send_best_effort(health, "GET /healthz HTTP/1.1\r\n\r\n");
   EXPECT_NE(read_to_close(health).find("\r\n\r\nok\n"), std::string::npos);
   ::close(health);
+}
+
+TEST(ServeServer, JoinsFinishedConnectionThreads) {
+  LimitsDaemon daemon;
+  const auto round_trip = [&] {
+    Client client;
+    client.connect(daemon.socket_path);
+    client.ping();
+    EXPECT_EQ(client.read_event().get_string("event", ""), "pong");
+  };
+  for (int i = 0; i < 50; ++i) round_trip();
+  // Each accept joins the threads finished by then; one still closing
+  // when the next connection arrives is joined at the connection after.
+  std::size_t threads = daemon.server->connection_threads();
+  for (int tries = 0; tries < 100 && threads > 1; ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    round_trip();
+    threads = daemon.server->connection_threads();
+  }
+  EXPECT_LE(threads, 1u);
 }
 
 } // namespace

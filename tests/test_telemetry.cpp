@@ -12,6 +12,7 @@
 #include "core/solver.hpp"
 #include "fv/operator.hpp"
 #include "fv/problem.hpp"
+#include "serve/json.hpp"
 #include "solver/chebyshev.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/heatmap.hpp"
@@ -188,10 +189,9 @@ TEST(TelemetryPhases, ChebyshevSolveIsAttributedToo) {
 
 TEST(TelemetryExports, JsonDocumentsAreValid) {
   const Profiled run = profiled_solve(1);
-  std::string error;
-  EXPECT_TRUE(validate_json(run.metrics, &error)) << error;
-  EXPECT_TRUE(validate_json(run.trace, &error)) << error;
-  EXPECT_TRUE(validate_json(run.progress, &error)) << error;
+  EXPECT_NO_THROW(serve::JsonValue::parse(run.metrics));
+  EXPECT_NO_THROW(serve::JsonValue::parse(run.trace));
+  EXPECT_NO_THROW(serve::JsonValue::parse(run.progress));
 }
 
 TEST(TelemetryExports, ChromeTraceHasRequiredStructure) {
@@ -266,24 +266,25 @@ TEST(TelemetryExports, HeatmapsMatchActivityTable) {
   }
 }
 
-// --- JSON validator -------------------------------------------------------
+// --- JSON reader ----------------------------------------------------------
 
-TEST(TelemetryJson, ValidatorAcceptsAndRejects) {
-  std::string error;
-  EXPECT_TRUE(validate_json("{}", &error));
-  EXPECT_TRUE(validate_json("[1,2.5e-3,\"x\",null,true,{\"k\":[]}]", &error));
-  EXPECT_FALSE(validate_json("", &error));
-  EXPECT_FALSE(validate_json("{", &error));
-  EXPECT_FALSE(validate_json("{\"a\":1,}", &error));
-  EXPECT_FALSE(validate_json("[1] trailing", &error));
-  EXPECT_FALSE(validate_json("{'a':1}", &error));
-  EXPECT_FALSE(validate_json("[01]", &error));
+TEST(TelemetryJson, ReaderAcceptsAndRejects) {
+  EXPECT_NO_THROW(serve::JsonValue::parse("{}"));
+  EXPECT_NO_THROW(
+      serve::JsonValue::parse("[1,2.5e-3,\"x\",null,true,{\"k\":[]}]"));
+  EXPECT_THROW(serve::JsonValue::parse(""), Error);
+  EXPECT_THROW(serve::JsonValue::parse("{"), Error);
+  EXPECT_THROW(serve::JsonValue::parse("{\"a\":1,}"), Error);
+  EXPECT_THROW(serve::JsonValue::parse("[1] trailing"), Error);
+  EXPECT_THROW(serve::JsonValue::parse("{'a':1}"), Error);
+  EXPECT_THROW(serve::JsonValue::parse("[01]"), Error);
 }
 
-TEST(TelemetryJson, WriterRoundTripsThroughValidator) {
+TEST(TelemetryJson, WriterRoundTripsThroughReader) {
+  const std::string text_in = "quote\" slash\\ newline\n tab\t cr\r soh\x01";
   JsonWriter w;
   w.begin_object();
-  w.kv("text", "quote\" slash\\ newline\n tab\t");
+  w.kv("text", text_in);
   w.kv("inf", std::numeric_limits<f64>::infinity()); // serialized as null
   w.kv("num", 0.1);
   w.key("list").begin_array();
@@ -292,9 +293,11 @@ TEST(TelemetryJson, WriterRoundTripsThroughValidator) {
   w.end_array();
   w.end_object();
   const std::string text = w.take();
-  std::string error;
-  EXPECT_TRUE(validate_json(text, &error)) << text << "\n" << error;
   EXPECT_NE(text.find("\"inf\":null"), std::string::npos);
+  EXPECT_NE(text.find("cr\\r soh\\u0001"), std::string::npos) << text;
+  const serve::JsonValue doc = serve::JsonValue::parse(text);
+  EXPECT_EQ(doc.get_string("text", ""), text_in);
+  EXPECT_EQ(doc.get_f64("num", 0), 0.1);
 }
 
 // --- metrics registry -----------------------------------------------------
@@ -322,8 +325,7 @@ TEST(TelemetryRegistry, ShardedCountersMergeDeterministically) {
 
   JsonWriter w;
   registry.write_json(w);
-  std::string error;
-  EXPECT_TRUE(validate_json(w.take(), &error)) << error;
+  EXPECT_NO_THROW(serve::JsonValue::parse(w.take()));
 }
 
 // --- collector unit behavior ----------------------------------------------

@@ -214,7 +214,7 @@ TEST(Faults, CorruptedPayloadIsCaughtByValidation) {
 wse::ProgramFactory broadcast_program(wse::PeCoord source, u32 words,
                                       wse::MemSpan* out) {
   return [=](wse::PeCoord) {
-    return std::make_unique<wse::PeProgram>([=](wse::PeContext& ctx) {
+    return std::make_unique<wse::PeProgram>([=](wse::ImageBuilder& ctx) {
       csl::AnySourceBroadcast().configure(ctx, source);
       *out = ctx.memory().alloc_f32("block", words);
       const bool am_source = ctx.coord() == source;

@@ -43,7 +43,7 @@ ColorConfig from_west() {
 
 // Sender half of the point-to-point tests: PE (0,0) sends `words`
 // words (1, 2, ... unless `values` is given) east, then halts.
-void emit_send_east(PeContext& ctx, bc::Builder& b, Color data, u32 words,
+void emit_send_east(ImageBuilder& ctx, bc::Builder& b, Color data, u32 words,
                     const std::vector<f32>& values = {}) {
   ctx.configure_router(data, to_east());
   const MemSpan src = ctx.memory().alloc_f32("src", words);
@@ -57,7 +57,7 @@ void emit_send_east(PeContext& ctx, bc::Builder& b, Color data, u32 words,
 
 // Receiver half: arms one `words`-word receive on `data`; its completion
 // halts the PE.
-void emit_recv_then_halt(PeContext& ctx, bc::Builder& b, Color data,
+void emit_recv_then_halt(ImageBuilder& ctx, bc::Builder& b, Color data,
                          Color done, u32 words) {
   const MemSpan dst = ctx.memory().alloc_f32("dst", words);
   const auto on_done = b.make_label();
@@ -75,7 +75,7 @@ TEST(Fabric, PointToPointTransferDeliversWordsInOrder) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 4);
       } else {
@@ -101,7 +101,7 @@ TEST(Fabric, InboxBuffersDataArrivingBeforeRecv) {
   constexpr Color kDone = 26;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 2, {5.0f, 6.0f});
         return;
@@ -136,7 +136,7 @@ TEST(Fabric, MultiHopChainForwardsThroughMiddleRouter) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 1, {9.0f});
       } else if (coord.x == 1) {
@@ -164,7 +164,7 @@ TEST(Fabric, BroadcastFanoutDeliversToRampAndForwards) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 1, {4.5f});
         return;
@@ -192,7 +192,7 @@ TEST(Fabric, ControlWaveletAdvancesEveryRouterItTraverses) {
   constexpr Color kDone = 24;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       ColorConfig ring;
       if (coord.x == 0) {
         ring.positions = {
@@ -227,7 +227,7 @@ TEST(Fabric, ControlWaveletAdvancesEveryRouterItTraverses) {
 // (accepting West only in the last one), arms a 1-word receive, burns
 // enough cycles that the flit arrives (and stalls) first, then each poke
 // advances the switch once.
-void emit_stalling_receiver(PeContext& ctx, bc::Builder& b, Color data,
+void emit_stalling_receiver(ImageBuilder& ctx, bc::Builder& b, Color data,
                             std::vector<SwitchPosition> positions,
                             const std::vector<Color>& pokes, Color done) {
   ColorConfig config;
@@ -266,7 +266,7 @@ TEST(Fabric, BackpressureStallsUntilAdvance) {
   constexpr Color kDone = 26;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 1, {2.5f});
         return;
@@ -287,7 +287,7 @@ TEST(Fabric, EdgeSendsAreDroppedAndCounted) {
   Fabric fabric(1, 1);
   constexpr Color kData = 0;
   fabric.load([&](PeCoord) {
-    return bc_program([](PeContext& ctx, bc::Builder& b) {
+    return bc_program([](ImageBuilder& ctx, bc::Builder& b) {
       emit_send_east(ctx, b, kData, 3);
     });
   });
@@ -302,7 +302,7 @@ TEST(Fabric, RunIsDeterministic) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
         if (coord.x == 0) {
           std::vector<f32> values;
           for (u32 i = 0; i < 8; ++i)
@@ -340,7 +340,7 @@ TEST(Fabric, CycleLimitStopsRunawayPrograms) {
   Fabric fabric(1, 1);
   constexpr Color kLoop = 24;
   fabric.load([&](PeCoord) {
-    return bc_program([](PeContext&, bc::Builder& b) {
+    return bc_program([](ImageBuilder&, bc::Builder& b) {
       const auto loop = b.make_label();
       b.seth(kLoop, loop);
       b.act(kLoop);
@@ -364,7 +364,7 @@ TEST(Fabric, SendCompletionFiresAfterInjection) {
   constexpr Color kData = 0;
   constexpr Color kSent = 24;
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       const auto sent = b.make_label();
       b.seth(kSent, sent);
       if (coord.x == 0) {
@@ -389,7 +389,7 @@ TEST(Fabric, SendCompletionFiresAfterInjection) {
 TEST(Fabric, StatsAggregateCounters) {
   Fabric fabric(2, 2);
   fabric.load([&](PeCoord) {
-    return bc_program([](PeContext& ctx, bc::Builder& b) {
+    return bc_program([](ImageBuilder& ctx, bc::Builder& b) {
       const u8 a = b.dsd(dsd(ctx.memory().alloc_f32("a", 10)));
       b.vmovi(a, 1.0f);
       b.vmuli(a, a, 2.0f);
@@ -406,7 +406,7 @@ TEST(Fabric, StatsAggregateCounters) {
 }
 
 std::unique_ptr<PeProgram> halt_program() {
-  return bc_program([](PeContext&, bc::Builder& b) {
+  return bc_program([](ImageBuilder&, bc::Builder& b) {
     b.halt();
     b.ret();
   });
@@ -421,13 +421,53 @@ TEST(Fabric, InvalidUsagesThrow) {
   EXPECT_TRUE(fabric.run().all_halted);
 }
 
+TEST(Fabric, LoadAppliesEachImageBeforeTheRun) {
+  // load() installs every image's routes, allocation map and uploaded
+  // bytes; the run only interprets the streams.
+  Fabric fabric(2, 1);
+  fabric.load([](PeCoord coord) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
+      ctx.configure_router(0, coord.x == 0 ? to_east() : from_west());
+      const MemSpan span = ctx.memory().alloc_f32("value", 1);
+      ctx.memory().store(span.offset_words, 10.0f + static_cast<f32>(coord.x));
+      b.halt();
+      b.ret();
+    });
+  });
+  EXPECT_TRUE(fabric.pe_router(0, 0).is_configured(0));
+  EXPECT_TRUE(fabric.pe_router(1, 0).config(0).positions[0].rx.contains(Dir::West));
+  EXPECT_EQ(fabric.pe_memory(1, 0).load(0), 11.0f);
+  EXPECT_NE(fabric.pe_memory(0, 0).allocation_map().find("value"),
+            std::string::npos);
+  EXPECT_EQ(fabric.distinct_bytecode_programs().size(), 2u);
+  EXPECT_TRUE(fabric.run().all_halted);
+}
+
+TEST(Fabric, ArenaOverflowThrowsAtLoad) {
+  Fabric fabric(1, 1, {}, PeMemoryParams{1024, 0});
+  try {
+    fabric.load([](PeCoord) {
+      return bc_program([](ImageBuilder& ctx, bc::Builder& b) {
+        (void)ctx.memory().alloc_f32("too-big", 300); // 1200 B > 1024 B
+        b.ret();
+      });
+    });
+    FAIL() << "an image past the arena must not load";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("PE memory overflow allocating "
+                                         "'too-big'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Fabric, ActivatingAColorWithNoBoundHandlerThrows) {
   // The interpreter is the only dispatch path: an activation the stream
   // never bound a handler for is a program bug, never silently dropped.
   Fabric fabric(1, 1);
   constexpr Color kUnbound = 26;
   fabric.load([&](PeCoord) {
-    return bc_program([](PeContext&, bc::Builder& b) {
+    return bc_program([](ImageBuilder&, bc::Builder& b) {
       b.act(kUnbound);
       b.ret();
     });
@@ -468,7 +508,7 @@ TEST(Fabric, RejectedAdvanceReparksWithoutEventOrTraceInflation) {
   constexpr Color kDone = 27;
 
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.x == 0) {
         emit_send_east(ctx, b, kData, 1, {3.5f});
         return;
@@ -494,7 +534,7 @@ TEST(Fabric, LargerMessagesTakeLongerOnTheLink) {
     constexpr Color kData = 0;
     constexpr Color kDone = 24;
     fabric.load([&](PeCoord coord) {
-      return bc_program([coord, words](PeContext& ctx, bc::Builder& b) {
+      return bc_program([coord, words](ImageBuilder& ctx, bc::Builder& b) {
         if (coord.x == 0) {
           emit_send_east(ctx, b, kData, words);
         } else {
@@ -525,7 +565,7 @@ struct HaloBuffers {
 
 // One four-step halo exchange lowered through csl::HaloEmitter, then halt.
 std::unique_ptr<PeProgram> halo_program(u32 nz, HaloBuffers* out) {
-  return bc_program([nz, out](PeContext& ctx, bc::Builder& b) {
+  return bc_program([nz, out](ImageBuilder& ctx, bc::Builder& b) {
     csl::HaloExchange().configure(ctx);
     HaloBuffers& L = *out;
     L.column = ctx.memory().alloc_f32("column", nz);
@@ -594,7 +634,7 @@ TEST(BytecodeCollectives, HaloExchangeMatchesGolden) {
 
 // Whole-fabric all-reduce, one round, result stored to a known slot.
 std::unique_ptr<PeProgram> reduce_program(f32 value, MemSpan* result) {
-  return bc_program([value, result](PeContext& ctx, bc::Builder& b) {
+  return bc_program([value, result](ImageBuilder& ctx, bc::Builder& b) {
     csl::AllReduce reduce;
     reduce.configure(ctx); // allocates the value/in slots + routes
     *result = ctx.memory().alloc_f32("result", 1);

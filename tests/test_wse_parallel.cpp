@@ -107,7 +107,7 @@ void load_cross_shard_program(Fabric& fabric) {
   constexpr Color kData = 0;
   constexpr Color kDone = 24;
   fabric.load([](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       const bool sender = coord.y == 0 || coord.y == 2;
       const u32 words = 4 + static_cast<u32>(coord.x) * 3;
       if (sender) {
@@ -185,7 +185,7 @@ TEST(ParallelFabric, BackpressureStallsAcrossShardBoundary) {
     constexpr Color kDone = 24;
 
     fabric.load([&](PeCoord coord) {
-      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
         if (coord.y == 0) {
           ColorConfig south;
           south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
@@ -240,7 +240,7 @@ TEST(ParallelFabric, LocalOnlyWorkloadFinishesInOneRound) {
     EXPECT_EQ(fabric.shard_count(), 6u);
     fabric.set_threads(threads);
     fabric.load([](PeCoord) {
-      return bc_program([](PeContext& ctx, bc::Builder& b) {
+      return bc_program([](ImageBuilder& ctx, bc::Builder& b) {
         b.vmovi(b.dsd(dsd(ctx.memory().alloc_f32("buf", 16))), 1.0f);
         b.halt();
         b.ret();
@@ -542,7 +542,7 @@ TEST(ParallelFabric, AutoLayoutIsOneShardAtOneWorker) {
   // how many workers run() uses.
   Fabric loaded(1, 40);
   loaded.load([](PeCoord) {
-    return bc_program([](PeContext&, bc::Builder& b) {
+    return bc_program([](ImageBuilder&, bc::Builder& b) {
       b.halt();
       b.ret();
     });
@@ -575,7 +575,7 @@ TEST(ParallelFabric, RelayoutResetsLookaheadAndRebindsTelemetry) {
   ASSERT_EQ(fabric.shard_count(), 4u); // 8x8 -> 2x2 tiles
   EXPECT_EQ(fabric.channel_lookahead().out.size(), 4u);
   fabric.load([](PeCoord) {
-    return bc_program([](PeContext&, bc::Builder& b) {
+    return bc_program([](ImageBuilder&, bc::Builder& b) {
       b.phase(1);
       b.halt();
       b.ret();
@@ -610,7 +610,7 @@ FifoRun run_fifo_program(ShardGrid grid, u32 threads) {
   TraceBuffer buffer;
   fabric.set_trace(buffer.sink());
   fabric.load([&](PeCoord coord) {
-    return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+    return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
       if (coord.y == 0) {
         ColorConfig south;
         south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
@@ -703,7 +703,7 @@ TEST(ParallelFabric, LongDescriptorQueueDrainsInOrder) {
     Fabric fabric(1, 2, {}, {}, grid);
     fabric.set_threads(threads);
     fabric.load([&](PeCoord coord) {
-      return bc_program([coord](PeContext& ctx, bc::Builder& b) {
+      return bc_program([coord](ImageBuilder& ctx, bc::Builder& b) {
         if (coord.y == 0) {
           ColorConfig south;
           south.positions = {SwitchPosition{DirMask::of(Dir::Ramp),
@@ -741,7 +741,7 @@ TEST(ParallelFabric, LongDescriptorQueueDrainsInOrder) {
   const auto serial = run(ShardGrid{1, 1}, 1);
   for (u32 i = 0; i < kSlots; ++i)
     ASSERT_EQ(serial.first[i], static_cast<f32>(kSlots - 1 - i)) << "slot " << i;
-  EXPECT_EQ(serial.second.tasks_run, 2u + kSlots); // two on_starts + completions
+  EXPECT_EQ(serial.second.tasks_run, 2u + kSlots); // two start tasks + completions
   const auto split = run(ShardGrid{2, 1}, 2);
   EXPECT_EQ(split.first, serial.first);
   EXPECT_TRUE(split.second == serial.second);

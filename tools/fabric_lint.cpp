@@ -42,6 +42,7 @@
 #include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
+#include "telemetry/json.hpp"
 #include "wse/bytecode.hpp"
 
 using namespace fvdf;
@@ -68,25 +69,6 @@ bool parse_fabric(const std::string& arg, i64& width, i64& height) {
 
 // ---------- JSON output (--format json) ----------
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char ch : s) {
-    switch (ch) {
-    case '"': os << "\\\""; break;
-    case '\\': os << "\\\\"; break;
-    case '\n': os << "\\n"; break;
-    case '\t': os << "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(ch) < 0x20) {
-        os << "\\u00" << std::hex << static_cast<int>(ch) << std::dec;
-      } else {
-        os << ch;
-      }
-    }
-  }
-  return os.str();
-}
-
 /// One finding row of the JSON report: the diagnostic plus which lint
 /// target (program under verification) produced it.
 struct JsonSink {
@@ -96,15 +78,18 @@ struct JsonSink {
 
   void add(const std::string& target, const analysis::Diagnostic& diag) {
     if (!enabled) return;
-    rows << (count++ ? ",\n" : "\n");
-    rows << "    {\"program\": \"" << json_escape(target) << "\", "
-         << "\"check\": \"" << analysis::to_string(diag.check) << "\", "
-         << "\"severity\": \""
-         << (diag.severity == analysis::Severity::Error ? "error" : "warning")
-         << "\", \"pe\": [" << diag.pe.x << ", " << diag.pe.y << "], "
-         << "\"color\": " << static_cast<i32>(diag.color) << ", "
-         << "\"pc\": " << diag.pc << ", "
-         << "\"message\": \"" << json_escape(diag.message) << "\"}";
+    telemetry::JsonWriter row;
+    row.begin_object()
+        .kv("program", target)
+        .kv("check", analysis::to_string(diag.check))
+        .kv("severity",
+            diag.severity == analysis::Severity::Error ? "error" : "warning");
+    row.key("pe").begin_array().value(diag.pe.x).value(diag.pe.y).end_array();
+    row.kv("color", static_cast<i32>(diag.color))
+        .kv("pc", diag.pc)
+        .kv("message", diag.message)
+        .end_object();
+    rows << (count++ ? ",\n" : "\n") << "    " << row.take();
   }
 
   void finish(bool ok, u64 programs) const {
