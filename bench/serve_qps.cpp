@@ -76,7 +76,10 @@ WorkerTally run_client(const std::string& socket_path, u32 worker_index,
     const u64 seed =
         hot ? 1 : 1000 + worker_index * cold_cases + (i / 2) % cold_cases;
     serve::Client::SolveRequest request;
-    request.id = "w" + std::to_string(worker_index) + "-" + std::to_string(i);
+    request.id = std::string("w")
+                     .append(std::to_string(worker_index))
+                     .append("-")
+                     .append(std::to_string(i));
     request.case_text = case_text(seed);
     const f64 start = now_seconds();
     client.solve(request);

@@ -104,14 +104,6 @@ Span dsd_span(const Program& p, u32 idx) {
   return {std::min(first, last), std::max(first, last)};
 }
 
-/// Words touched by a FIXD/ZDIR index list of `count` u16 entries at
-/// byte offset `byte_off`.
-Span list_span(u32 byte_off, u32 count) {
-  if (count == 0) return {};
-  return {static_cast<i64>(byte_off) / 4,
-          static_cast<i64>(byte_off + 2ull * count - 1) / 4};
-}
-
 struct Analyzer {
   Analyzer(const Program& program, const AnalysisParams& params_,
            ProgramAnalysis& out_)
@@ -708,9 +700,9 @@ struct Analyzer {
     out.cfg = build_cfg(p);
     limit = params.memory_limit_words;
     if (limit == 0) {
-      const wse::PeMemory probe;
+      const wse::PeMemoryParams defaults;
       limit = static_cast<u32>(
-          (probe.capacity_bytes() - probe.reserved_bytes()) / 4);
+          (defaults.capacity_bytes - defaults.reserved_bytes) / 4);
     }
     check_control_flow();
     check_liveness();

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -17,7 +18,6 @@
 namespace fvdf::analysis {
 
 using wse::Color;
-using wse::ColorConfig;
 using wse::ColorSet;
 using wse::Dir;
 using wse::PeCoord;
@@ -179,10 +179,11 @@ private:
 
   /// Switch positions whose rx accepts `from`. Per the documented
   /// approximation, every configured position is considered reachable.
-  static void accepting_positions(const ColorConfig& config, Dir from,
+  static void accepting_positions(std::span<const wse::SwitchPosition> positions,
+                                  Dir from,
                                   std::vector<const wse::SwitchPosition*>& out) {
     out.clear();
-    for (const auto& pos : config.positions)
+    for (const auto& pos : positions)
       if (pos.rx.contains(from)) out.push_back(&pos);
   }
 
@@ -206,7 +207,7 @@ private:
                  " but no route is installed at " + pe_str(pe.coord));
         continue;
       }
-      accepting_positions(pe.router.config(color), Dir::Ramp, accepting);
+      accepting_positions(pe.router.positions(color), Dir::Ramp, accepting);
       if (accepting.empty()) {
         diag(Check::RouteCompleteness, Severity::Error, pe.coord, color,
              "program injects on color " + std::to_string(color) + " at " +
@@ -225,7 +226,7 @@ private:
       queue.pop_front();
       ++report_.routes_checked;
       const PeModel& pe = pes_[pe_idx];
-      accepting_positions(pe.router.config(color), from, accepting);
+      accepting_positions(pe.router.positions(color), from, accepting);
       if (accepting.empty()) {
         // A wavelet parked on this link stalls until a switch advance, but
         // no position of this color ever accepts the link: permanent stall.
@@ -290,7 +291,7 @@ private:
                           std::vector<std::pair<std::size_t, Dir>>& out) {
       out.clear();
       const PeModel& pe = pes_[pe_idx];
-      accepting_positions(pe.router.config(color), from, accepting);
+      accepting_positions(pe.router.positions(color), from, accepting);
       for (const wse::SwitchPosition* pos : accepting) {
         for (Dir dir : wse::kCardinalDirs) {
           if (!pos->tx.contains(dir)) continue;
@@ -340,7 +341,7 @@ private:
         const std::size_t root_state = state_id(root, from);
         if (mark[root_state] != 0) continue;
         // Only consider channels some position actually accepts.
-        accepting_positions(pes_[root].router.config(color), from, accepting);
+        accepting_positions(pes_[root].router.positions(color), from, accepting);
         if (accepting.empty()) continue;
 
         mark[root_state] = 1;
@@ -429,7 +430,7 @@ private:
       const auto [pe_idx, from] = queue.front();
       queue.pop_front();
       const PeModel& pe = pes_[pe_idx];
-      accepting_positions(pe.router.config(color), from, accepting);
+      accepting_positions(pe.router.positions(color), from, accepting);
       for (const wse::SwitchPosition* pos : accepting) {
         if (pos->tx.contains(Dir::Ramp)) delivered[pe_idx] = 1;
         for (Dir dir : wse::kCardinalDirs) {
@@ -456,21 +457,21 @@ private:
     for (const PeModel& pe : pes_) {
       for (Color c = 0; c < wse::kNumRoutableColors; ++c) {
         if (!pe.router.is_configured(c)) continue;
-        const ColorConfig& config = pe.router.config(c);
-        const bool multi = config.positions.size() > 1;
+        const std::size_t positions = pe.router.positions(c).size();
+        const bool multi = positions > 1;
         const bool advanced = (advanced_anywhere & wse::color_bit(c)) != 0;
         if (multi && !advanced)
           diag(Check::SwitchLiveness, Severity::Error, pe.coord, c,
                "color " + std::to_string(c) + " has " +
-                   std::to_string(config.positions.size()) +
+                   std::to_string(positions) +
                    " switch positions at " + pe_str(pe.coord) +
                    " but no program ever advances it: positions past 0 are "
                    "unreachable");
-        if (multi && advanced && !config.ring_mode)
+        if (multi && advanced && !pe.router.ring_mode(c))
           diag(Check::SwitchLiveness, Severity::Warning, pe.coord, c,
                "color " + std::to_string(c) + " at " + pe_str(pe.coord) +
                    " saturates at switch position " +
-                   std::to_string(config.positions.size() - 1) +
+                   std::to_string(positions - 1) +
                    ": advanced without ring_mode, so it never returns to "
                    "position 0");
       }
@@ -572,7 +573,7 @@ private:
       const auto [pe_idx, from] = queue.front();
       queue.pop_front();
       const PeModel& pe = pes_[pe_idx];
-      accepting_positions(pe.router.config(color), from, accepting);
+      accepting_positions(pe.router.positions(color), from, accepting);
       if (accepting.empty()) continue; // stall: route check already errored
       for (std::size_t k = 1; k < accepting.size(); ++k) {
         for (Dir dir : wse::kAllDirs)

@@ -49,7 +49,7 @@ PeLayout PeLayout::plan(wse::PeMemory& mem, u32 nz, FluxMode mode,
 
   layout.x = mem.alloc_f32("cg.x", nz);
   layout.r = mem.alloc_f32("cg.r", nz);
-  layout.ysol = mem.alloc_f32("cg.y", nz);
+  layout.ysol = mem.alloc_f32(kSolutionName, nz);
   layout.q = mem.alloc_f32("cg.q", nz);
   layout.d = mem.alloc_f32("scratch.d", nz);
 
@@ -67,7 +67,7 @@ PeLayout PeLayout::plan(wse::PeMemory& mem, u32 nz, FluxMode mode,
   if (dirichlet_count > 0)
     layout.dirichlet_list = mem.alloc_bytes("dirichlet.z", 2 * dirichlet_count);
 
-  layout.result = mem.alloc_f32("result", 3);
+  layout.result = mem.alloc_f32(kResultName, 3);
   return layout;
 }
 

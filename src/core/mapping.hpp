@@ -80,6 +80,10 @@ struct PeLayout {
   // [0]=iterations, [1]=converged flag, [2]=final global rr.
   wse::MemSpan result;
 
+  // Allocation names of the spans the host reads back after a solve.
+  static constexpr const char* kSolutionName = "cg.y";
+  static constexpr const char* kResultName = "result";
+
   /// Allocates (or dry-runs) the layout in `mem`. Throws fvdf::Error when
   /// the arena cannot hold it.
   static PeLayout plan(wse::PeMemory& mem, u32 nz, FluxMode mode,

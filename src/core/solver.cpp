@@ -89,12 +89,11 @@ PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
 
 namespace {
 
-// Shared host-side readback: walks every PE, re-plans its layout, and
-// copies the solution delta + result scalars out of the arena.
+// Shared host-side readback: walks every PE and copies the solution delta
+// + result scalars out of the arena, at the offsets its image's allocation
+// map names.
 DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
-                         const FlowProblem& problem, const DiscreteSystem<f32>& sys,
-                         FluxMode flux_mode, bool jacobi,
-                         const wse::PeMemoryParams& mem_params,
+                         const FlowProblem& problem,
                          const std::vector<f64>& initial_field) {
   const auto& mesh = problem.mesh();
   const i64 nx = mesh.nx(), ny = mesh.ny(), nz = mesh.nz();
@@ -105,34 +104,26 @@ DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
   result.fabric = fabric.stats();
   result.counters = fabric.total_counters();
 
+  const wse::PeMemory& origin = fabric.pe_memory(0, 0);
+  const u32 scalars = origin.allocation(PeLayout::kResultName).offset_bytes / 4;
+  result.iterations = static_cast<u64>(origin.load(scalars));
+  result.converged = origin.load(scalars + 1) != 0.0f;
+  result.final_rr = origin.load(scalars + 2);
+
   const auto n = static_cast<std::size_t>(mesh.cell_count());
   result.delta.assign(n, 0.0f);
   result.pressure.assign(n, 0.0f);
   const std::vector<f64> p0 =
       initial_field.empty() ? problem.initial_pressure() : initial_field;
-
-  bool first = true;
   for (i64 y = 0; y < ny; ++y) {
     for (i64 x = 0; x < nx; ++x) {
-      u32 dcount = 0;
-      for (i64 z = 0; z < nz; ++z)
-        if (sys.dirichlet[static_cast<std::size_t>((z * ny + y) * nx + x)]) ++dcount;
-      wse::PeMemory probe(mem_params.capacity_bytes, mem_params.reserved_bytes);
-      const PeLayout layout = PeLayout::plan(probe, static_cast<u32>(nz), flux_mode,
-                                             dcount, jacobi, !sys.source.empty());
-
-      auto& mem = fabric.pe_memory(x, y);
+      const wse::PeMemory& mem = fabric.pe_memory(x, y);
+      const u32 ysol = mem.allocation(PeLayout::kSolutionName).offset_bytes / 4;
       for (i64 z = 0; z < nz; ++z) {
         const auto k = static_cast<std::size_t>((z * ny + y) * nx + x);
-        const f32 dz = mem.load(layout.ysol.offset_words + static_cast<u32>(z));
+        const f32 dz = mem.load(ysol + static_cast<u32>(z));
         result.delta[k] = dz;
         result.pressure[k] = static_cast<f32>(p0[k]) + dz;
-      }
-      if (first) {
-        result.iterations = static_cast<u64>(mem.load(layout.result.offset_words));
-        result.converged = mem.load(layout.result.offset_words + 1) != 0.0f;
-        result.final_rr = mem.load(layout.result.offset_words + 2);
-        first = false;
       }
     }
   }
@@ -285,7 +276,6 @@ DataflowResult solve_dataflow(const FlowProblem& problem, const DataflowConfig& 
   FVDF_CHECK_MSG(nz <= 0xffff, "column depth exceeds u16 Dirichlet index range");
 
   const CgSetup setup = prepare_cg(problem, config);
-  const auto& sys = setup.sys;
   const wse::ProgramFactory factory = cg_factory(problem, config, setup);
 
   wse::Fabric fabric(nx, ny, config.timing, config.memory, config.shard_grid);
@@ -310,8 +300,7 @@ DataflowResult solve_dataflow(const FlowProblem& problem, const DataflowConfig& 
                                                              : "fabric deadlocked"));
 
   DataflowResult result =
-      read_back(fabric, run, problem, sys, config.flux_mode,
-                config.jacobi_precondition, config.memory, config.initial_field);
+      read_back(fabric, run, problem, config.initial_field);
   finalize_telemetry(config.telemetry, run, result);
   FVDF_LOG(Debug) << "dataflow solve: " << result.iterations << " iterations, "
                   << (result.converged ? "converged" : "NOT converged")
@@ -366,7 +355,6 @@ DataflowResult solve_dataflow_chebyshev(const FlowProblem& problem,
   const auto& mesh = problem.mesh();
   FVDF_CHECK_MSG(mesh.nz() <= 0xffff, "column depth exceeds u16 index range");
   const ChebSetup setup = prepare_chebyshev(problem, config);
-  const auto& sys = setup.sys;
   const wse::ProgramFactory factory = chebyshev_factory(problem, config, setup);
 
   wse::Fabric fabric(mesh.nx(), mesh.ny(), config.timing, config.memory,
@@ -389,8 +377,7 @@ DataflowResult solve_dataflow_chebyshev(const FlowProblem& problem,
     analysis::annotate_host_profile(*config.host_profiler, fabric);
   FVDF_CHECK_MSG(run.all_halted, "Chebyshev device solve did not complete");
   DataflowResult result =
-      read_back(fabric, run, problem, sys, config.flux_mode, /*jacobi=*/false,
-                config.memory, config.initial_field);
+      read_back(fabric, run, problem, config.initial_field);
   finalize_telemetry(config.telemetry, run, result);
   return result;
 }

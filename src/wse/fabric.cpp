@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -63,11 +64,12 @@ constexpr std::size_t kTraceReleaseBatch = 4096;
 /// one task execution.
 class FabricPeContext final : public PeContext {
 public:
-  FabricPeContext(Fabric& fabric, Fabric::Shard& shard, Fabric::Pe& pe, f64& cursor)
-      : fabric_(fabric), shard_(shard), pe_(pe), cursor_(cursor),
-        engine_(pe.memory, pe.counters, fabric.timing(), cursor) {}
+  FabricPeContext(Fabric& fabric, Fabric::Shard& shard, Fabric::PeHot& pe,
+                  Fabric::PeCold& cold, f64& cursor)
+      : fabric_(fabric), shard_(shard), pe_(pe), memory_(cold.memory),
+        cursor_(cursor), engine_(cold.memory, cold.counters, fabric.timing(), cursor) {}
 
-  PeMemory& memory() override { return pe_.memory; }
+  PeMemory& memory() override { return memory_; }
   DsdEngine& dsd() override { return engine_; }
 
   void send(Color color, Dsd src, ColorMask advance_after, Color completion) override {
@@ -108,7 +110,8 @@ public:
 private:
   Fabric& fabric_;
   Fabric::Shard& shard_;
-  Fabric::Pe& pe_;
+  Fabric::PeHot& pe_;
+  PeMemory& memory_;
   f64& cursor_;
   DsdEngine engine_;
 };
@@ -121,11 +124,16 @@ Fabric::Fabric(i64 width, i64 height, TimingParams timing, PeMemoryParams mem,
   FVDF_CHECK_MSG(width <= kMaxPes / height,
                  width << "x" << height << " fabric exceeds the event order "
                        "key's 2^24 PEs");
-  pes_.reserve(static_cast<std::size_t>(width * height));
+  const auto count = static_cast<std::size_t>(width * height);
+  pes_.resize(count);
+  cold_.reserve(count);
   for (i64 y = 0; y < height; ++y)
     for (i64 x = 0; x < width; ++x) {
-      pes_.push_back(std::make_unique<Pe>(PeCoord{x, y}, mem_params_));
-      pes_.back()->router.set_coord(PeCoord{x, y});
+      PeHot& pe = pes_[pe_index(x, y)];
+      pe.coord = PeCoord{x, y};
+      pe.index = pe_index(x, y);
+      pe.router.set_coord(pe.coord);
+      cold_.emplace_back(mem_params_);
     }
 
   apply_layout();
@@ -215,32 +223,32 @@ void Fabric::set_telemetry(telemetry::FabricCollector* collector) {
 
 std::vector<const bc::Program*> Fabric::distinct_bytecode_programs() const {
   std::vector<const bc::Program*> programs;
-  for (const auto& pe : pes_) {
-    const bc::Program* program =
-        pe->program != nullptr ? pe->program->bytecode() : nullptr;
-    if (program == nullptr) continue;
-    if (std::find(programs.begin(), programs.end(), program) == programs.end())
-      programs.push_back(program);
-  }
+  programs.reserve(streams_.size());
+  for (const auto& stream : streams_) programs.push_back(stream.get());
   return programs;
 }
 
 void Fabric::load(const ProgramFactory& factory) {
   FVDF_CHECK_MSG(!loaded_, "fabric already loaded");
   loaded_ = true;
-  for (auto& pe : pes_) {
-    pe->program = instantiate(factory, ImageSite{pe->coord, width_, height_,
-                                                 mem_params_});
-    const PeImage& image = pe->program->image();
+  for (PeHot& pe : pes_) {
+    // The image is applied, then dropped: the fabric keeps only the stream.
+    const std::unique_ptr<PeProgram> program =
+        instantiate(factory, ImageSite{pe.coord, width_, height_, mem_params_});
+    const PeImage& image = program->image();
     for (const auto& [color, config] : image.routes)
-      pe->router.configure(color, config);
-    pe->memory.assign(image.allocations, image.arena);
+      pe.router.configure(color, config);
+    cold(pe).memory.assign(image.allocations, image.arena);
+    pe.stream = image.program.get();
+    pe.run_entry = image.run_entry;
+    if (std::find(streams_.begin(), streams_.end(), image.program) == streams_.end())
+      streams_.push_back(image.program);
     Event event;
     event.kind = EventKind::TaskStart;
-    event.pe_index = pe_index(pe->coord.x, pe->coord.y);
+    event.pe_index = pe.index;
     event.color = kInvalidColor; // sentinel: the start task
     event.t = 0;
-    stamp(*pe, event);
+    stamp(pe, event);
     enqueue_local(shard_of(event.pe_index), std::move(event));
   }
 }
@@ -762,38 +770,44 @@ void Fabric::release_traces(f64 watermark) {
   trace_pending_.erase(trace_pending_.begin(), cut);
 }
 
-void Fabric::advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t) {
+void Fabric::advance_and_release(Shard& shard, PeHot& pe, ColorMask mask, f64 t) {
   pe.router.advance(mask);
-  for (ColorMask bits = mask & kRoutableColorMask; bits != 0; bits &= bits - 1) {
-    const Color color = static_cast<Color>(std::countr_zero(bits));
-    auto& parked = pe.stalled[color];
-    if (parked.empty()) continue;
-    // Flits the new position accepts re-dispatch in FIFO order; the rest
-    // re-park directly — never through the event queue — so a switch
+  // Colors of `mask` in ascending order, each tested for parked flits when
+  // its turn comes: a dispatch below can re-enter this function and re-park
+  // a flit on a later color of the same mask.
+  ColorMask todo = mask;
+  for (ColorMask live; (live = todo & pe.stalled) != 0;) {
+    const auto color = static_cast<Color>(std::countr_zero(live));
+    const ColorMask bit = ColorMask{1} << color;
+    todo &= ~((bit << 1) - 1);
+    // Flits the new position accepts re-dispatch in arrival order; the
+    // rest re-park directly — never through the event queue — so a switch
     // program cycling through rejecting positions cannot inflate
     // events_processed or the trace volume.
     // Dispatching may advance switches again and re-enter this function,
-    // so walk a detached queue.
-    Fifo<Pe::StalledFlit> retry;
-    retry.swap(parked);
-    while (!retry.empty()) {
-      Pe::StalledFlit entry = std::move(retry.front());
-      retry.pop_front();
+    // so walk the color's flits detached from the list.
+    std::vector<StalledFlit>& parked = cold(pe).parked;
+    const auto split = std::stable_partition(
+        parked.begin(), parked.end(),
+        [color](const StalledFlit& entry) { return entry.flit.color != color; });
+    std::vector<StalledFlit> retry(std::make_move_iterator(split),
+                                   std::make_move_iterator(parked.end()));
+    parked.erase(split, parked.end());
+    pe.stalled &= ~bit;
+    for (StalledFlit& entry : retry) {
       if (!pe.router.accepts(color, entry.from)) {
         parked.push_back(std::move(entry));
+        pe.stalled |= bit;
         continue;
       }
-      FVDF_TELEM(collector.activity(pe_index(pe.coord.x, pe.coord.y))
-                     .stall_cycles += t - entry.parked_at);
+      FVDF_TELEM(collector.activity(pe.index).stall_cycles += t - entry.parked_at);
       dispatch_flit(shard, pe, entry.from, std::move(entry.flit), t);
     }
-    // Hand the drained buffer back so the color's next stall reuses it.
-    if (parked.empty()) parked.swap(retry);
   }
 }
 
 void Fabric::handle_flit_arrive(Shard& shard, Event&& event) {
-  Pe& pe = at(event.pe_index);
+  PeHot& pe = at(event.pe_index);
   Flit& flit = event.flit;
   // Backpressure: a wavelet whose arrival link is not in the color's
   // current rx set waits on that link until the switch advances.
@@ -802,14 +816,14 @@ void Fabric::handle_flit_arrive(Shard& shard, Event&& event) {
     emit_trace(shard, TraceEvent::FlitStalled, event.t, pe, flit.color,
                flit.data ? static_cast<u32>(flit.data->size()) : 0);
     FVDF_TELEM(++collector.activity(event.pe_index).stalls);
-    pe.stalled[flit.color].push_back(
-        Pe::StalledFlit{event.from, std::move(flit), event.t});
+    pe.stalled |= ColorMask{1} << flit.color;
+    cold(pe).parked.push_back(StalledFlit{event.from, std::move(flit), event.t});
     return;
   }
   dispatch_flit(shard, pe, event.from, std::move(flit), event.t);
 }
 
-void Fabric::dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t) {
+void Fabric::dispatch_flit(Shard& shard, PeHot& pe, Dir from, Flit&& flit, f64 t) {
   const DirMask tx = pe.router.route(flit.color, from);
   const u64 words = flit.data ? flit.data->size() : 0;
   const f64 batch_cycles = static_cast<f64>(words) / timing_.words_per_cycle_link;
@@ -842,8 +856,7 @@ void Fabric::dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t) {
     ++shard.stats.wavelet_hops;
     shard.stats.word_hops += words;
     FVDF_TELEM({
-      telemetry::PeActivity& a =
-          collector.activity(pe_index(pe.coord.x, pe.coord.y));
+      telemetry::PeActivity& a = collector.activity(pe.index);
       a.tx_words[link_slot(dir)] += words;
       ++a.tx_messages[link_slot(dir)];
     });
@@ -864,18 +877,19 @@ void Fabric::dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t) {
   }
 }
 
-void Fabric::deliver_to_ramp(Shard& shard, Pe& pe, const Flit& flit, f64 t) {
+void Fabric::deliver_to_ramp(Shard& shard, PeHot& pe, const Flit& flit, f64 t) {
   if (!flit.data) return; // control-only wavelets carry no payload
   const std::vector<f32>& words = *flit.data;
-  pe.inbox[flit.color].append(words.data(), words.size());
+  cold(pe).inbox[flit.color].append(words.data(), words.size());
   emit_trace(shard, TraceEvent::RampDelivery, t, pe, flit.color,
              static_cast<u32>(words.size()));
   feed_recv_descriptors(shard, pe, flit.color, t);
 }
 
-void Fabric::feed_recv_descriptors(Shard& shard, Pe& pe, Color color, f64 t) {
-  auto& inbox = pe.inbox[color];
-  auto& queue = pe.recv_queues[color];
+void Fabric::feed_recv_descriptors(Shard& shard, PeHot& pe, Color color, f64 t) {
+  PeCold& state = cold(pe);
+  auto& inbox = state.inbox[color];
+  auto& queue = state.recv_queues[color];
   while (!queue.empty() && !inbox.empty()) {
     RecvDesc& desc = queue.front();
     const u32 want = desc.dst.length - desc.filled;
@@ -884,25 +898,24 @@ void Fabric::feed_recv_descriptors(Shard& shard, Pe& pe, Color color, f64 t) {
     if (take > 0) {
       const f32* words = inbox.data();
       if (desc.dst.stride == 1) {
-        pe.memory.store_words(desc.dst.offset + desc.filled, words, take);
+        state.memory.store_words(desc.dst.offset + desc.filled, words, take);
       } else {
         for (u32 i = 0; i < take; ++i) {
           const i64 word = static_cast<i64>(desc.dst.offset) +
                            static_cast<i64>(desc.filled + i) * desc.dst.stride;
-          pe.memory.store(static_cast<u32>(word), words[i]);
+          state.memory.store(static_cast<u32>(word), words[i]);
         }
       }
       inbox.consume(take);
       desc.filled += take;
-      pe.counters.record(Opcode::FMOV, take, /*fabric_loads=*/take, 0);
+      state.counters.record(Opcode::FMOV, take, /*fabric_loads=*/take, 0);
       shard.stats.words_delivered += take;
-      FVDF_TELEM(collector.activity(pe_index(pe.coord.x, pe.coord.y)).rx_words +=
-                 take);
+      FVDF_TELEM(collector.activity(pe.index).rx_words += take);
     }
     if (desc.filled == desc.dst.length) {
       Event event;
       event.kind = EventKind::TaskStart;
-      event.pe_index = pe_index(pe.coord.x, pe.coord.y);
+      event.pe_index = pe.index;
       event.color = desc.completion;
       event.t = t;
       stamp(pe, event);
@@ -915,7 +928,7 @@ void Fabric::feed_recv_descriptors(Shard& shard, Pe& pe, Color color, f64 t) {
 }
 
 void Fabric::handle_task_start(Shard& shard, const Event& event) {
-  Pe& pe = at(event.pe_index);
+  PeHot& pe = at(event.pe_index);
   if (pe.halted) return;
   if (pe.busy_until > event.t) {
     Event retry = event;
@@ -927,17 +940,17 @@ void Fabric::handle_task_start(Shard& shard, const Event& event) {
   run_task(shard, pe, event.color, event.t);
 }
 
-void Fabric::run_task(Shard& shard, Pe& pe, Color color, f64 t) {
+void Fabric::run_task(Shard& shard, PeHot& pe, Color color, f64 t) {
   f64 cursor = t + timing_.task_dispatch_cycles;
-  FabricPeContext ctx(*this, shard, pe, cursor);
+  FabricPeContext ctx(*this, shard, pe, cold(pe), cursor);
   ++shard.stats.tasks_run;
   emit_trace(shard, TraceEvent::TaskRun, t, pe, color, 0);
-  const bc::Program& program = *pe.program->bytecode();
-  bc::VmState& vm = pe.program->vm();
+  const bc::Program& program = *pe.stream;
+  bc::VmState& vm = pe.vm;
   if (color == kInvalidColor) {
     // The start task: load() applied the image, so only the stream's
     // entry block is left to run.
-    if (pe.program->image().run_entry) bc::run(ctx, vm, program, program.entry);
+    if (pe.run_entry) bc::run(ctx, vm, program, program.entry);
   } else {
     const u16 pc = vm.handler[color];
     FVDF_CHECK_MSG(pc != bc::kNoPc, "PE (" << pe.coord.x << ", " << pe.coord.y
@@ -959,33 +972,33 @@ void Fabric::run_task(Shard& shard, Pe& pe, Color color, f64 t) {
   pe.busy_until = cursor;
   shard.now = std::max(shard.now, cursor);
   FVDF_TELEM({
-    telemetry::PeActivity& a =
-        collector.activity(pe_index(pe.coord.x, pe.coord.y));
+    telemetry::PeActivity& a = collector.activity(pe.index);
     ++a.tasks;
     a.busy_cycles += cursor - t;
     collector.observe_task_cycles(shard.id, cursor - t);
   });
 }
 
-void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
+void Fabric::ctx_send(Shard& shard, PeHot& pe, Color color, Dsd src,
                       ColorMask advance_after, Color completion, f64& cursor) {
   check_routable(color);
   FVDF_CHECK_MSG(src.length > 0, "empty send");
+  PeCold& state = cold(pe);
   PayloadRef payload = shard.payloads->acquire(src.length);
   {
     std::vector<f32>& words = payload.mutate();
     if (src.stride == 1) {
       words.resize(src.length);
-      pe.memory.load_words(src.offset, words.data(), src.length);
+      state.memory.load_words(src.offset, words.data(), src.length);
     } else {
       for (u32 i = 0; i < src.length; ++i) {
         const i64 word =
             static_cast<i64>(src.offset) + static_cast<i64>(i) * src.stride;
-        words.push_back(pe.memory.load(static_cast<u32>(word)));
+        words.push_back(state.memory.load(static_cast<u32>(word)));
       }
     }
   }
-  pe.counters.record(Opcode::FMOV, src.length, 0, /*fabric_stores=*/src.length);
+  state.counters.record(Opcode::FMOV, src.length, 0, /*fabric_stores=*/src.length);
 
   // Fault injection (deterministic, counted over data messages; runs with
   // a single worker — see run()).
@@ -1023,7 +1036,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
 
   Event event;
   event.kind = EventKind::FlitArrive;
-  event.pe_index = pe_index(pe.coord.x, pe.coord.y);
+  event.pe_index = pe.index;
   event.from = Dir::Ramp;
   event.flit = Flit{std::move(payload), advance_after, color};
   event.t = start + batch_cycles;
@@ -1032,8 +1045,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
   ++shard.stats.messages_sent;
   if (advance_after != 0) ++shard.stats.control_wavelets;
   FVDF_TELEM({
-    telemetry::PeActivity& a =
-        collector.activity(pe_index(pe.coord.x, pe.coord.y));
+    telemetry::PeActivity& a = collector.activity(pe.index);
     a.tx_words[link_slot(Dir::Ramp)] += src.length;
     ++a.tx_messages[link_slot(Dir::Ramp)];
   });
@@ -1041,7 +1053,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
   if (completion != kInvalidColor) {
     Event done;
     done.kind = EventKind::TaskStart;
-    done.pe_index = pe_index(pe.coord.x, pe.coord.y);
+    done.pe_index = pe.index;
     done.color = completion;
     done.t = start + batch_cycles;
     stamp(pe, done);
@@ -1049,7 +1061,7 @@ void Fabric::ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
   }
 }
 
-void Fabric::ctx_send_control(Shard& shard, Pe& pe, Color color, ColorMask advance,
+void Fabric::ctx_send_control(Shard& shard, PeHot& pe, Color color, ColorMask advance,
                               f64& cursor) {
   check_routable(color);
   FVDF_CHECK(advance != 0);
@@ -1060,57 +1072,56 @@ void Fabric::ctx_send_control(Shard& shard, Pe& pe, Color color, ColorMask advan
 
   Event event;
   event.kind = EventKind::FlitArrive;
-  event.pe_index = pe_index(pe.coord.x, pe.coord.y);
+  event.pe_index = pe.index;
   event.from = Dir::Ramp;
   event.flit = Flit{PayloadRef{}, advance, color};
   event.t = start + 1.0;
   stamp(pe, event);
   push_event(shard, std::move(event));
   ++shard.stats.messages_sent;
-  FVDF_TELEM(++collector.activity(pe_index(pe.coord.x, pe.coord.y))
-                   .tx_messages[link_slot(Dir::Ramp)]);
+  FVDF_TELEM(++collector.activity(pe.index).tx_messages[link_slot(Dir::Ramp)]);
 }
 
-void Fabric::ctx_recv(Shard& shard, Pe& pe, Color color, Dsd dst, Color completion,
+void Fabric::ctx_recv(Shard& shard, PeHot& pe, Color color, Dsd dst, Color completion,
                       f64 cursor) {
   check_routable(color);
   check_valid(completion);
   FVDF_CHECK_MSG(dst.length > 0, "empty receive");
-  pe.recv_queues[color].push_back(RecvDesc{dst, 0, completion});
+  cold(pe).recv_queues[color].push_back(RecvDesc{dst, 0, completion});
   // Words that raced ahead of the descriptor are sitting in the inbox.
   feed_recv_descriptors(shard, pe, color, cursor);
 }
 
-void Fabric::ctx_activate(Shard& shard, Pe& pe, Color color, f64 cursor) {
+void Fabric::ctx_activate(Shard& shard, PeHot& pe, Color color, f64 cursor) {
   check_valid(color);
   Event event;
   event.kind = EventKind::TaskStart;
-  event.pe_index = pe_index(pe.coord.x, pe.coord.y);
+  event.pe_index = pe.index;
   event.color = color;
   event.t = cursor;
   stamp(pe, event);
   push_event(shard, std::move(event));
 }
 
-void Fabric::ctx_mark_phase(Shard& shard, Pe& pe, u8 phase, f64 cursor) {
+void Fabric::ctx_mark_phase(Shard& shard, PeHot& pe, u8 phase, f64 cursor) {
   (void)shard;
   (void)pe;
   (void)phase;
   (void)cursor;
   FVDF_TELEM({
-    const i64 idx = pe_index(pe.coord.x, pe.coord.y);
+    const i64 idx = pe.index;
     if (collector.samples_pe(idx)) collector.mark_phase(shard.id, idx, phase, cursor);
   });
 }
 
-void Fabric::ctx_note_progress(Shard& shard, Pe& pe, u64 iteration, f64 value,
+void Fabric::ctx_note_progress(Shard& shard, PeHot& pe, u64 iteration, f64 value,
                                f64 cursor) {
   (void)shard;
   (void)pe;
   (void)iteration;
   (void)value;
   (void)cursor;
-  FVDF_TELEM(collector.note_progress(shard.id, pe_index(pe.coord.x, pe.coord.y),
+  FVDF_TELEM(collector.note_progress(shard.id, pe.index,
                                      iteration, value, cursor));
 }
 
@@ -1122,22 +1133,22 @@ void Fabric::check_host_coord(i64 x, i64 y) const {
 
 PeMemory& Fabric::pe_memory(i64 x, i64 y) {
   check_host_coord(x, y);
-  return at(pe_index(x, y)).memory;
+  return cold_[pe_index(x, y)].memory;
 }
 
 const Router& Fabric::pe_router(i64 x, i64 y) const {
   check_host_coord(x, y);
-  return pes_[static_cast<std::size_t>(y * width_ + x)]->router;
+  return pes_[pe_index(x, y)].router;
 }
 
 const OpCounters& Fabric::pe_counters(i64 x, i64 y) const {
   check_host_coord(x, y);
-  return pes_[static_cast<std::size_t>(y * width_ + x)]->counters;
+  return cold_[pe_index(x, y)].counters;
 }
 
 OpCounters Fabric::total_counters() const {
   OpCounters total;
-  for (const auto& pe : pes_) total += pe->counters;
+  for (const PeCold& pe : cold_) total += pe.counters;
   return total;
 }
 

@@ -301,7 +301,7 @@ private:
   };
 
   // FIFO over a vector and a head index, used for every per-PE, per-color
-  // queue (inbox words, receive descriptors, parked flits). An unused
+  // queue (inbox words, receive descriptors). An unused
   // queue is an empty vector and allocates nothing — most of a PE's 24
   // colors never see traffic — and a drained one keeps its buffer for the
   // next burst. Words append as one span and descriptors drain in bulk.
@@ -328,45 +328,61 @@ private:
         head_ = 0;
       }
     }
-    void swap(Fifo& other) noexcept {
-      buf_.swap(other.buf_);
-      std::swap(head_, other.head_);
-    }
 
   private:
     std::vector<T> buf_;
     std::size_t head_ = 0;
   };
 
-  struct Pe {
-    PeCoord coord;
-    PeMemory memory;
-    Router router;
-    OpCounters counters;
-    std::unique_ptr<PeProgram> program;
-    f64 busy_until = 0;
-    bool halted = false;
-    std::array<Fifo<RecvDesc>, kNumRoutableColors> recv_queues;
-    std::array<Fifo<f32>, kNumRoutableColors> inbox;
-    // Backpressure: flits whose arrival link is not in the color's current
-    // rx set park here (keyed by color) and re-dispatch when a control
-    // advances that color's switch position.
-    struct StalledFlit {
-      Dir from;
-      Flit flit;
-      f64 parked_at = 0; // arrival time, for telemetry stall-cycle accounting
-    };
-    std::array<Fifo<StalledFlit>, kNumRoutableColors> stalled;
+  /// A parked flit: its arrival link is not in its color's current rx
+  /// set, so it waits until a control advances that color's switch
+  /// position.
+  struct StalledFlit {
+    Dir from;
+    Flit flit;
+    f64 parked_at = 0; // arrival time, for telemetry stall-cycle accounting
+  };
+
+  /// A PE's hot record: what a flit arrival, a switch advance and a task
+  /// start read first, stored by value in PE-index order. Whole cache lines
+  /// each, so neighboring tiles of the parallel engine never share a line.
+  /// docs/simulator.md ("PE state layout") gives the field order's reason.
+  struct alignas(64) PeHot {
     // Outbound link occupancy: [0]=ramp injection, [1..4]=N,E,S,W.
     std::array<f64, 5> link_free_at{};
     // Emission counter for the layout-invariant event order (see Event):
-    // every event this PE emits is stamped (pe_index, emit_seq++).
+    // every event this PE emits is stamped (index, emit_seq++).
     u64 emit_seq = 0;
+    PeCoord coord;
+    Router router;
+    u32 index = 0; // y * width + x
+    // Colors with parked flits: bit c is set iff PeCold::parked holds a
+    // flit of color c, so a switch advance finds its work without it.
+    ColorMask stalled = 0;
+    f64 busy_until = 0;
+    const bc::Program* stream = nullptr; // kept alive by Fabric::streams_
+    bool halted = false;
+    bool run_entry = false; // interpret the stream's entry block at t=0
+    bc::VmState vm;
+  };
+  static_assert(sizeof(PeHot) == 512, "the hot record is eight cache lines");
+
+  /// A PE's cold state, indexed like the hot records: the arena, the op
+  /// ledger, the per-color receive queues (most of a PE's 24 colors never
+  /// see traffic), the parked flits and the trace counter.
+  struct alignas(64) PeCold {
+    PeMemory memory;
+    OpCounters counters;
+    std::array<Fifo<RecvDesc>, kNumRoutableColors> recv_queues;
+    std::array<Fifo<f32>, kNumRoutableColors> inbox;
+    // Parked flits of every color in arrival order: backpressure is rare,
+    // so one list per PE rather than one per color.
+    std::vector<StalledFlit> parked;
     // Trace records this PE emitted: the last key of the trace order.
     u64 trace_seq = 0;
 
-    Pe(PeCoord c, const PeMemoryParams& mem)
-        : coord(c), memory(mem.capacity_bytes, mem.reserved_bytes) {}
+    explicit PeCold(const PeMemoryParams& mem)
+        : memory(mem.capacity_bytes, mem.reserved_bytes) {}
   };
 
   enum class EventKind : u8 { FlitArrive, TaskStart };
@@ -450,7 +466,8 @@ private:
   };
 
   u32 pe_index(i64 x, i64 y) const { return static_cast<u32>(y * width_ + x); }
-  Pe& at(i64 index) { return *pes_[static_cast<std::size_t>(index)]; }
+  PeHot& at(u32 index) { return pes_[index]; }
+  PeCold& cold(const PeHot& pe) { return cold_[pe.index]; }
   Shard& shard_of(i64 pe_idx) {
     return shards_[shard_id_of(pe_idx % width_, pe_idx / width_)];
   }
@@ -479,12 +496,11 @@ private:
   /// Stamps the layout-invariant event-order key (see Event): the emitting
   /// PE's index and its next emission counter value. Every event enters the
   /// engine through exactly one stamp.
-  void stamp(Pe& pe, Event& event) {
+  void stamp(PeHot& pe, Event& event) {
     FVDF_CHECK_MSG(pe.emit_seq < (u64{1} << kEmitSeqBits),
                    "PE (" << pe.coord.x << ", " << pe.coord.y
                           << ") exhausted its 2^40 event emissions");
-    event.order = u64{pe_index(pe.coord.x, pe.coord.y)} << kEmitSeqBits |
-                  pe.emit_seq++;
+    event.order = u64{pe.index} << kEmitSeqBits | pe.emit_seq++;
   }
 
   /// Routes `event` from code running inside `from`: same-shard events
@@ -518,34 +534,33 @@ private:
   void handle_flit_arrive(Shard& shard, Event&& event);
   /// Forwards/delivers an accepted flit (the post-backpressure half of
   /// arrival handling; also the re-dispatch path for released flits).
-  void dispatch_flit(Shard& shard, Pe& pe, Dir from, Flit&& flit, f64 t);
+  void dispatch_flit(Shard& shard, PeHot& pe, Dir from, Flit&& flit, f64 t);
   // Applies a switch advance at `pe` and re-dispatches any flits that were
   // stalled on the affected colors (at time `t`). Flits the new position
   // still rejects re-park directly without re-entering the event queue.
-  void advance_and_release(Shard& shard, Pe& pe, ColorMask mask, f64 t);
+  void advance_and_release(Shard& shard, PeHot& pe, ColorMask mask, f64 t);
   void handle_task_start(Shard& shard, const Event& event);
-  void deliver_to_ramp(Shard& shard, Pe& pe, const Flit& flit, f64 t);
-  void feed_recv_descriptors(Shard& shard, Pe& pe, Color color, f64 t);
-  void run_task(Shard& shard, Pe& pe, Color color, f64 t);
+  void deliver_to_ramp(Shard& shard, PeHot& pe, const Flit& flit, f64 t);
+  void feed_recv_descriptors(Shard& shard, PeHot& pe, Color color, f64 t);
+  void run_task(Shard& shard, PeHot& pe, Color color, f64 t);
 
   // PeContext backends (called from FabricPeContext during a task).
-  void ctx_send(Shard& shard, Pe& pe, Color color, Dsd src,
+  void ctx_send(Shard& shard, PeHot& pe, Color color, Dsd src,
                 ColorMask advance_after, Color completion, f64& cursor);
-  void ctx_send_control(Shard& shard, Pe& pe, Color color, ColorMask advance,
+  void ctx_send_control(Shard& shard, PeHot& pe, Color color, ColorMask advance,
                         f64& cursor);
-  void ctx_recv(Shard& shard, Pe& pe, Color color, Dsd dst, Color completion,
+  void ctx_recv(Shard& shard, PeHot& pe, Color color, Dsd dst, Color completion,
                 f64 cursor);
-  void ctx_activate(Shard& shard, Pe& pe, Color color, f64 cursor);
-  void ctx_mark_phase(Shard& shard, Pe& pe, u8 phase, f64 cursor);
-  void ctx_note_progress(Shard& shard, Pe& pe, u64 iteration, f64 value,
+  void ctx_activate(Shard& shard, PeHot& pe, Color color, f64 cursor);
+  void ctx_mark_phase(Shard& shard, PeHot& pe, u8 phase, f64 cursor);
+  void ctx_note_progress(Shard& shard, PeHot& pe, u64 iteration, f64 value,
                          f64 cursor);
 
-  void emit_trace(Shard& shard, TraceEvent event, f64 t, Pe& pe, Color color,
-                  u32 words) {
+  void emit_trace(Shard& shard, TraceEvent event, f64 t, const PeHot& pe,
+                  Color color, u32 words) {
     if (trace_)
       shard.trace.push_back(PendingTrace{TraceRecord{event, t, pe.coord, color, words},
-                                         pe_index(pe.coord.x, pe.coord.y),
-                                         pe.trace_seq++});
+                                         pe.index, cold(pe).trace_seq++});
   }
 
   i64 width_;
@@ -560,7 +575,11 @@ private:
   // Payload arenas (one per shard) outlive everything holding PayloadRefs
   // (PEs' parked flits, shard queues, channels): keep them declared first.
   std::vector<std::unique_ptr<PayloadPool>> payload_pools_;
-  std::vector<std::unique_ptr<Pe>> pes_;
+  std::vector<PeHot> pes_;
+  std::vector<PeCold> cold_;
+  // The distinct streams the PEs run, in order of first use; keeps every
+  // PeHot::stream alive.
+  std::vector<std::shared_ptr<const bc::Program>> streams_;
   ShardGrid grid_;    // the constructor's layout request
   u32 tile_rows_ = 1; // shard layout: tile grid dimensions
   u32 tile_cols_ = 1;

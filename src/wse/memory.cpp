@@ -11,13 +11,12 @@ namespace fvdf::wse {
 PeMemory::PeMemory(u64 capacity_bytes, u64 reserved_bytes)
     : capacity_(capacity_bytes), reserved_(reserved_bytes) {
   FVDF_CHECK_MSG(reserved_ < capacity_, "reserve exceeds PE memory capacity");
-  storage_.resize(capacity_ - reserved_, 0);
 }
 
 void PeMemory::overflow_fail(const std::string& name, u64 bytes) const {
   std::ostringstream os;
   os << "PE memory overflow allocating '" << name << "' (" << bytes
-     << " B): used " << used_ << " of " << (capacity_ - reserved_)
+     << " B): used " << used_bytes() << " of " << (capacity_ - reserved_)
      << " allocatable B (capacity " << capacity_ << ", reserved " << reserved_
      << ")\n"
      << allocation_map();
@@ -27,9 +26,9 @@ void PeMemory::overflow_fail(const std::string& name, u64 bytes) const {
 u32 PeMemory::alloc_raw(const std::string& name, u32 bytes) {
   // 4-byte aligned bump allocation.
   const u32 aligned = (bytes + 3u) & ~3u;
-  if (used_ + aligned > capacity_ - reserved_) overflow_fail(name, bytes);
-  const u32 offset = static_cast<u32>(used_);
-  used_ += aligned;
+  if (used_bytes() + aligned > capacity_ - reserved_) overflow_fail(name, bytes);
+  const auto offset = static_cast<u32>(used_bytes());
+  storage_.resize(storage_.size() + aligned, 0); // new words read 0
   allocations_.push_back({name, offset, aligned});
   return offset;
 }
@@ -50,15 +49,24 @@ void PeMemory::assign(const std::vector<Allocation>& allocations,
                       const std::vector<u8>& contents) {
   if (contents.size() > capacity_ - reserved_)
     overflow_fail("image", contents.size());
-  std::copy(contents.begin(), contents.end(), storage_.begin());
-  used_ = contents.size();
+  storage_ = contents;
   allocations_ = allocations;
+}
+
+const PeMemory::Allocation& PeMemory::allocation(const std::string& name) const {
+  const auto found =
+      std::find_if(allocations_.begin(), allocations_.end(),
+                   [&name](const Allocation& alloc) { return alloc.name == name; });
+  FVDF_CHECK_MSG(found != allocations_.end(),
+                 "no allocation named '" << name << "' in PE memory\n"
+                                         << allocation_map());
+  return *found;
 }
 
 void PeMemory::bounds_fail(u32 word_offset, u32 count) const {
   std::ostringstream os;
   os << "access past allocated memory at words [" << word_offset << ", "
-     << word_offset + count << "): " << used_ << " B allocated\n"
+     << word_offset + count << "): " << used_bytes() << " B allocated\n"
      << allocation_map();
   throw Error(os.str());
 }

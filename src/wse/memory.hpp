@@ -4,7 +4,10 @@
 // kernels statically lay out their buffers once; the allocator exists to
 // *account* for every byte so that out-of-memory is a first-class,
 // testable failure (the paper's Sec. III-E1 is entirely about fitting the
-// largest possible Nz into 48 KiB).
+// largest possible Nz into 48 KiB). The capacity is an accounting limit
+// only: the host storage holds exactly the allocated bytes and grows with
+// each allocation, so a fabric of PEs that use 1 KiB each costs 1 KiB per
+// PE, not 48.
 
 #include <cstring>
 #include <string>
@@ -49,8 +52,8 @@ public:
 
   u64 capacity_bytes() const { return capacity_; }
   u64 reserved_bytes() const { return reserved_; }
-  u64 used_bytes() const { return used_; }
-  u64 free_bytes() const { return capacity_ - reserved_ - used_; }
+  u64 used_bytes() const { return storage_.size(); }
+  u64 free_bytes() const { return capacity_ - reserved_ - used_bytes(); }
 
   // fp32 view of the arena. All accessors are bounds-checked and inline —
   // they sit under every simulated DSD element and every ramp word, so the
@@ -100,11 +103,11 @@ public:
 
   /// Byte view (for mask arrays).
   u8 load_byte(u32 byte_offset) const {
-    if (byte_offset >= used_) bounds_fail(byte_offset / 4, 1);
+    if (byte_offset >= storage_.size()) bounds_fail(byte_offset / 4, 1);
     return storage_[byte_offset];
   }
   void store_byte(u32 byte_offset, u8 value) {
-    if (byte_offset >= used_) bounds_fail(byte_offset / 4, 1);
+    if (byte_offset >= storage_.size()) bounds_fail(byte_offset / 4, 1);
     storage_[byte_offset] = value;
   }
 
@@ -114,10 +117,10 @@ public:
   /// The allocation map and the allocated bytes [0, used_bytes()): what a
   /// PE image (wse/program.hpp) records of the arena it was built in.
   const std::vector<Allocation>& allocations() const { return allocations_; }
-  std::vector<u8> contents() const {
-    return std::vector<u8>(storage_.begin(),
-                           storage_.begin() + static_cast<std::ptrdiff_t>(used_));
-  }
+  const std::vector<u8>& contents() const { return storage_; }
+
+  /// The allocation named `name`; throws naming it when there is none.
+  const Allocation& allocation(const std::string& name) const;
 
   /// Replaces the allocation map and the allocated bytes with an image's.
   /// Throws the allocator's overflow error when they do not fit.
@@ -128,7 +131,7 @@ private:
   u32 alloc_raw(const std::string& name, u32 bytes);
 
   void check_words(u32 word_offset, u32 count) const {
-    if ((static_cast<u64>(word_offset) + count) * 4 > used_)
+    if ((static_cast<u64>(word_offset) + count) * 4 > storage_.size())
       bounds_fail(word_offset, count);
   }
   [[noreturn]] void bounds_fail(u32 word_offset, u32 count) const;
@@ -136,8 +139,7 @@ private:
 
   u64 capacity_;
   u64 reserved_;
-  u64 used_ = 0;
-  std::vector<u8> storage_;
+  std::vector<u8> storage_; // the allocated bytes [0, used_bytes())
   std::vector<Allocation> allocations_;
 };
 

@@ -138,10 +138,10 @@ private:
 /// Throws outside instantiate(): see PeProgram(body).
 const ImageSite& current_image_site();
 
-/// A PE's program: one image and the interpreter state it keeps between
-/// tasks. At fabric start (cycle 0) the stream's entry block runs; every
-/// later task activation enters the interpreter at the handler the stream
-/// bound for that color (SETH).
+/// A PE's program: one image. At fabric start (cycle 0) the stream's entry
+/// block runs; every later task activation enters the interpreter at the
+/// handler the stream bound for that color (SETH). The interpreter state a
+/// PE keeps between tasks lives in the fabric's per-PE record.
 class PeProgram {
 public:
   explicit PeProgram(PeImage image);
@@ -179,7 +179,6 @@ public:
   const std::shared_ptr<const bc::Program>& shared_bytecode() const {
     return image_.program;
   }
-  bc::VmState& vm() { return vm_; }
 
 private:
   template <typename Body>
@@ -190,7 +189,6 @@ private:
   }
 
   PeImage image_;
-  bc::VmState vm_;
 };
 
 using ProgramFactory = std::function<std::unique_ptr<PeProgram>(PeCoord)>;

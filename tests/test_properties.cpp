@@ -255,10 +255,10 @@ TEST(MemoryProperties, RandomAllocationSequencesAccountExactly) {
     for (int i = 0; i < 50; ++i) {
       const u32 count = 1 + static_cast<u32>(rng.uniform_index(20));
       if (rng.uniform() < 0.5) {
-        (void)mem.alloc_f32("a" + std::to_string(i), count);
+        (void)mem.alloc_f32(std::string("a").append(std::to_string(i)), count);
         expected += count * 4u;
       } else {
-        (void)mem.alloc_bytes("b" + std::to_string(i), count);
+        (void)mem.alloc_bytes(std::string("b").append(std::to_string(i)), count);
         expected += (count + 3u) & ~3u;
       }
       EXPECT_EQ(mem.used_bytes(), expected);

@@ -435,7 +435,7 @@ TEST(Fabric, LoadAppliesEachImageBeforeTheRun) {
     });
   });
   EXPECT_TRUE(fabric.pe_router(0, 0).is_configured(0));
-  EXPECT_TRUE(fabric.pe_router(1, 0).config(0).positions[0].rx.contains(Dir::West));
+  EXPECT_TRUE(fabric.pe_router(1, 0).positions(0)[0].rx.contains(Dir::West));
   EXPECT_EQ(fabric.pe_memory(1, 0).load(0), 11.0f);
   EXPECT_NE(fabric.pe_memory(0, 0).allocation_map().find("value"),
             std::string::npos);
@@ -526,6 +526,90 @@ TEST(Fabric, RejectedAdvanceReparksWithoutEventOrTraceInflation) {
   EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 3.5f);
   EXPECT_EQ(fabric.stats().flits_stalled, 1u);
   EXPECT_EQ(trace.count(TraceEvent::FlitStalled), 1u);
+}
+
+TEST(Fabric, OneAdvanceReleasesFlitsParkedOnTwoColors) {
+  // Flits park on two colors of the receiver; one local advance of both
+  // releases them in color order. A's flit carries a trailing control that
+  // advances B past its accepting position, so the release of A re-enters
+  // the release of B and re-parks B's flit: B must stay parked (and stay
+  // releasable) until the second poke, never delivered early or lost.
+  Fabric fabric(2, 1);
+  TraceBuffer trace;
+  fabric.set_trace(trace.sink());
+  constexpr Color kA = 0;
+  constexpr Color kB = 1;
+  constexpr Color kPoke = 25;
+  constexpr Color kPoke2 = 26;
+  constexpr Color kDoneA = 27;
+  constexpr Color kDoneB = 28;
+  const SwitchPosition reject{DirMask::of(Dir::Ramp), DirMask::of(Dir::East)};
+  const SwitchPosition accept{DirMask::of(Dir::West), DirMask::of(Dir::Ramp)};
+
+  fabric.load([&](PeCoord coord) {
+    return bc_program([&, coord](ImageBuilder& ctx, bc::Builder& b) {
+      if (coord.x == 0) {
+        ctx.configure_router(kA, to_east());
+        ctx.configure_router(kB, to_east());
+        const MemSpan src_a = ctx.memory().alloc_f32("src.a", 1);
+        const MemSpan src_b = ctx.memory().alloc_f32("src.b", 1);
+        ctx.memory().store(src_a.offset_words, 1.5f);
+        ctx.memory().store(src_b.offset_words, 2.5f);
+        b.send(kA, b.dsd(dsd(src_a)), color_bit(kB));
+        b.send(kB, b.dsd(dsd(src_b)));
+        b.halt();
+        b.ret();
+        return;
+      }
+      ctx.configure_router(kA, ColorConfig{{reject, accept}, false});
+      ctx.configure_router(kB, ColorConfig{{reject, accept, reject, accept}, false});
+      const MemSpan dst_a = ctx.memory().alloc_f32("dst.a", 1);
+      const MemSpan dst_b = ctx.memory().alloc_f32("dst.b", 1);
+      const MemSpan scratch = ctx.memory().alloc_f32("scratch", 512);
+      const auto on_poke = b.make_label();
+      const auto on_poke2 = b.make_label();
+      const auto on_done_a = b.make_label();
+      const auto on_done_b = b.make_label();
+      b.seth(kPoke, on_poke);
+      b.seth(kPoke2, on_poke2);
+      b.seth(kDoneA, on_done_a);
+      b.seth(kDoneB, on_done_b);
+      b.recv(kA, b.dsd(dsd(dst_a)), kDoneA);
+      b.recv(kB, b.dsd(dsd(dst_b)), kDoneB);
+      b.vmovi(b.dsd(dsd(scratch)), 0.0f); // both flits arrive and park first
+      b.act(kPoke);
+      b.ret();
+      b.bind(on_poke);
+      b.advl(color_bit(kA) | color_bit(kB));
+      b.act(kPoke2);
+      b.ret();
+      b.bind(on_poke2);
+      b.advl(color_bit(kB));
+      b.ret();
+      b.bind(on_done_a);
+      b.ret();
+      b.bind(on_done_b);
+      b.halt();
+      b.ret();
+    });
+  });
+  EXPECT_TRUE(fabric.run().all_halted);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(0), 1.5f);
+  EXPECT_FLOAT_EQ(fabric.pe_memory(1, 0).load(1), 2.5f);
+  EXPECT_EQ(fabric.stats().flits_stalled, 2u);
+  EXPECT_EQ(trace.count(TraceEvent::FlitStalled), 2u);
+  EXPECT_EQ(fabric.pe_router(1, 0).position(kA), 1u);
+  EXPECT_EQ(fabric.pe_router(1, 0).position(kB), 3u);
+  // B's words reach the ramp only in the second poke's task.
+  f64 poke2_start = -1;
+  f64 b_delivered = -1;
+  for (const TraceRecord& r : trace.records()) {
+    if (r.at != PeCoord{1, 0}) continue;
+    if (r.event == TraceEvent::TaskRun && r.color == kPoke2) poke2_start = r.cycles;
+    if (r.event == TraceEvent::RampDelivery && r.color == kB) b_delivered = r.cycles;
+  }
+  ASSERT_GE(poke2_start, 0);
+  EXPECT_GE(b_delivered, poke2_start);
 }
 
 TEST(Fabric, LargerMessagesTakeLongerOnTheLink) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "wse/dsd.hpp"
 #include "wse/memory.hpp"
@@ -80,6 +83,82 @@ TEST(PeMemory, ByteAccessors) {
   mem.store_byte(span.offset_words + 5, 0xab);
   EXPECT_EQ(mem.load_byte(span.offset_words + 5), 0xab);
   EXPECT_THROW(mem.load_byte(999), Error);
+}
+
+TEST(PeMemory, StorageGrowsWithAllocationsAndNewWordsReadZero) {
+  PeMemory mem; // 48 KiB of capacity, none of it stored up front
+  EXPECT_TRUE(mem.contents().empty());
+  const MemSpan a = mem.alloc_f32("a", 3);
+  EXPECT_EQ(mem.contents().size(), 12u);
+  mem.store(a.offset_words + 2, 7.0f);
+  const MemSpan b = mem.alloc_f32("b", 5);
+  EXPECT_EQ(mem.contents().size(), mem.used_bytes());
+  EXPECT_EQ(mem.used_bytes(), 32u);
+  EXPECT_FLOAT_EQ(mem.load(a.offset_words + 2), 7.0f); // kept across growth
+  for (u32 i = 0; i < b.length; ++i) EXPECT_EQ(mem.load(b.offset_words + i), 0.0f);
+  (void)mem.alloc_bytes("mask", 3);
+  EXPECT_EQ(mem.contents().size(), 36u);
+  EXPECT_EQ(mem.load_byte(34), 0u);
+}
+
+TEST(PeMemory, BoundsAndOverflowDiagnosticsNameTheMap) {
+  PeMemory mem(1024, 0);
+  (void)mem.alloc_f32("x", 4);
+  try {
+    (void)mem.load(100);
+    FAIL() << "expected an out-of-bounds error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "access past allocated memory at words [100, 101): 16 B "
+                  "allocated\nallocation map (1 entries):\n  [0, 16) 16 B  x\n"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    mem.assign({}, std::vector<u8>(1028, 0));
+    FAIL() << "expected an overflow";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "PE memory overflow allocating 'image' (1028 B): used 16 of "
+                  "1024 allocatable B (capacity 1024, reserved 0)\n"
+                  "allocation map (1 entries):\n  [0, 16) 16 B  x\n"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(mem.used_bytes(), 16u); // a rejected image changes nothing
+}
+
+TEST(PeMemory, AssignHoldsExactlyTheImage) {
+  PeMemory source(1024, 0);
+  const MemSpan v = source.alloc_f32("v", 2);
+  source.store(v.offset_words, 1.25f);
+  source.store(v.offset_words + 1, -3.0f);
+  (void)source.alloc_bytes("mask", 2);
+
+  PeMemory mem(1024, 0);
+  (void)mem.alloc_f32("stale", 100);
+  mem.assign(source.allocations(), source.contents());
+  EXPECT_EQ(mem.contents(), source.contents());
+  EXPECT_EQ(mem.used_bytes(), 12u);
+  EXPECT_EQ(mem.allocation_map(), source.allocation_map());
+  EXPECT_FLOAT_EQ(mem.load(1), -3.0f);
+  EXPECT_THROW(mem.load(3), Error); // the stale allocation is gone
+}
+
+TEST(PeMemory, AllocationLookupNamesAMissingSpan) {
+  PeMemory mem(1024, 0);
+  (void)mem.alloc_f32("a", 2);
+  const MemSpan b = mem.alloc_f32("b", 2);
+  EXPECT_EQ(mem.allocation("b").offset_bytes, b.offset_words * 4);
+  EXPECT_EQ(mem.allocation("b").size_bytes, 8u);
+  try {
+    (void)mem.allocation("cg.y");
+    FAIL() << "expected a missing-allocation error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("no allocation named 'cg.y'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------- DSD engine on top of the arena ----------

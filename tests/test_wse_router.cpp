@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "wse/router.hpp"
 
 namespace fvdf::wse {
@@ -154,6 +159,111 @@ TEST(RouterTest, ReconfigureResetsPosition) {
   router.advance(color_bit(0));
   router.configure(0, two_position_ring());
   EXPECT_EQ(router.position(0), 0u);
+}
+
+// Reference model of the switch-position semantics: one position list per
+// color, advanced one color at a time.
+struct ReferenceRouter {
+  std::array<std::optional<ColorConfig>, kNumRoutableColors> configs;
+  std::array<u32, kNumRoutableColors> current{};
+
+  void configure(Color color, const ColorConfig& config) {
+    configs[color] = config;
+    current[color] = 0;
+  }
+  void advance(ColorMask mask) {
+    for (Color c = 0; c < kNumRoutableColors; ++c) {
+      if ((mask & (ColorMask{1} << c)) == 0 || !configs[c]) continue;
+      const auto count = static_cast<u32>(configs[c]->positions.size());
+      if (current[c] + 1 < count)
+        ++current[c];
+      else if (configs[c]->ring_mode)
+        current[c] = 0;
+    }
+  }
+  const SwitchPosition& now(Color c) const {
+    return configs[c]->positions[current[c]];
+  }
+};
+
+DirMask random_dirs(Rng& rng, bool nonempty) {
+  for (;;) {
+    const DirMask mask(static_cast<u8>(rng.uniform_index(32)));
+    if (!nonempty || !mask.empty()) return mask;
+  }
+}
+
+TEST(RouterTest, RandomProgramsMatchTheReferenceModel) {
+  constexpr std::array<Dir, 5> kDirs = {Dir::Ramp, Dir::North, Dir::East,
+                                        Dir::South, Dir::West};
+  Rng rng(20261018);
+  for (int trial = 0; trial < 60; ++trial) {
+    Router router;
+    router.set_coord({3, 7});
+    ReferenceRouter ref;
+    // Configure (and sometimes reconfigure) a random subset of colors.
+    const u64 installs = rng.uniform_index(40);
+    for (u64 i = 0; i < installs; ++i) {
+      const auto color = static_cast<Color>(rng.uniform_index(kNumRoutableColors));
+      ColorConfig config;
+      config.ring_mode = rng.uniform_index(2) == 1;
+      const u64 count = 1 + rng.uniform_index(8);
+      for (u64 p = 0; p < count; ++p)
+        config.positions.push_back(
+            SwitchPosition{random_dirs(rng, true), random_dirs(rng, false)});
+      router.configure(color, config);
+      ref.configure(color, config);
+    }
+    for (int step = 0; step < 40; ++step) {
+      // Masks cover unconfigured colors and bits above the routable range.
+      const auto mask = static_cast<ColorMask>(rng.next_u64());
+      router.advance(mask);
+      ref.advance(mask);
+      for (Color c = 0; c < kNumRoutableColors; ++c) {
+        ASSERT_EQ(router.is_configured(c), ref.configs[c].has_value());
+        if (!ref.configs[c]) {
+          EXPECT_THROW(router.accepts(c, Dir::Ramp), Error);
+          continue;
+        }
+        ASSERT_EQ(router.position(c), ref.current[c]) << "color " << int{c};
+        ASSERT_EQ(router.positions(c).size(), ref.configs[c]->positions.size());
+        EXPECT_EQ(router.ring_mode(c), ref.configs[c]->ring_mode);
+        const SwitchPosition& pos = ref.now(c);
+        bool misroute_checked = false; // one per color and step keeps it fast
+        for (Dir from : kDirs) {
+          ASSERT_EQ(router.accepts(c, from), pos.rx.contains(from));
+          if (pos.rx.contains(from)) {
+            ASSERT_EQ(router.route(c, from), pos.tx);
+            continue;
+          }
+          if (misroute_checked) continue;
+          misroute_checked = true;
+          try {
+            (void)router.route(c, from);
+            FAIL() << "expected a misroute";
+          } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("at switch position " +
+                                std::to_string(ref.current[c])),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("at PE (3, 7)"), std::string::npos) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RouterTest, TooManySwitchPositionsAreRejected) {
+  Router router;
+  ColorConfig config;
+  config.positions.assign(Router::kMaxPositions + 1,
+                          SwitchPosition{DirMask::of(Dir::Ramp), DirMask{}});
+  EXPECT_THROW(router.configure(0, config), Error);
+  config.positions.pop_back();
+  router.configure(0, config);
+  EXPECT_EQ(router.positions(0).size(), Router::kMaxPositions);
 }
 
 TEST(ColorTest, RoutableAndLocalRanges) {
