@@ -772,36 +772,35 @@ void Fabric::release_traces(f64 watermark) {
 
 void Fabric::advance_and_release(Shard& shard, PeHot& pe, ColorMask mask, f64 t) {
   pe.router.advance(mask);
-  // Colors of `mask` in ascending order, each tested for parked flits when
-  // its turn comes: a dispatch below can re-enter this function and re-park
-  // a flit on a later color of the same mask.
-  ColorMask todo = mask;
-  for (ColorMask live; (live = todo & pe.stalled) != 0;) {
-    const auto color = static_cast<Color>(std::countr_zero(live));
+  for (ColorMask bits = mask & kRoutableColorMask; bits != 0; bits &= bits - 1) {
+    const Color color = static_cast<Color>(std::countr_zero(bits));
     const ColorMask bit = ColorMask{1} << color;
-    todo &= ~((bit << 1) - 1);
-    // Flits the new position accepts re-dispatch in arrival order; the
-    // rest re-park directly — never through the event queue — so a switch
+    // Read per color: a dispatch below can re-enter this function and
+    // park a flit on a later color of the same mask.
+    if ((pe.stalled & bit) == 0) continue;
+    auto& parked = (*cold(pe).stalled)[color];
+    // Flits the new position accepts re-dispatch in FIFO order; the rest
+    // re-park directly — never through the event queue — so a switch
     // program cycling through rejecting positions cannot inflate
     // events_processed or the trace volume.
     // Dispatching may advance switches again and re-enter this function,
-    // so walk the color's flits detached from the list.
-    std::vector<StalledFlit>& parked = cold(pe).parked;
-    const auto split = std::stable_partition(
-        parked.begin(), parked.end(),
-        [color](const StalledFlit& entry) { return entry.flit.color != color; });
-    std::vector<StalledFlit> retry(std::make_move_iterator(split),
-                                   std::make_move_iterator(parked.end()));
-    parked.erase(split, parked.end());
-    pe.stalled &= ~bit;
-    for (StalledFlit& entry : retry) {
+    // so walk a detached queue.
+    Fifo<StalledFlit> retry;
+    retry.swap(parked);
+    while (!retry.empty()) {
+      StalledFlit entry = std::move(retry.front());
+      retry.pop_front();
       if (!pe.router.accepts(color, entry.from)) {
-        parked.push_back(std::move(entry));
-        pe.stalled |= bit;
+        park(pe, std::move(entry));
         continue;
       }
       FVDF_TELEM(collector.activity(pe.index).stall_cycles += t - entry.parked_at);
       dispatch_flit(shard, pe, entry.from, std::move(entry.flit), t);
+    }
+    // Hand the drained buffer back so the color's next stall reuses it.
+    if (parked.empty()) {
+      parked.swap(retry);
+      pe.stalled &= ~bit;
     }
   }
 }
@@ -816,8 +815,7 @@ void Fabric::handle_flit_arrive(Shard& shard, Event&& event) {
     emit_trace(shard, TraceEvent::FlitStalled, event.t, pe, flit.color,
                flit.data ? static_cast<u32>(flit.data->size()) : 0);
     FVDF_TELEM(++collector.activity(event.pe_index).stalls);
-    pe.stalled |= ColorMask{1} << flit.color;
-    cold(pe).parked.push_back(StalledFlit{event.from, std::move(flit), event.t});
+    park(pe, StalledFlit{event.from, std::move(flit), event.t});
     return;
   }
   dispatch_flit(shard, pe, event.from, std::move(flit), event.t);

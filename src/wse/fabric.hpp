@@ -301,7 +301,7 @@ private:
   };
 
   // FIFO over a vector and a head index, used for every per-PE, per-color
-  // queue (inbox words, receive descriptors). An unused
+  // queue (inbox words, receive descriptors, parked flits). An unused
   // queue is an empty vector and allocates nothing — most of a PE's 24
   // colors never see traffic — and a drained one keeps its buffer for the
   // next burst. Words append as one span and descriptors drain in bulk.
@@ -327,6 +327,10 @@ private:
         buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
         head_ = 0;
       }
+    }
+    void swap(Fifo& other) noexcept {
+      buf_.swap(other.buf_);
+      std::swap(head_, other.head_);
     }
 
   private:
@@ -356,8 +360,9 @@ private:
     PeCoord coord;
     Router router;
     u32 index = 0; // y * width + x
-    // Colors with parked flits: bit c is set iff PeCold::parked holds a
-    // flit of color c, so a switch advance finds its work without it.
+    // Colors that may have parked flits: bit c is set by every park and
+    // cleared only when color c's queue in PeCold::stalled is empty, so a
+    // switch advance skips the cold record for every other color.
     ColorMask stalled = 0;
     f64 busy_until = 0;
     const bc::Program* stream = nullptr; // kept alive by Fabric::streams_
@@ -375,9 +380,11 @@ private:
     OpCounters counters;
     std::array<Fifo<RecvDesc>, kNumRoutableColors> recv_queues;
     std::array<Fifo<f32>, kNumRoutableColors> inbox;
-    // Parked flits of every color in arrival order: backpressure is rare,
-    // so one list per PE rather than one per color.
-    std::vector<StalledFlit> parked;
+    // Parked flits per color, allocated at the PE's first stall:
+    // backpressure is rare (the 64x64x8 CG case parks none), and inline
+    // queues would add 768 bytes to every cold record.
+    using StalledQueues = std::array<Fifo<StalledFlit>, kNumRoutableColors>;
+    std::unique_ptr<StalledQueues> stalled;
     // Trace records this PE emitted: the last key of the trace order.
     u64 trace_seq = 0;
 
@@ -539,6 +546,13 @@ private:
   // stalled on the affected colors (at time `t`). Flits the new position
   // still rejects re-park directly without re-entering the event queue.
   void advance_and_release(Shard& shard, PeHot& pe, ColorMask mask, f64 t);
+  // Parks a flit that its color's current switch position rejects.
+  void park(PeHot& pe, StalledFlit&& entry) {
+    auto& stalled = cold(pe).stalled;
+    if (!stalled) stalled = std::make_unique<PeCold::StalledQueues>();
+    pe.stalled |= ColorMask{1} << entry.flit.color;
+    (*stalled)[entry.flit.color].push_back(std::move(entry));
+  }
   void handle_task_start(Shard& shard, const Event& event);
   void deliver_to_ramp(Shard& shard, PeHot& pe, const Flit& flit, f64 t);
   void feed_recv_descriptors(Shard& shard, PeHot& pe, Color color, f64 t);

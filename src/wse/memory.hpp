@@ -41,7 +41,8 @@ public:
   /// `capacity_bytes` models the PE's SRAM; `reserved_bytes` accounts for
   /// program text + stack (not individually simulated) and is subtracted
   /// from the allocatable budget.
-  explicit PeMemory(u64 capacity_bytes = 48 * 1024, u64 reserved_bytes = 2048);
+  explicit PeMemory(u64 capacity_bytes = PeMemoryParams{}.capacity_bytes,
+                    u64 reserved_bytes = PeMemoryParams{}.reserved_bytes);
 
   /// Allocates `count` fp32 words. Throws fvdf::Error with a full
   /// allocation map when the arena would overflow.
