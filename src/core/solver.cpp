@@ -67,8 +67,11 @@ PeInit build_pe_init(const FlowProblem& problem, const DiscreteSystem<f32>& sys,
   if (minv) init.minv.resize(static_cast<std::size_t>(nz));
   if (!sys.source.empty()) init.source.resize(static_cast<std::size_t>(nz));
 
-  const std::vector<f64> p0 =
-      p0_override ? *p0_override : problem.initial_pressure();
+  // Bound by reference: the override is the whole field, and this runs
+  // once per PE.
+  std::vector<f64> computed;
+  if (!p0_override) computed = problem.initial_pressure();
+  const std::vector<f64>& p0 = p0_override ? *p0_override : computed;
   FVDF_CHECK(p0.size() == static_cast<std::size_t>(sys.cell_count()));
   for (i64 z = 0; z < nz; ++z) {
     const auto zi = static_cast<std::size_t>(z);
@@ -113,8 +116,9 @@ DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
   const auto n = static_cast<std::size_t>(mesh.cell_count());
   result.delta.assign(n, 0.0f);
   result.pressure.assign(n, 0.0f);
-  const std::vector<f64> p0 =
-      initial_field.empty() ? problem.initial_pressure() : initial_field;
+  std::vector<f64> computed;
+  if (initial_field.empty()) computed = problem.initial_pressure();
+  const std::vector<f64>& p0 = initial_field.empty() ? computed : initial_field;
   for (i64 y = 0; y < ny; ++y) {
     for (i64 x = 0; x < nx; ++x) {
       const wse::PeMemory& mem = fabric.pe_memory(x, y);

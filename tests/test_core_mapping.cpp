@@ -176,6 +176,23 @@ TEST(BuildPeInit, P0CarriesBoundaryValues) {
   for (f32 p : producer.p0) EXPECT_EQ(p, 0.0f);
 }
 
+TEST(BuildPeInit, P0OverrideFillsThePesColumn) {
+  const auto problem = FlowProblem::quarter_five_spot(4, 3, 5, 77);
+  const auto sys = problem.discretize<f32>();
+  const std::vector<f64> initial = problem.initial_pressure();
+  std::vector<f64> field(initial.size());
+  for (std::size_t k = 0; k < field.size(); ++k)
+    field[k] = initial[k] + 0.25 * static_cast<f64>(k + 1);
+  const i64 x = 2, y = 1;
+  const PeInit init = build_pe_init(problem, sys, x, y, FluxMode::Fused, nullptr, &field);
+  ASSERT_EQ(init.p0.size(), 5u);
+  for (i64 z = 0; z < 5; ++z) {
+    const auto k = static_cast<std::size_t>((z * 3 + y) * 4 + x);
+    EXPECT_EQ(init.p0[static_cast<std::size_t>(z)], static_cast<f32>(field[k]));
+    EXPECT_NE(init.p0[static_cast<std::size_t>(z)], static_cast<f32>(initial[k]));
+  }
+}
+
 TEST(BuildPeInit, OnTheFlyKeepsRawTransmissibilityAndMobility) {
   const auto problem = FlowProblem::quarter_five_spot(3, 3, 3, 21);
   const auto sys = problem.discretize<f32>();

@@ -797,8 +797,10 @@ public:
 
   /// Pushes an event at `t` under a fresh random tie-break key (unique via
   /// its low bits).
-  void push(f64 t) {
-    const Keyed event{t, rng_.next_u64() << 24 | next_++};
+  void push(f64 t) { push(Keyed{t, rng_.next_u64() << 24 | next_++}); }
+
+  /// Pushes `event` as given; its (t, order) must not be pending already.
+  void push(const Keyed& event) {
     model_.push(event);
     queue_.push(Keyed(event));
     expect_same_top();
@@ -958,6 +960,119 @@ TEST(EventQueue, RandomMixMatchesPriorityQueue) {
       diff.push(now + diff.rng().uniform(2000, 9000));
     }
     if (step % 20000 == 0) diff.expect_visit_sees_all();
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, PushesIntoTheDrainingBucketKeepItsOrder) {
+  QueueDiff diff(707);
+  // One half-cycle bucket, keys 1000, 1010, ..., 1990 pushed as two
+  // interleaved ascending runs. Once it is being drained, pushes land below
+  // its next event (the freed slot before the cursor), between pending
+  // events, and after its last one, with pops in between.
+  const f64 t = 12.0;
+  for (u64 i = 0; i < 50; ++i) diff.push(Keyed{t, 1000 + 20 * i});
+  for (u64 i = 0; i < 50; ++i) diff.push(Keyed{t, 1010 + 20 * i});
+  for (int i = 0; i < 30; ++i) diff.pop(); // next pending: order 1300
+  diff.push(Keyed{t, 1295});               // below the next event
+  diff.push(Keyed{t, 1291});               // below it again
+  diff.push(Keyed{t, 1305});               // between pending events
+  diff.push(Keyed{t, 1999});               // after the last one
+  diff.push(Keyed{t + 0.25, 1});           // later time, same bucket
+  diff.push(Keyed{t + 0.125, 7});          // off-grid, between times
+  diff.expect_visit_sees_all();
+  for (u64 round = 0; round < 40; ++round) {
+    diff.pop();
+    const u64 base = 2000 + 10 * round;
+    diff.push(Keyed{t, 1 + round});        // below every pending key
+    diff.push(Keyed{t, base + 1});         // after the last one at t
+    if (round % 3 == 0) diff.push(Keyed{t, 1500 + 2 * round + 1}); // between
+    diff.pop();
+  }
+  diff.drain();
+  // A fresh bucket takes more pushes below its next event than it has
+  // freed slots before the cursor.
+  for (u64 i = 0; i < 20; ++i) diff.push(Keyed{t + 5.0, 500 + i});
+  for (int i = 0; i < 3; ++i) diff.pop();
+  for (u64 i = 0; i < 14; ++i) diff.push(Keyed{t + 5.0, 100 + i});
+  diff.expect_visit_sees_all();
+  diff.drain();
+}
+
+TEST(EventQueue, FutureBucketsFilledAsInterleavedRuns) {
+  QueueDiff diff(808);
+  // The fabric's arrival pattern: PEs in lock-step each emit an ascending
+  // run of events into the same few future buckets, so a bucket fills as
+  // several interleaved ascending runs that it must sort when opened.
+  for (int wave = 0; wave < 30; ++wave) {
+    const f64 now = std::floor(diff.last_popped() * 2) / 2;
+    const u64 runs = 2 + diff.rng().uniform_index(7);
+    for (u64 r = 0; r < runs; ++r)
+      for (u64 pe = 0; pe < 64; ++pe) {
+        const f64 t = now + 0.5 * static_cast<f64>(1 + (pe + r) % 3);
+        diff.push(Keyed{t, (pe << 40) | (static_cast<u64>(wave) << 8) | r});
+      }
+    diff.expect_visit_sees_all();
+    for (u64 i = 0, n = diff.size() * 3 / 4; i < n; ++i) diff.pop();
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, BucketDrainsEmptiesAndRefillsWithinOneWindow) {
+  QueueDiff diff(909);
+  // The same bucket empties and fills again while the window stays put:
+  // a refilled bucket starts a fresh run with its cursor reset.
+  f64 t = 3.0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const u64 n = 1 + diff.rng().uniform_index(40);
+    for (u64 i = 0; i < n; ++i) diff.push(t + 0.5 * diff.rng().uniform());
+    diff.push(t + 1.0); // keeps the ring non-empty past the bucket
+    while (diff.size() > 0 && diff.top_t() < t + 0.5) {
+      diff.pop();
+      if (diff.rng().uniform() < 0.3) diff.push(diff.last_popped());
+    }
+    diff.expect_visit_sees_all();
+    if (cycle % 4 == 3) t += 0.5;
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, MergeBatchesIntoAPartlyDrainedBucket) {
+  QueueDiff diff(1010);
+  // The tiled engine's merge barrier hands over unsorted batches from up
+  // to four neighbors; many land in the head bucket while it is being
+  // drained, the rest in buckets that are not open yet.
+  for (int round = 0; round < 300; ++round) {
+    const f64 lo = diff.last_popped();
+    const f64 bucket_end = std::floor(lo * 2) / 2 + 0.5;
+    for (int side = 0; side < 4; ++side) {
+      const u64 n = diff.rng().uniform_index(12);
+      for (u64 i = 0; i < n; ++i) {
+        const f64 u = diff.rng().uniform();
+        diff.push(u < 0.5   ? diff.rng().uniform(lo, bucket_end)
+                  : u < 0.7 ? lo
+                            : lo + diff.rng().uniform(0, 6));
+      }
+    }
+    if (round % 50 == 0) diff.expect_visit_sees_all();
+    for (int i = 0; i < 25 && diff.size() > 0; ++i) diff.pop();
+  }
+  diff.drain();
+}
+
+TEST(EventQueue, OffGridTimesShareABucket) {
+  QueueDiff diff(1111);
+  // Times off the half-cycle grid: many distinct times per bucket, pushed
+  // out of order into buckets both open and not yet open.
+  for (int step = 0; step < 3000; ++step) {
+    const f64 base = std::floor(diff.last_popped() * 2) / 2;
+    for (u64 i = 0, n = diff.rng().uniform_index(5); i < n; ++i) {
+      const f64 frac = std::floor(diff.rng().uniform(0, 64)) / 128.0;
+      const f64 t = base + 0.5 * static_cast<f64>(diff.rng().uniform_index(3)) + frac;
+      diff.push(std::max(t, diff.last_popped()));
+    }
+    if (diff.size() > 0 && diff.rng().uniform() < 0.55) diff.pop();
+    if (step % 500 == 0) diff.expect_visit_sees_all();
   }
   diff.drain();
 }
