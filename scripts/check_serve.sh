@@ -14,7 +14,10 @@
 #   4. SIGTERM mid-transient-run — the daemon must checkpoint the job
 #      into the spool, log its shutdown lines and exit 0; a restarted
 #      daemon must log the recovery, finish the job from the checkpoint
-#      (stats: completed=1, recovered=1) and clean the spool.
+#      (stats: completed=1, recovered=1) and clean the spool;
+#   5. a daemon started without --workers sizes its pool to the usable
+#      CPUs: GET /stats reports workers == nproc (which honours the CPU
+#      affinity mask), and a malformed numeric flag exits 2.
 #
 #   scripts/check_serve.sh [build-dir]
 #
@@ -39,9 +42,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Extra arguments are passed to the daemon.
 start_daemon() {
-  "$DAEMON" --socket "$SOCKET" --http-port 0 --workers 2 \
-    --spool-dir "$SPOOL" >>"$LOG" 2>&1 &
+  "$DAEMON" --socket "$SOCKET" --http-port 0 "$@" >>"$LOG" 2>&1 &
   DAEMON_PID=$!
   for _ in $(seq 1 100); do
     [[ -S "$SOCKET" ]] && return 0
@@ -54,7 +57,7 @@ start_daemon() {
 }
 
 # ---- Phase 1: batch + duplicate + cancellation + deadline + HTTP. ----
-start_daemon
+start_daemon --workers 2 --spool-dir "$SPOOL"
 python3 - "$SOCKET" "$LOG" <<'PY'
 import json, re, socket, sys, urllib.request
 
@@ -82,6 +85,7 @@ class Client:
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.sock.connect(path)
         self.file = self.sock.makefile("r", encoding="utf-8")
+        self.finished = {}  # terminal events read while waiting for another id
 
     def send(self, obj):
         self.sock.sendall((json.dumps(obj) + "\n").encode())
@@ -95,19 +99,22 @@ class Client:
         return event
 
     def wait_terminal(self, job_id):
-        while True:
+        # Concurrent jobs finish in any order: keep the others' terminal
+        # events for their own wait_terminal call.
+        while job_id not in self.finished:
             event = self.read()
-            if event.get("id") != job_id:
-                continue
             if event["event"] == "result":
                 for field in ("fingerprint", "cache", "converged",
                               "iterations", "pressure_hash",
                               "setup_seconds", "solve_seconds"):
                     assert field in event, f"result missing {field}: {event}"
-                return event
-            if event["event"] == "error":
+            elif event["event"] == "error":
                 assert "code" in event and "message" in event, event
-                return event
+            else:
+                continue
+            if "id" in event:
+                self.finished[event["id"]] = event
+        return self.finished.pop(job_id)
 
 failures = []
 
@@ -235,7 +242,7 @@ grep -q "fvdf_serve stopped" "$LOG" || { echo "FAIL: no stopped log line" >&2; e
   echo "FAIL: SIGTERM did not leave the job spooled" >&2; ls -l "$SPOOL" >&2; exit 1; }
 echo "ok:   SIGTERM checkpointed the in-flight job and exited 0"
 
-start_daemon
+start_daemon --workers 2 --spool-dir "$SPOOL"
 grep -q "recovered 1 spooled job" "$LOG" || {
   echo "FAIL: restarted daemon did not log the recovery" >&2
   cat "$LOG" >&2; exit 1; }
@@ -279,5 +286,41 @@ sock.makefile("r").readline()
 PY
 wait "$DAEMON_PID" || { echo "FAIL: daemon exited non-zero on shutdown op" >&2; exit 1; }
 DAEMON_PID=""
+
+# ---- Phase 3: default sizing; bad numeric flags are usage errors. ----
+READY_BEFORE="$(grep -c "fvdf_serve ready" "$LOG")"
+start_daemon
+python3 - "$LOG" "$(nproc)" "$READY_BEFORE" <<'PY'
+import json, re, sys, time, urllib.request
+
+# The socket exists before the daemon logs its ready line; wait for it.
+deadline = time.time() + 10
+while True:
+    with open(sys.argv[1], encoding="utf-8") as f:
+        ports = re.findall(r"ready \(http 127\.0\.0\.1:(\d+)\)", f.read())
+    if len(ports) > int(sys.argv[3]) or time.time() > deadline:
+        break
+    time.sleep(0.1)
+if len(ports) <= int(sys.argv[3]):
+    raise SystemExit("FAIL: default daemon did not log its HTTP port")
+port = ports[-1]
+doc = json.load(urllib.request.urlopen(
+    f"http://127.0.0.1:{port}/stats", timeout=10))
+workers, nproc = doc["jobs"]["workers"], int(sys.argv[2])
+if workers != nproc:
+    raise SystemExit(f"FAIL: default daemon runs {workers} workers, nproc is {nproc}")
+print(f"ok:   default daemon runs one worker per usable CPU ({workers})")
+PY
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" || { echo "FAIL: default daemon exited non-zero on SIGTERM" >&2; exit 1; }
+DAEMON_PID=""
+
+for bad in -1 abc 99999999999; do
+  status=0
+  "$DAEMON" --socket "$WORK/unused.sock" --workers "$bad" 2>/dev/null || status=$?
+  [[ "$status" == 2 ]] || {
+    echo "FAIL: --workers $bad exited $status, expected 2" >&2; exit 1; }
+done
+echo "ok:   malformed --workers values exit 2"
 
 echo "check_serve: PASS"

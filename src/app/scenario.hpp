@@ -17,7 +17,7 @@
 //               rate (1.0, total over the injector column, rate kind only)
 //   [solver]    backend = host|host-pcg|dataflow (host-pcg),
 //               tolerance (1e-18), max_iterations (100000),
-//               sim_threads (1; 0 = hardware concurrency),
+//               sim_threads (1; 0 = usable CPUs),
 //               verify (false; dataflow only: static program verification
 //               before the run — see docs/static_verification.md)
 //   [transient] enabled (false), dt (1.0), steps (10),
@@ -62,8 +62,8 @@ struct Scenario {
   Backend backend = Backend::HostPcg;
   f64 tolerance = 1e-18;
   u64 max_iterations = 100'000;
-  // Worker threads for the dataflow fabric simulator (0 = hardware
-  // concurrency, 1 = serial). Never changes results — see docs/simulator.md,
+  // Worker threads for the dataflow fabric simulator (0 = the usable
+  // CPUs, 1 = serial). Never changes results — see docs/simulator.md,
   // "Parallel execution model".
   u32 sim_threads = 1;
   // Dataflow backend only: run the static fabric verifier as a pre-flight

@@ -4,13 +4,24 @@
 #include <atomic>
 #include <exception>
 
+#include <sched.h>
+
 #include "common/error.hpp"
 
 namespace fvdf {
 
+unsigned usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t n = threads;
-  if (n == 0) n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t n = threads == 0 ? usable_cpus() : threads;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     workers_.emplace_back([this] { worker_loop(); });

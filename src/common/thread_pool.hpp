@@ -16,10 +16,14 @@
 
 namespace fvdf {
 
+/// CPUs this process may run on: the size of its affinity mask (so a
+/// process under taskset or a cpuset sizes itself to what it was given),
+/// else std::thread::hardware_concurrency(); at least 1.
+unsigned usable_cpus();
+
 class ThreadPool {
 public:
-  /// Creates `threads` workers. 0 means std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// Creates `threads` workers. 0 means usable_cpus().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

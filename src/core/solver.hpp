@@ -72,7 +72,7 @@ struct DataflowConfig {
   wse::TimingParams timing{};
   wse::PeMemoryParams memory{};
   f64 max_cycles = 1e15; // simulation safety net
-  // Simulator worker threads (0 = hardware concurrency). Purely a host-side
+  // Simulator worker threads (0 = usable CPUs). Purely a host-side
   // execution knob: results are bitwise identical at any value.
   u32 sim_threads = 1;
   // Simulator shard-layout override ({0,0} = the engine's cost model; see

@@ -49,7 +49,7 @@ Dim3 grid_for(i64 nx, i64 ny, i64 nz, Dim3 block = kPaperBlockDim);
 
 class CudaDevice {
 public:
-  /// `host_threads` sizes the emulation pool (0 = hardware concurrency).
+  /// `host_threads` sizes the emulation pool (0 = usable CPUs).
   explicit CudaDevice(GpuSpec spec, std::size_t host_threads = 0);
 
   const GpuSpec& spec() const { return spec_; }

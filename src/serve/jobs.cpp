@@ -9,6 +9,7 @@
 #include "app/scenario.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
+#include "common/thread_pool.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/session.hpp"
 
@@ -50,11 +51,20 @@ const char* to_string(JobState state) {
   return "?";
 }
 
+u32 job_sim_threads(u32 requested, u32 cpus, u32 workers) {
+  const u32 share = std::max(1u, cpus / std::max(1u, workers));
+  return requested == 0 ? share : std::min(requested, share);
+}
+
 JobManager::JobManager(std::shared_ptr<ArtifactCache> cache,
                        JobManagerConfig config)
-    : cache_(std::move(cache)), config_(std::move(config)) {
+    : cache_(std::move(cache)), config_(std::move(config)),
+      cpus_(usable_cpus()) {
   FVDF_CHECK_MSG(cache_ != nullptr, "JobManager requires an ArtifactCache");
-  if (config_.workers == 0) config_.workers = 1;
+  FVDF_CHECK_MSG(config_.workers <= kMaxJobWorkers,
+                 "JobManager: " << config_.workers << " workers exceeds the cap of "
+                                << kMaxJobWorkers);
+  if (config_.workers == 0) config_.workers = std::min(cpus_, kMaxJobWorkers);
   if (config_.checkpoint_every < 1) config_.checkpoint_every = 1;
   if (!config_.spool_dir.empty()) fs::create_directories(config_.spool_dir);
   workers_.reserve(config_.workers);
@@ -93,12 +103,11 @@ bool JobManager::submit(JobSpec spec, EventSink sink, std::string* error_code) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_) return reject("draining");
     if (live_.count(job->spec.id) != 0) return reject("duplicate_id");
-    if (queue_.size() >= config_.queue_capacity) return reject("queue_full");
+    if (queue_.size() + admitting_ >= config_.queue_capacity)
+      return reject("queue_full");
     job->seq = next_seq_++;
     live_.emplace(job->spec.id, job);
-    queue_.emplace(std::make_pair(-static_cast<i64>(job->spec.priority),
-                                  job->seq),
-                   job);
+    ++admitting_;
     ++stats_.accepted;
   }
 
@@ -116,6 +125,18 @@ bool JobManager::submit(JobSpec spec, EventSink sink, std::string* error_code) {
         .kv("priority", job->spec.priority)
         .end_object();
     job->sink(writer.take());
+  }
+
+  // Runnable only now: no event of the job can precede "accepted", and
+  // the job cannot finish (removing its spool file) before the file exists.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --admitting_;
+    // A job cancelled while being admitted was finished by cancel().
+    if (!job->cancel_requested.load(std::memory_order_relaxed))
+      queue_.emplace(std::make_pair(-static_cast<i64>(job->spec.priority),
+                                    job->seq),
+                     job);
   }
   work_cv_.notify_one();
   return true;
@@ -315,6 +336,8 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
   }
   if (job->spec.sim_threads >= 0)
     scenario.sim_threads = static_cast<u32>(job->spec.sim_threads);
+  scenario.sim_threads =
+      job_sim_threads(scenario.sim_threads, cpus_, config_.workers);
   // Service jobs never write client-configured artifacts from the daemon
   // process; outputs flow back over the wire.
   scenario.vtk_path.clear();

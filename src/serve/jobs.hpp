@@ -51,8 +51,12 @@ struct JobSpec {
 /// must be internally synchronized and must not block for long.
 using EventSink = std::function<void(const std::string& line)>;
 
+/// Largest worker count a JobManager accepts. A larger request is
+/// rejected before any worker thread starts.
+inline constexpr u32 kMaxJobWorkers = 1024;
+
 struct JobManagerConfig {
-  u32 workers = 2;
+  u32 workers = 0; // 0 = one per usable CPU (usable_cpus())
   std::size_t queue_capacity = 64;
   // Crash/restart spool: <id>.case.ini at admission, <id>.ckpt between
   // transient steps, both removed on terminal states. Empty = disabled.
@@ -72,6 +76,13 @@ struct JobStats {
   u64 queued_now = 0;
   u64 running_now = 0;
 };
+
+/// The simulator threads a job runs with when `workers` concurrent jobs
+/// share `cpus` CPUs: its share, cpus / workers and at least 1, or fewer
+/// when `requested` is below it (0 requests the whole share). The thread
+/// count never changes a result, so the cap only keeps concurrent jobs
+/// from oversubscribing the host.
+u32 job_sim_threads(u32 requested, u32 cpus, u32 workers);
 
 class JobManager {
 public:
@@ -109,6 +120,13 @@ public:
 
   JobStats stats() const;
 
+  /// Size of the worker pool, after 0 resolved to the usable CPUs.
+  u32 workers() const { return config_.workers; }
+  /// Simulator threads each job may use (job_sim_threads' share).
+  u32 sim_threads_per_job() const {
+    return job_sim_threads(0, cpus_, config_.workers);
+  }
+
 private:
   struct Job {
     JobSpec spec;
@@ -132,6 +150,7 @@ private:
 
   std::shared_ptr<ArtifactCache> cache_;
   JobManagerConfig config_;
+  u32 cpus_; // usable_cpus() at construction
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -140,6 +159,7 @@ private:
   std::map<std::pair<i64, u64>, std::shared_ptr<Job>> queue_;
   std::unordered_map<std::string, std::shared_ptr<Job>> live_; // by id
   u64 next_seq_ = 0;
+  u64 admitting_ = 0; // admitted by submit(), not yet in queue_
   u64 running_ = 0;
   bool draining_ = false;
   JobStats stats_;

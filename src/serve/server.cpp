@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -26,6 +28,8 @@ namespace {
 // The most a client may send as one NDJSON line, one HTTP header block or
 // one HTTP body. Anything larger is refused before it is buffered further.
 constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+// The largest --queue-capacity, --cache-capacity or --checkpoint-every.
+constexpr u64 kMaxCount = u64{1} << 20;
 
 std::string error_event(const std::string& id, const std::string& code,
                         const std::string& message) {
@@ -34,6 +38,13 @@ std::string error_event(const std::string& id, const std::string& code,
   if (!id.empty()) writer.kv("id", id);
   writer.kv("code", code).kv("message", message).end_object();
   return writer.take();
+}
+
+// A plain decimal integer in [lo, hi]: no sign, no suffix, no overflow.
+bool parse_count(const char* text, u64 lo, u64 hi, u64& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && out >= lo && out <= hi;
 }
 
 // send() with MSG_NOSIGNAL so a disconnected client yields EPIPE instead
@@ -77,6 +88,45 @@ struct Server::ClientConn {
     // exits; sinks only ever write through this object.
   }
 };
+
+std::string parse_server_args(int argc, const char* const* argv,
+                              ServerConfig& config) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (i + 1 >= argc) return arg + " needs a value";
+    const char* value = argv[++i];
+    // Each numeric flag: its target and its accepted range.
+    auto count = [&](u64 lo, u64 hi, auto& target) -> std::string {
+      u64 parsed = 0;
+      if (!parse_count(value, lo, hi, parsed))
+        return arg + " takes an integer in [" + std::to_string(lo) + ", " +
+               std::to_string(hi) + "], not '" + value + "'";
+      target = static_cast<std::remove_reference_t<decltype(target)>>(parsed);
+      return {};
+    };
+    std::string error;
+    if (arg == "--socket") {
+      config.socket_path = value;
+    } else if (arg == "--spool-dir") {
+      config.jobs.spool_dir = value;
+    } else if (arg == "--http-port") {
+      error = count(0, 65535, config.http_port);
+    } else if (arg == "--workers") {
+      error = count(0, kMaxJobWorkers, config.jobs.workers);
+    } else if (arg == "--queue-capacity") {
+      error = count(1, kMaxCount, config.jobs.queue_capacity);
+    } else if (arg == "--cache-capacity") {
+      error = count(1, kMaxCount, config.cache_capacity);
+    } else if (arg == "--checkpoint-every") {
+      error = count(1, kMaxCount, config.jobs.checkpoint_every);
+    } else {
+      return "unknown flag: " + arg;
+    }
+    if (!error.empty()) return error;
+  }
+  if (config.socket_path.empty()) return "--socket is required";
+  return {};
+}
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   FVDF_CHECK_MSG(!config_.socket_path.empty(),
@@ -385,6 +435,8 @@ std::string Server::stats_json() const {
       .kv("recovered", jobs.recovered)
       .kv("queued", jobs.queued_now)
       .kv("running", jobs.running_now)
+      .kv("workers", jobs_->workers())
+      .kv("sim_threads_per_job", jobs_->sim_threads_per_job())
       .end_object()
       .end_object();
   return writer.take();

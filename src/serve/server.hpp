@@ -44,6 +44,14 @@ struct ServerConfig {
   std::size_t cache_capacity = 32;
 };
 
+/// Reads fvdf_serve's command line (flags as in its usage text) into
+/// `config`. Returns an empty string, or why the arguments were rejected:
+/// an unknown flag, a missing value or --socket, or a number that is not a
+/// plain decimal integer in its flag's range (--workers 0 is the default,
+/// one per usable CPU). Starts nothing.
+std::string parse_server_args(int argc, const char* const* argv,
+                              ServerConfig& config);
+
 class Server {
 public:
   explicit Server(ServerConfig config);
@@ -68,7 +76,8 @@ public:
   bool shutting_down() const { return stopping_.load(); }
 
   /// The stats document served by GET /stats and {"op":"stats"}: cache
-  /// hit/miss/eviction counts, job counts, and the metrics registry.
+  /// hit/miss/eviction counts, job counts, the worker pool's size and each
+  /// job's simulator-thread share.
   std::string stats_json() const;
 
   /// Realized HTTP port (differs from config when 0 = ephemeral was

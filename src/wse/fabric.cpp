@@ -6,10 +6,10 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "wse/bytecode_interp.hpp"
@@ -191,9 +191,7 @@ Fabric::~Fabric() = default;
 
 void Fabric::set_threads(u32 threads) {
   const u32 before = threads_;
-  threads_ = threads == 0
-                 ? std::max(1u, std::thread::hardware_concurrency())
-                 : threads;
+  threads_ = threads == 0 ? usable_cpus() : threads;
   if (!loaded_ && resolve_shard_grid(grid_, before) !=
                       resolve_shard_grid(grid_, threads_))
     apply_layout();
@@ -292,7 +290,7 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
   // beyond the hardware's parallelism cost more in barrier latency than
   // they win (kMaxOversubscribedWorkers). The clamp (like every scheduling
   // decision here) is invisible in the results.
-  const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+  const u32 hw = usable_cpus();
   const u32 workers =
       faults_active ? 1
                     : std::min({threads_, shard_count(),

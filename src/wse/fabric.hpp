@@ -163,8 +163,8 @@ public:
   /// simulated cycles elapse.
   RunResult run(f64 max_cycles = 1e15);
 
-  /// Sets the number of worker threads run() may use (0 = hardware
-  /// concurrency, 1 = serial; the default). Before load() this also
+  /// Sets the number of worker threads run() may use (0 = usable_cpus(),
+  /// 1 = serial; the default). Before load() this also
   /// re-resolves an automatic layout (see the constructor): the layout
   /// switches between one shard and the cost-model tiles, which resets an
   /// installed channel-lookahead table to the default and rebinds an

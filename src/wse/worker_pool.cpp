@@ -1,5 +1,6 @@
 #include "wse/worker_pool.hpp"
 
+#include "common/thread_pool.hpp"
 #include "wse/placement.hpp"
 
 #ifndef FVDF_TELEMETRY_DISABLED
@@ -23,8 +24,7 @@ inline void cpu_relax() {
 /// Spinning only pays when every worker owns a core; oversubscribed hosts
 /// (CI containers, laptops under load) are better off parking immediately.
 u32 pick_spin_iters(u32 workers) {
-  const u32 hw = std::thread::hardware_concurrency();
-  return (hw != 0 && workers <= hw) ? 256 : 0;
+  return workers <= usable_cpus() ? 256 : 0;
 }
 
 } // namespace

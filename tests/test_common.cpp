@@ -11,6 +11,8 @@
 #include <numeric>
 #include <set>
 
+#include <sched.h>
+
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/image.hpp"
@@ -411,6 +413,14 @@ TEST(ThreadPool, SubmitAndWaitIdle) {
   for (int i = 0; i < 50; ++i) pool.submit([&] { counter.fetch_add(1); });
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPool, UsableCpusIsTheAffinityMaskSize) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_GE(usable_cpus(), 1u);
+  EXPECT_EQ(usable_cpus(), static_cast<unsigned>(CPU_COUNT(&set)));
 }
 
 // ---------- Image ----------

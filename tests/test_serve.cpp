@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/jobs.hpp"
@@ -215,9 +217,10 @@ std::string hash_of(const std::vector<f64>& values) {
 }
 
 TEST(ServeJobs, ConcurrentJobsMatchSingleShotBitwise) {
-  // Two distinct cases, several concurrent submissions each, two workers:
-  // every result hash must equal the single-shot run_scenario hash of the
-  // same case — concurrency and artifact reuse never change results.
+  // Two distinct cases, several concurrent submissions each, at one, two
+  // and the default number of workers: every result hash must equal the
+  // single-shot run_scenario hash of the same case — concurrency and
+  // artifact reuse never change results.
   const std::string case_a(kBaseCase);
   const std::string case_b(std::string(kBaseCase) + "max_iterations = 50\n");
 
@@ -229,32 +232,57 @@ TEST(ServeJobs, ConcurrentJobsMatchSingleShotBitwise) {
     expected[name] = hash_of(app::run_scenario(scenario, log).pressure);
   }
 
-  auto cache = std::make_shared<ArtifactCache>(8);
+  for (const u32 workers : {1u, 2u, 0u}) {
+    auto cache = std::make_shared<ArtifactCache>(8);
+    JobManagerConfig config;
+    config.workers = workers;
+    EventLog log;
+    JobManager jobs(cache, config);
+    for (int i = 0; i < 3; ++i) {
+      for (const auto& [name, text] :
+           {std::pair<std::string, std::string>{"a", case_a}, {"b", case_b}}) {
+        JobSpec spec;
+        spec.id = name + std::to_string(i);
+        spec.case_text = text;
+        ASSERT_TRUE(jobs.submit(std::move(spec), log.sink()));
+      }
+    }
+    jobs.wait_idle();
+    for (int i = 0; i < 3; ++i) {
+      for (const char* name : {"a", "b"}) {
+        const JsonValue result = log.await(name + std::to_string(i), "result");
+        EXPECT_EQ(result.get_string("pressure_hash", ""), expected[name])
+            << name << i << " at " << workers << " workers";
+        EXPECT_TRUE(result.get_bool("converged", false));
+      }
+    }
+    const CacheStats stats = cache->stats();
+    if (workers == 1 || workers == 2) {
+      // 2 misses (first of each case), 4 hits.
+      EXPECT_EQ(stats.misses, 2u);
+      EXPECT_EQ(stats.hits, 4u);
+    } else {
+      // More workers may start two jobs of one case together; both miss
+      // and the cache keeps the first entry built.
+      EXPECT_GE(stats.misses, 2u);
+      EXPECT_EQ(stats.misses + stats.hits, 6u);
+    }
+  }
+}
+
+TEST(ServeJobs, DefaultsToOneWorkerPerUsableCpu) {
+  auto cache = std::make_shared<ArtifactCache>(1);
+  JobManager jobs(cache, JobManagerConfig{});
+  EXPECT_EQ(jobs.workers(), std::min(usable_cpus(), kMaxJobWorkers));
+  EXPECT_EQ(jobs.sim_threads_per_job(), 1u);
+}
+
+TEST(ServeJobs, RejectsAWorkerCountAboveTheCapBeforeStartingThreads) {
+  // The cap is checked before the first worker thread is created.
+  auto cache = std::make_shared<ArtifactCache>(1);
   JobManagerConfig config;
-  config.workers = 2;
-  EventLog log;
-  JobManager jobs(cache, config);
-  for (int i = 0; i < 3; ++i) {
-    for (const auto& [name, text] :
-         {std::pair<std::string, std::string>{"a", case_a}, {"b", case_b}}) {
-      JobSpec spec;
-      spec.id = name + std::to_string(i);
-      spec.case_text = text;
-      ASSERT_TRUE(jobs.submit(std::move(spec), log.sink()));
-    }
-  }
-  jobs.wait_idle();
-  for (int i = 0; i < 3; ++i) {
-    for (const char* name : {"a", "b"}) {
-      const JsonValue result = log.await(name + std::to_string(i), "result");
-      EXPECT_EQ(result.get_string("pressure_hash", ""), expected[name])
-          << name << i;
-      EXPECT_TRUE(result.get_bool("converged", false));
-    }
-  }
-  // 2 misses (first of each case), 4 hits.
-  EXPECT_EQ(cache->stats().misses, 2u);
-  EXPECT_EQ(cache->stats().hits, 4u);
+  config.workers = kMaxJobWorkers + 1;
+  EXPECT_THROW(JobManager(cache, config), Error);
 }
 
 TEST(ServeJobs, SimThreadsOverrideKeepsResultsIdentical) {
@@ -265,7 +293,8 @@ TEST(ServeJobs, SimThreadsOverrideKeepsResultsIdentical) {
   JobManager jobs(cache, config);
   std::string first_hash;
   int index = 0;
-  for (const i32 threads : {1, 2, 4}) {
+  // 0 asks for the job's whole share; 64 is capped at it.
+  for (const i32 threads : {0, 1, 2, 4, 64}) {
     JobSpec spec;
     spec.id = "t" + std::to_string(index++);
     spec.case_text = kBaseCase;
@@ -279,6 +308,76 @@ TEST(ServeJobs, SimThreadsOverrideKeepsResultsIdentical) {
     if (first_hash.empty()) first_hash = hash;
     EXPECT_EQ(hash, first_hash) << "sim_threads changed the result";
   }
+  EXPECT_EQ(jobs.sim_threads_per_job(), usable_cpus());
+
+  // The thread budget: a job never runs more simulator threads than its
+  // share of the CPUs, 0 takes the whole share, and a smaller request is
+  // kept as it is.
+  for (const u32 cpus : {1u, 2u, 3u, 4u, 8u, 64u})
+    for (const u32 workers : {1u, 2u, 3u, 4u, 8u, 100u}) {
+      const u32 share = std::max(1u, cpus / workers);
+      EXPECT_EQ(job_sim_threads(0, cpus, workers), share);
+      for (const u32 requested : {1u, 2u, 4u, 64u})
+        EXPECT_EQ(job_sim_threads(requested, cpus, workers),
+                  std::min(requested, share))
+            << requested << " requested, " << cpus << " cpus, " << workers
+            << " workers";
+    }
+}
+
+// ---------- fvdf_serve command line ----------
+
+// Parses `flag value` after a --socket; returns the rejection reason.
+std::string parse_flag(const std::string& flag, const std::string& value,
+                       ServerConfig& config) {
+  const char* argv[] = {"fvdf_serve", "--socket", "s.sock", flag.c_str(),
+                        value.c_str()};
+  return parse_server_args(5, argv, config);
+}
+
+TEST(ServeArgs, RejectsNonNumericNegativeAndOutOfRangeValues) {
+  for (const char* flag : {"--workers", "--queue-capacity", "--cache-capacity",
+                           "--checkpoint-every", "--http-port"})
+    for (const char* bad : {"-1", "abc", "99999999999", "", "4x", "+4"}) {
+      ServerConfig config;
+      EXPECT_NE(parse_flag(flag, bad, config), "") << flag << " " << bad;
+    }
+  ServerConfig config;
+  EXPECT_EQ(parse_flag("--workers", std::to_string(kMaxJobWorkers), config), "");
+  EXPECT_NE(parse_flag("--workers", std::to_string(kMaxJobWorkers + 1), config),
+            "");
+  EXPECT_NE(parse_flag("--http-port", "65536", config), "");
+  // 0 is no queue, cache or checkpoint interval at all.
+  for (const char* flag :
+       {"--queue-capacity", "--cache-capacity", "--checkpoint-every"})
+    EXPECT_NE(parse_flag(flag, "0", config), "") << flag;
+}
+
+TEST(ServeArgs, AcceptsInRangeValues) {
+  ServerConfig config;
+  EXPECT_EQ(parse_flag("--workers", "0", config), "");
+  EXPECT_EQ(config.jobs.workers, 0u); // one per usable CPU
+  EXPECT_EQ(parse_flag("--workers", "3", config), "");
+  EXPECT_EQ(config.jobs.workers, 3u);
+  EXPECT_EQ(parse_flag("--http-port", "0", config), ""); // ephemeral
+  EXPECT_EQ(config.http_port, 0);
+  EXPECT_EQ(parse_flag("--queue-capacity", "8", config), "");
+  EXPECT_EQ(config.jobs.queue_capacity, 8u);
+  EXPECT_EQ(parse_flag("--cache-capacity", "5", config), "");
+  EXPECT_EQ(config.cache_capacity, 5u);
+  EXPECT_EQ(parse_flag("--checkpoint-every", "2", config), "");
+  EXPECT_EQ(config.jobs.checkpoint_every, 2);
+  EXPECT_EQ(config.socket_path, "s.sock");
+}
+
+TEST(ServeArgs, RejectsUnknownFlagsAndMissingValues) {
+  ServerConfig config;
+  EXPECT_NE(parse_flag("--wokers", "2", config), "");
+  const char* no_value[] = {"fvdf_serve", "--socket", "s.sock", "--workers"};
+  EXPECT_NE(parse_server_args(4, no_value, config), "");
+  const char* no_socket[] = {"fvdf_serve", "--workers", "2"};
+  ServerConfig fresh;
+  EXPECT_NE(parse_server_args(3, no_socket, fresh), "");
 }
 
 constexpr const char* kTransientCase = R"(
@@ -399,6 +498,36 @@ TEST(ServeJobs, DeadlineExpiresLongTransientRuns) {
   jobs.wait_idle();
 }
 
+TEST(ServeJobs, AcceptedPrecedesEveryOtherEventOfAJob) {
+  // Jobs that expire at dequeue finish at once; an idle worker must still
+  // not report one before its "accepted" event.
+  auto cache = std::make_shared<ArtifactCache>(1);
+  JobManagerConfig config;
+  config.workers = 4;
+  config.queue_capacity = 256;
+  EventLog log;
+  JobManager jobs(cache, config);
+  constexpr int kJobs = 256;
+  for (int i = 0; i < kJobs; ++i) {
+    JobSpec spec;
+    spec.id = "e" + std::to_string(i);
+    spec.case_text = kBaseCase;
+    spec.deadline_seconds = 1e-12;
+    ASSERT_TRUE(jobs.submit(std::move(spec), log.sink()));
+  }
+  jobs.wait_idle();
+  std::lock_guard<std::mutex> lock(log.mutex);
+  std::set<std::string> accepted;
+  for (const JsonValue& event : log.events) {
+    const std::string id = event.get_string("id", "");
+    if (event.get_string("event", "") == "accepted")
+      accepted.insert(id);
+    else
+      EXPECT_EQ(accepted.count(id), 1u) << id << " reported before accepted";
+  }
+  EXPECT_EQ(accepted.size(), static_cast<std::size_t>(kJobs));
+}
+
 TEST(ServeJobs, RestartFromSpoolResumesBitwiseIdentical) {
   const auto spool =
       std::filesystem::temp_directory_path() / "fvdf_serve_spool_test";
@@ -497,6 +626,11 @@ TEST(ServeServer, SolvesOverUnixSocketWithCacheHits) {
   ASSERT_NE(cache_stats, nullptr);
   EXPECT_EQ(cache_stats->get_i64("hits", -1), 1);
   EXPECT_EQ(cache_stats->get_i64("misses", -1), 1);
+  const JsonValue* job_stats = stats.find("jobs");
+  ASSERT_NE(job_stats, nullptr);
+  EXPECT_EQ(job_stats->get_i64("workers", -1), 2);
+  EXPECT_EQ(job_stats->get_i64("sim_threads_per_job", -1),
+            job_sim_threads(0, usable_cpus(), 2));
 
   client.shutdown();
   EXPECT_EQ(client.read_event().get_string("event", ""), "ok");

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
 #include "telemetry/collector.hpp"
@@ -76,7 +77,7 @@ TEST(ParallelFabric, SolveIsBitwiseIdenticalAcrossThreadCounts) {
   // Odd counts leave workers with unequal shard ranges; 32 exceeds the
   // shard count (7) and must be clamped invisibly.
   std::vector<u32> counts = {2, 3, 4, 7, 32};
-  const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+  const u32 hw = usable_cpus();
   if (std::find(counts.begin(), counts.end(), hw) == counts.end())
     counts.push_back(hw);
   for (u32 threads : counts) {

@@ -8,12 +8,13 @@
 //   ./tools/fvdf_serve --socket /tmp/fvdf.sock --http-port 8080
 //       --workers 4 --spool-dir /var/tmp/fvdf_spool
 //
+// --workers defaults to one per usable CPU (the affinity mask), and each
+// job runs at most usable CPUs / workers simulator threads.
+//
 // SIGINT/SIGTERM trigger a graceful stop: running transient jobs finish
 // their current step and checkpoint into the spool directory, queued jobs
 // stay spooled, and a restarted daemon resumes them (--spool-dir).
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -40,43 +41,18 @@ void usage() {
   std::cerr
       << "usage: fvdf_serve --socket PATH [--http-port N] [--workers N]\n"
          "                  [--queue-capacity N] [--cache-capacity N]\n"
-         "                  [--spool-dir DIR] [--checkpoint-every N]\n";
+         "                  [--spool-dir DIR] [--checkpoint-every N]\n"
+         "  --workers N  concurrent jobs (default 0: one per usable CPU);\n"
+         "               each job's sim_threads is capped at usable CPUs / N\n";
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
   fvdf::serve::ServerConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      config.socket_path = next();
-    } else if (arg == "--http-port") {
-      config.http_port = static_cast<fvdf::i32>(std::strtol(next(), nullptr, 10));
-    } else if (arg == "--workers") {
-      config.jobs.workers =
-          static_cast<fvdf::u32>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--queue-capacity") {
-      config.jobs.queue_capacity = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--cache-capacity") {
-      config.cache_capacity = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--spool-dir") {
-      config.jobs.spool_dir = next();
-    } else if (arg == "--checkpoint-every") {
-      config.jobs.checkpoint_every = std::strtol(next(), nullptr, 10);
-    } else {
-      usage();
-      return 2;
-    }
-  }
-  if (config.socket_path.empty()) {
+  const std::string error = fvdf::serve::parse_server_args(argc, argv, config);
+  if (!error.empty()) {
+    std::cerr << "error: " << error << '\n';
     usage();
     return 2;
   }

@@ -8,7 +8,7 @@
 //   ./tools/fvdf_sim --print-template > case.ini
 //
 // See src/app/scenario.hpp for the full schema. `--sim-threads N` overrides
-// the config's solver.sim_threads (0 = hardware concurrency); it changes
+// the config's solver.sim_threads (0 = usable CPUs); it changes
 // wall-clock only, never results. `--profile-host DIR` overrides
 // output.host_profile: with the dataflow backend it attaches the host-side
 // execution profiler and writes host_profile.json + host_trace.json into
@@ -53,7 +53,7 @@ producer_pressure = 0.0
 [solver]
 backend = host-pcg   ; host | host-pcg | dataflow
 tolerance = 1e-18
-sim_threads = 1      ; fabric simulator workers (0 = hardware concurrency)
+sim_threads = 1      ; fabric simulator workers (0 = usable CPUs)
 
 [transient]
 enabled = false
