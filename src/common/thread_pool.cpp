@@ -84,55 +84,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (failed.load()) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::for_each_index(std::size_t count,
-                                const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  FVDF_CHECK_MSG(!stop_, "for_each_index() after shutdown");
-  FVDF_CHECK_MSG(indexed_fn_ == nullptr, "nested for_each_index()");
-  indexed_fn_ = &fn;
-  indexed_count_ = count;
-  indexed_next_ = 0;
-  indexed_pending_ = count;
-  indexed_error_ = nullptr;
-  task_available_.notify_all();
-  idle_.wait(lock, [this] { return indexed_pending_ == 0; });
-  indexed_fn_ = nullptr;
-  std::exception_ptr error = indexed_error_;
-  indexed_error_ = nullptr;
-  lock.unlock();
-  if (error) std::rethrow_exception(error);
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    task_available_.wait(lock, [this] {
-      return stop_ || !tasks_.empty() ||
-             (indexed_fn_ != nullptr && indexed_next_ < indexed_count_);
-    });
-    if (indexed_fn_ != nullptr && indexed_next_ < indexed_count_) {
-      const std::size_t index = indexed_next_++;
-      const auto* fn = indexed_fn_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        (*fn)(index);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error && !indexed_error_) indexed_error_ = error;
-      if (--indexed_pending_ == 0) idle_.notify_all();
-      continue;
-    }
+    task_available_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
     if (stop_ && tasks_.empty()) return;
-    if (tasks_.empty()) continue;
     std::function<void()> task = std::move(tasks_.front());
     tasks_.pop();
     lock.unlock();

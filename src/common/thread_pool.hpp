@@ -45,19 +45,6 @@ public:
                     const std::function<void(std::size_t, std::size_t)>& fn,
                     std::size_t grain = 0);
 
-  /// Runs fn(i) for every i in [0, count) across the pool and blocks until
-  /// completion. Unlike submit()/parallel_for, no per-item std::function is
-  /// allocated: workers claim indices from a shared counter against one
-  /// borrowed callable, so repeated bulk dispatches (the fabric engine's
-  /// per-window shard rounds) reuse the same work-item state every call.
-  /// The first exception thrown by fn is rethrown here after all items
-  /// finish or are abandoned.
-  void for_each_index(std::size_t count,
-                      const std::function<void(std::size_t)>& fn);
-
-  /// Process-wide shared pool (lazily constructed).
-  static ThreadPool& global();
-
 private:
   void worker_loop();
 
@@ -68,13 +55,6 @@ private:
   std::condition_variable idle_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
-  // for_each_index state (guarded by mutex_): the borrowed callable plus a
-  // claim cursor, reused across calls instead of queueing per-item tasks.
-  const std::function<void(std::size_t)>* indexed_fn_ = nullptr;
-  std::size_t indexed_count_ = 0;
-  std::size_t indexed_next_ = 0;
-  std::size_t indexed_pending_ = 0;
-  std::exception_ptr indexed_error_;
 };
 
 } // namespace fvdf

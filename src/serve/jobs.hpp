@@ -62,7 +62,6 @@ struct JobManagerConfig {
   // transient steps, both removed on terminal states. Empty = disabled.
   std::string spool_dir;
   i64 checkpoint_every = 1; // transient steps between spooled checkpoints
-  telemetry::MetricsRegistry* metrics = nullptr;
 };
 
 struct JobStats {

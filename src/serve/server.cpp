@@ -132,7 +132,6 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   FVDF_CHECK_MSG(!config_.socket_path.empty(),
                  "serve: socket_path is required");
   cache_ = std::make_shared<ArtifactCache>(config_.cache_capacity, &metrics_);
-  config_.jobs.metrics = &metrics_;
   jobs_ = std::make_unique<JobManager>(cache_, config_.jobs);
 }
 

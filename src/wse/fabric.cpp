@@ -13,7 +13,6 @@
 #include "telemetry/collector.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "wse/bytecode_interp.hpp"
-#include "wse/placement.hpp"
 
 // Telemetry hot-path hooks: a null-pointer test per site when compiled in,
 // nothing at all under -DFVDF_TELEMETRY=OFF. `stmt` may use `collector`
@@ -275,7 +274,12 @@ void Fabric::push_event(Shard& from, Event&& event) {
   FVDF_CHECK_MSG(neighbor_shard(from, side) == static_cast<i64>(dest.id),
                  "cross-shard event skipped a tile: " << from.id << " -> "
                                                       << dest.id);
-  from.out[side].slots.push_back(std::move(event));
+  SpscChannel& channel = from.out[side];
+  const PayloadRef payload = std::move(event.flit.data);
+  channel.word_counts.push_back(payload ? static_cast<u32>(payload->size()) : 0);
+  if (payload)
+    channel.words.insert(channel.words.end(), payload->begin(), payload->end());
+  channel.slots.push_back(std::move(event));
 }
 
 Fabric::RunResult Fabric::run(f64 max_cycles) {
@@ -296,34 +300,12 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
                     : std::min({threads_, shard_count(),
                                 std::max(hw, kMaxOversubscribedWorkers)});
   const bool parallel = workers > 1;
-  if (parallel && (!pool_ || pool_->size() != workers ||
-                   pool_workers_ != workers)) {
-    // Topology-aware placement (wse/placement.hpp): workers own contiguous
-    // 2D blocks of the tile grid, pinned near each other NUMA-node by
-    // NUMA-node, and each worker first-touches its shards' payload arenas
-    // so the backing pages land on its node. Placement affects locality
-    // only — the round schedule, and therefore every result, is identical
-    // under any assignment.
+  if (parallel && (!pool_ || pool_->size() != workers)) {
+    // Workers own contiguous 2D blocks of the tile grid
+    // (assign_shard_blocks). The assignment affects locality only — the
+    // round schedule, and therefore every result, is identical under any.
     worker_shards_ = assign_shard_blocks(tile_rows_, tile_cols_, workers);
-    const HostTopology topo = HostTopology::detect();
-    WorkerPlacement placement;
-    if (topo.nodes() > 1 || !topo.node_cpus[0].empty()) {
-      placement.worker_cpus.resize(workers);
-      for (u32 w = 0; w < workers; ++w)
-        placement.worker_cpus[w] =
-            topo.node_cpus[worker_numa_node(w, workers, topo.nodes())];
-    }
-    pool_ = std::make_unique<FabricWorkerPool>(workers, placement);
-    pool_workers_ = workers;
-    pool_->run_round([&](u32 worker, u32 phase) {
-      if (phase != 0) return;
-      for (u32 s : worker_shards_[worker]) {
-        // First-touch warmup: fault in a slab of each owned arena from the
-        // worker that will run the shard.
-        PayloadRef warm = shards_[s].payloads->acquire(4096);
-        warm.mutate().assign(4096, 0.0f);
-      }
-    });
+    pool_ = std::make_unique<FabricWorkerPool>(workers);
   }
 
 #ifndef FVDF_TELEMETRY_DISABLED
@@ -656,8 +638,20 @@ u32 Fabric::merge_inbound(Shard& dest) {
         shards_[static_cast<std::size_t>(nb)].out[opposite_cardinal(side)];
     const u32 count = channel.published.load(std::memory_order_acquire);
     if (count == 0) continue;
-    for (u32 i = 0; i < count; ++i) dest.events.push(std::move(channel.slots[i]));
+    const f32* words = channel.words.data();
+    for (u32 i = 0; i < count; ++i) {
+      Event& event = channel.slots[i];
+      if (const u32 length = channel.word_counts[i]; length != 0) {
+        PayloadRef payload = dest.payloads->acquire(length);
+        payload.mutate().assign(words, words + length);
+        words += length;
+        event.flit.data = std::move(payload);
+      }
+      dest.events.push(std::move(event));
+    }
     channel.slots.clear();
+    channel.word_counts.clear();
+    channel.words.clear();
     channel.published.store(0, std::memory_order_relaxed);
     total += count;
   }

@@ -14,7 +14,7 @@
 //
 // Execution engine (docs/simulator.md, "Parallel execution model"): the PE
 // grid is partitioned into rectangular tile shards, each owning the event
-// queue, payload arena, statistics and trace buffer of its rows x cols
+// queue, payload pool, statistics and trace buffer of its rows x cols
 // rectangle. The layout is resolved when the fabric is loaded: an explicit
 // ShardGrid is honoured at any thread count, and the automatic layout
 // ({0, 0}) is one shard for a one-worker run and the wse/shard_layout.hpp
@@ -30,7 +30,10 @@
 // set_channel_lookahead). Boundary-crossing flits travel through
 // per-directed-boundary SPSC channels and merge at a deterministic barrier
 // under the engine's total event order (time, emitting PE, per-PE emission
-// index). Because that order is stamped at emission rather than at
+// index). A shard shares nothing else with another shard's worker: a
+// crossing flit's words are copied into the channel and re-pooled on the
+// far side, so every payload is acquired and released by its own shard's
+// thread. Because that order is stamped at emission rather than at
 // arrival, results — memory contents, FabricStats, trace streams — are
 // bitwise identical under any shard layout (2D tiles, 1D strips, one
 // shard) and, since a layout's round schedule depends only on the event
@@ -432,9 +435,13 @@ private:
   /// the count with a release store at phase end; the destination shard's
   /// worker acquires it in the merge phase, drains in emission order, and
   /// resets. The two phases are barrier-separated, so producer and
-  /// consumer never touch the slots concurrently.
+  /// consumer never touch the slots concurrently. Payloads stay behind the
+  /// boundary: a slot's flit carries no PayloadRef, its words travel in
+  /// `words` and the destination copies them into its own pool.
   struct SpscChannel {
     std::vector<Event> slots;
+    std::vector<u32> word_counts; // per slot; 0 = no payload (control-only)
+    std::vector<f32> words;       // the slots' payload words, concatenated
     std::atomic<u32> published{0};
 
     void publish() {
@@ -444,7 +451,7 @@ private:
   };
 
   /// One spatial tile of the fabric: a rectangle of PEs with its own event
-  /// queue, sequence counter, statistics, payload arena, outbound channels
+  /// queue, sequence counter, statistics, payload pool, outbound channels
   /// (one per cardinal side with a neighboring tile) and trace buffer.
   /// Shards only ever touch their own rectangle's state during a window;
   /// padding keeps neighboring shards' hot counters off each other's cache
@@ -461,7 +468,7 @@ private:
     f64 now = 0;
     i64 halted = 0;
     FabricStats stats;
-    PayloadPool* payloads = nullptr;    // this shard's arena (see payload_pools_)
+    PayloadPool* payloads = nullptr;    // this shard's pool (see payload_pools_)
     std::array<SpscChannel, 4> out;     // emissions per cardinal side this window
     std::vector<PendingTrace> trace;    // not yet gathered for release
     // Engine scheduling state, recomputed after every merge:
@@ -495,7 +502,7 @@ private:
     }
   }
   void check_host_coord(i64 x, i64 y) const;
-  /// (Re)builds the shards, payload arenas and default lookahead table for
+  /// (Re)builds the shards, payload pools and default lookahead table for
   /// the layout `grid_` resolves to at `threads_` workers. Only valid
   /// before load(): shards own the pending events.
   void apply_layout();
@@ -512,7 +519,8 @@ private:
 
   /// Routes `event` from code running inside `from`: same-shard events
   /// enter the local queue immediately, boundary-crossing events park in
-  /// the outbound channel until the merge barrier.
+  /// the outbound channel until the merge barrier, their payload words
+  /// copied and their PayloadRef released on `from`'s thread.
   void push_event(Shard& from, Event&& event);
   void enqueue_local(Shard& shard, Event&& event);
 
@@ -529,8 +537,9 @@ private:
   void round_phase_b(Shard& shard);
   void process_window(Shard& shard, f64 horizon, f64 max_cycles);
   /// Merge half of the barrier: drains the neighbors' channels toward
-  /// `dest` into its event queue. Returns the number of events merged (the
-  /// host profiler's backpressure-vs-window-limited discriminator).
+  /// `dest` into its event queue, re-pooling each payload from `dest`'s
+  /// own pool. Returns the number of events merged (the host profiler's
+  /// backpressure-vs-window-limited discriminator).
   u32 merge_inbound(Shard& dest);
   void update_shard_bounds(Shard& shard);
   /// Hands the sink every trace record below `watermark` in trace order
@@ -586,8 +595,8 @@ private:
   u64 injected_data_messages_ = 0;
   TimingParams timing_;
   PeMemoryParams mem_params_;
-  // Payload arenas (one per shard) outlive everything holding PayloadRefs
-  // (PEs' parked flits, shard queues, channels): keep them declared first.
+  // Payload pools (one per shard) outlive everything holding PayloadRefs
+  // (PEs' parked flits, shard queues): keep them declared first.
   std::vector<std::unique_ptr<PayloadPool>> payload_pools_;
   std::vector<PeHot> pes_;
   std::vector<PeCold> cold_;
@@ -610,7 +619,6 @@ private:
   bool horizons_valid_ = false; // stored horizons match the current bounds
   std::vector<PendingTrace> trace_pending_; // gathered, in trace order
   std::unique_ptr<FabricWorkerPool> pool_; // persists across run() calls
-  u32 pool_workers_ = 0; // worker count worker_shards_ was computed for
   u32 threads_ = 1;
   u64 last_run_rounds_ = 0;
   f64 now_ = 0;

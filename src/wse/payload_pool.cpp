@@ -7,37 +7,30 @@ namespace fvdf::wse {
 void PayloadRef::release() {
   detail::PayloadNode* node = node_;
   node_ = nullptr;
-  if (node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    node->pool->recycle(node);
+  if (--node->refs == 0) {
+    node->next = node->pool->free_;
+    node->pool->free_ = node;
+  }
 }
 
 std::vector<f32>& PayloadRef::mutate() {
   FVDF_CHECK_MSG(node_ != nullptr, "mutate() on a null payload");
-  FVDF_CHECK_MSG(node_->refs.load(std::memory_order_relaxed) == 1,
-                 "mutate() on a shared payload");
+  FVDF_CHECK_MSG(node_->refs == 1, "mutate() on a shared payload");
   return node_->words;
 }
 
 PayloadPool::~PayloadPool() {
-  delete_list(local_free_);
-  delete_list(remote_free_.load(std::memory_order_acquire));
-}
-
-void PayloadPool::delete_list(detail::PayloadNode* node) {
-  while (node != nullptr) {
-    detail::PayloadNode* next = node->next;
-    delete node;
-    node = next;
+  while (free_ != nullptr) {
+    detail::PayloadNode* next = free_->next;
+    delete free_;
+    free_ = next;
   }
 }
 
 PayloadRef PayloadPool::acquire(std::size_t reserve_words) {
-  if (local_free_ == nullptr)
-    local_free_ = remote_free_.exchange(nullptr, std::memory_order_acquire);
-  detail::PayloadNode* node = local_free_;
+  detail::PayloadNode* node = free_;
   if (node != nullptr) {
-    local_free_ = node->next;
-    free_count_.fetch_sub(1, std::memory_order_relaxed);
+    free_ = node->next;
   } else {
     node = new detail::PayloadNode;
     node->pool = this;
@@ -45,19 +38,8 @@ PayloadRef PayloadPool::acquire(std::size_t reserve_words) {
   node->next = nullptr;
   node->words.clear();
   node->words.reserve(reserve_words);
-  node->refs.store(1, std::memory_order_relaxed);
+  node->refs = 1;
   return PayloadRef(node);
-}
-
-void PayloadPool::recycle(detail::PayloadNode* node) {
-  // Push-only Treiber stack: safe from any thread, immune to ABA (nothing
-  // pops concurrently — the owner claims the whole stack at once).
-  detail::PayloadNode* head = remote_free_.load(std::memory_order_relaxed);
-  do {
-    node->next = head;
-  } while (!remote_free_.compare_exchange_weak(
-      head, node, std::memory_order_release, std::memory_order_relaxed));
-  free_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace fvdf::wse

@@ -6,21 +6,16 @@
 // last copy of the message was delivered. The pool recycles the vectors —
 // capacity and all — through an intrusive free list, and replaces
 // shared_ptr with an intrusive refcount, so a steady-state send costs no
-// allocation at all and a broadcast fan-out costs one atomic increment
-// instead of a control-block bump through a separate cache line.
+// allocation at all and a broadcast fan-out costs one increment instead of
+// a control-block bump through a separate cache line.
 //
-// Ownership discipline (the parallel engine gives every shard its own
-// pool): acquire() is single-consumer — only the owning shard's worker
-// thread calls it, so the local free list needs no synchronization at
-// all. Releases, by contrast, can come from any thread (a payload sent
-// south is freed by the neighbor shard that delivered it), so the final
-// release pushes the node onto a lock-free multi-producer stack
-// (push-only CAS: no ABA) that the owner drains wholesale — one
-// exchange(nullptr) — when its local list runs dry. The mutex the seed
-// pool took on every acquire and release is gone from the hot path
-// entirely.
+// Ownership discipline: the pool is single-threaded. The parallel engine
+// gives every shard its own pool, and a payload never leaves its shard's
+// thread — a flit crossing a tile boundary travels as a copy of its words
+// in the SPSC channel and is re-pooled by the destination shard
+// (wse/fabric.hpp) — so acquire, copy and release all run on the owning
+// worker and neither the refcount nor the free list needs synchronization.
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -33,20 +28,20 @@ class PayloadPool;
 namespace detail {
 struct PayloadNode {
   std::vector<f32> words;
-  std::atomic<u32> refs{0};
+  u32 refs = 0;
   PayloadPool* pool = nullptr;
   PayloadNode* next = nullptr; // free-list link, valid only while pooled
 };
 } // namespace detail
 
 /// Shared handle to a pooled payload buffer. Copying bumps an intrusive
-/// refcount; destroying the last reference returns the buffer to its pool
-/// (thread-safe: the release path is lock-free).
+/// refcount; destroying the last reference returns the buffer to its pool.
+/// Only the pool's owning thread may copy or destroy a handle.
 class PayloadRef {
 public:
   PayloadRef() = default;
   PayloadRef(const PayloadRef& other) : node_(other.node_) {
-    if (node_) node_->refs.fetch_add(1, std::memory_order_relaxed);
+    if (node_) ++node_->refs;
   }
   PayloadRef(PayloadRef&& other) noexcept : node_(other.node_) { other.node_ = nullptr; }
   PayloadRef& operator=(const PayloadRef& other) {
@@ -62,7 +57,7 @@ public:
 
   // Inline null test: most PayloadRef destructions are of empty handles
   // (moved-from flits, control wavelets), and this sits on the per-event
-  // path. The refcount drop + recycle stays out of line.
+  // path. The recycle stays out of line.
   void reset() {
     if (node_) release();
   }
@@ -92,24 +87,12 @@ public:
 
   /// Returns an empty buffer with at least `reserve_words` capacity and a
   /// refcount of one. Reuses a recycled buffer when one is available.
-  /// Single-consumer: only the pool's owning thread may call this.
   PayloadRef acquire(std::size_t reserve_words);
-
-  /// Buffers currently parked in the free lists (diagnostics/tests; exact
-  /// only while no release is in flight on another thread).
-  std::size_t free_count() const {
-    return free_count_.load(std::memory_order_relaxed);
-  }
 
 private:
   friend class PayloadRef;
-  void recycle(detail::PayloadNode* node); // any thread
 
-  static void delete_list(detail::PayloadNode* node);
-
-  detail::PayloadNode* local_free_ = nullptr;            // owner thread only
-  std::atomic<detail::PayloadNode*> remote_free_{nullptr}; // MPSC stack
-  std::atomic<std::size_t> free_count_{0};
+  detail::PayloadNode* free_ = nullptr;
 };
 
 } // namespace fvdf::wse

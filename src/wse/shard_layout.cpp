@@ -93,4 +93,53 @@ ShardLayout choose_shard_layout(i64 width, i64 height, ShardGrid grid) {
   return layout;
 }
 
+std::vector<std::vector<u32>> assign_shard_blocks(u32 tile_rows, u32 tile_cols,
+                                                  u32 workers) {
+  const u32 tiles = tile_rows * tile_cols;
+  FVDF_CHECK_MSG(workers >= 1 && workers <= tiles,
+                 "shard blocks: " << workers << " workers for " << tiles
+                                  << " tiles");
+  std::vector<std::vector<u32>> owned(workers);
+
+  // Worker grid: a (wr, wc) factorization of the worker count that fits
+  // the tile grid, minimizing the inter-worker cut (same objective as the
+  // tile layout itself, with tiles in place of PEs). Prime worker counts on
+  // square grids often have no fitting factorization; fall back to
+  // contiguous row-major runs, which still keep most neighbors together.
+  u32 best_wr = 0;
+  u32 best_wc = 0;
+  i64 best_cut = 0;
+  for (u32 wr = 1; wr <= std::min(workers, tile_rows); ++wr) {
+    if (workers % wr != 0) continue;
+    const u32 wc = workers / wr;
+    if (wc > tile_cols) continue;
+    const i64 cut = cut_links(wr, wc, tile_cols, tile_rows);
+    if (best_wr == 0 || cut < best_cut) {
+      best_wr = wr;
+      best_wc = wc;
+      best_cut = cut;
+    }
+  }
+  if (best_wr != 0) {
+    for (u32 a = 0; a < best_wr; ++a) {
+      const u32 r0 = tile_rows * a / best_wr;
+      const u32 r1 = tile_rows * (a + 1) / best_wr;
+      for (u32 b = 0; b < best_wc; ++b) {
+        const u32 c0 = tile_cols * b / best_wc;
+        const u32 c1 = tile_cols * (b + 1) / best_wc;
+        std::vector<u32>& mine = owned[a * best_wc + b];
+        for (u32 r = r0; r < r1; ++r)
+          for (u32 c = c0; c < c1; ++c) mine.push_back(r * tile_cols + c);
+      }
+    }
+  } else {
+    for (u32 w = 0; w < workers; ++w) {
+      const u32 begin = tiles * w / workers;
+      const u32 end = tiles * (w + 1) / workers;
+      for (u32 s = begin; s < end; ++s) owned[w].push_back(s);
+    }
+  }
+  return owned;
+}
+
 } // namespace fvdf::wse

@@ -1,6 +1,7 @@
 #pragma once
 // Shard layout planning for the parallel fabric engine: how a width x
-// height PE grid is partitioned into rectangular tiles.
+// height PE grid is partitioned into rectangular tiles, and how the tiles
+// are split among worker threads (assign_shard_blocks).
 //
 // The partition is a tensor product of a row split and a column split
 // (tile_rows x tile_cols rectangles), so every tile has at most four
@@ -75,5 +76,17 @@ constexpr u32 kMinTilePes = 16;
 /// Chooses the tile partition for a width x height fabric (see the cost
 /// model above). Deterministic; never returns empty bands.
 ShardLayout choose_shard_layout(i64 width, i64 height, ShardGrid grid = {});
+
+/// Assigns the tiles of a tile_rows x tile_cols grid to `workers` workers
+/// as contiguous 2D blocks: the worker grid is the factorization of the
+/// worker count that fits the tile grid with the smallest cut (the same
+/// rule as the tile layout), so a tile's neighbors are owned by the same
+/// worker or by an adjacent one. When no factorization fits, the tiles
+/// fall back to contiguous row-major runs. Every shard id appears exactly
+/// once across the result and every worker owns at least one tile.
+/// Requires 1 <= workers <= tile_rows * tile_cols. Results never depend on
+/// the assignment: every one executes the same round schedule.
+std::vector<std::vector<u32>> assign_shard_blocks(u32 tile_rows, u32 tile_cols,
+                                                  u32 workers);
 
 } // namespace fvdf::wse

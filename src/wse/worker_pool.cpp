@@ -1,7 +1,6 @@
 #include "wse/worker_pool.hpp"
 
 #include "common/thread_pool.hpp"
-#include "wse/placement.hpp"
 
 #ifndef FVDF_TELEMETRY_DISABLED
 #include "telemetry/host_profiler.hpp"
@@ -50,9 +49,9 @@ void SpinBarrier::arrive_and_wait() {
   });
 }
 
-FabricWorkerPool::FabricWorkerPool(u32 workers, WorkerPlacement placement)
-    : workers_(workers), placement_(std::move(placement)),
-      spin_iters_(pick_spin_iters(workers)), barrier_(workers, spin_iters_) {
+FabricWorkerPool::FabricWorkerPool(u32 workers)
+    : workers_(workers), spin_iters_(pick_spin_iters(workers)),
+      barrier_(workers, spin_iters_) {
   threads_.reserve(workers_ - 1);
   for (u32 id = 1; id < workers_; ++id)
     threads_.emplace_back([this, id] { worker_loop(id); });
@@ -84,10 +83,6 @@ void FabricWorkerPool::run_round(const PhaseFn& fn) {
 }
 
 void FabricWorkerPool::worker_loop(u32 id) {
-  // Best-effort NUMA pinning before the first round; a failed pin leaves
-  // the thread free-floating, which is always correct.
-  if (id < placement_.worker_cpus.size())
-    pin_current_thread_to_cpus(placement_.worker_cpus[id]);
   u64 seen = 0;
   for (;;) {
     u64 epoch = epoch_.load(std::memory_order_acquire);

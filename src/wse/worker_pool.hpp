@@ -42,15 +42,6 @@ class HostProfiler;
 
 namespace fvdf::wse {
 
-/// Optional NUMA placement for a pool's workers: worker w pins itself to
-/// worker_cpus[w] on startup (best-effort — pinning failure is ignored).
-/// An empty worker_cpus, or an empty list for a worker, means "don't pin".
-/// Worker 0 is the calling thread and is never pinned: the caller's
-/// affinity belongs to the application.
-struct WorkerPlacement {
-  std::vector<std::vector<int>> worker_cpus;
-};
-
 /// Sense-reversing barrier: spins briefly (skipped when the host is
 /// oversubscribed), then sleeps on a condition variable until the sense
 /// flips. Reusable back-to-back — the sense is a monotonic counter, so a
@@ -77,10 +68,9 @@ public:
   using PhaseFn = std::function<void(u32 worker, u32 phase)>;
 
   /// `workers` >= 2 total workers; the constructor spawns `workers - 1`
-  /// threads and run_round()'s caller acts as worker 0. `placement`
-  /// optionally pins each spawned worker near its shards' NUMA node (see
-  /// WorkerPlacement).
-  explicit FabricWorkerPool(u32 workers, WorkerPlacement placement = {});
+  /// threads and run_round()'s caller acts as worker 0. The spawned
+  /// threads inherit the constructing thread's CPU mask; none pins itself.
+  explicit FabricWorkerPool(u32 workers);
   ~FabricWorkerPool();
 
   FabricWorkerPool(const FabricWorkerPool&) = delete;
@@ -109,7 +99,6 @@ private:
   void record_error();
 
   const u32 workers_;
-  const WorkerPlacement placement_;
   const u32 spin_iters_;
   std::atomic<u64> epoch_{0}; // bumped under wake_mutex_ to start a round
   std::mutex wake_mutex_;

@@ -379,34 +379,6 @@ TEST(ThreadPool, PropagatesExceptions) {
                Error);
 }
 
-TEST(ThreadPool, ForEachIndexCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257); // not a multiple of the pool size
-  pool.for_each_index(hits.size(),
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ThreadPool, ForEachIndexZeroCountIsNoop) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.for_each_index(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ForEachIndexPropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.for_each_index(64,
-                                   [&](std::size_t i) {
-                                     if (i == 13) throw Error("boom");
-                                   }),
-               Error);
-  // The pool stays usable after a failed batch.
-  std::atomic<int> counter{0};
-  pool.for_each_index(8, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 8);
-}
-
 TEST(ThreadPool, SubmitAndWaitIdle) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -12,6 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -19,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/solver.hpp"
 #include "fv/problem.hpp"
@@ -306,6 +313,45 @@ TEST(ParallelFabric, PartitionNeverCreatesEmptyShards) {
         << "height=" << h;
     EXPECT_LE(fabric.shard_count(), static_cast<u32>(h)) << "height=" << h;
   }
+}
+
+TEST(ShardLayout, AssignShardBlocksCoversEveryTileOnce) {
+  for (u32 rows = 1; rows <= 4; ++rows)
+    for (u32 cols = 1; cols <= 4; ++cols)
+      for (u32 workers = 1; workers <= rows * cols; ++workers) {
+        const auto owned = assign_shard_blocks(rows, cols, workers);
+        ASSERT_EQ(owned.size(), workers);
+        std::vector<u32> seen(rows * cols, 0);
+        for (const std::vector<u32>& mine : owned) {
+          EXPECT_FALSE(mine.empty())
+              << rows << "x" << cols << " on " << workers << " workers";
+          for (u32 s : mine) {
+            ASSERT_LT(s, rows * cols);
+            ++seen[s];
+          }
+        }
+        for (u32 s = 0; s < rows * cols; ++s)
+          EXPECT_EQ(seen[s], 1u) << "shard " << s << " of " << rows << "x"
+                                 << cols << " on " << workers << " workers";
+      }
+}
+
+TEST(ShardLayout, AssignShardBlocksPrefersBlocksThenRowMajorRuns) {
+  using Owned = std::vector<std::vector<u32>>;
+  // 4 workers on 4x4 tiles: a 2x2 worker grid of 2x2 blocks.
+  EXPECT_EQ(assign_shard_blocks(4, 4, 4),
+            (Owned{{0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15}}));
+  // 3 workers still fit 4x4 as one row of column bands (1x3 and 3x1 cut
+  // equally; the first found wins).
+  EXPECT_EQ(assign_shard_blocks(4, 4, 3),
+            (Owned{{0, 4, 8, 12}, {1, 5, 9, 13}, {2, 3, 6, 7, 10, 11, 14, 15}}));
+  // No factorization fits: contiguous row-major runs.
+  EXPECT_EQ(assign_shard_blocks(2, 2, 3), (Owned{{0}, {1}, {2, 3}}));
+  EXPECT_EQ(assign_shard_blocks(4, 4, 5),
+            (Owned{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}, {12, 13, 14, 15}}));
+  EXPECT_THROW(assign_shard_blocks(4, 4, 0), Error);
+  EXPECT_THROW(assign_shard_blocks(4, 4, 17), Error);
+  EXPECT_THROW(assign_shard_blocks(1, 1, 2), Error);
 }
 
 // The engine's central promise after the 2D generalization: results are
@@ -809,6 +855,70 @@ void run_with_deadline(const std::function<void()>& body,
     std::abort();
   }
   runner.join();
+}
+
+// Thread ids of this process, with each thread's Cpus_allowed_list.
+std::vector<std::pair<std::string, std::string>> thread_cpu_lists() {
+  std::vector<std::pair<std::string, std::string>> threads;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream status(entry.path() / "status");
+    std::string line;
+    while (std::getline(status, line))
+      if (line.rfind("Cpus_allowed_list:", 0) == 0) {
+        const std::size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+        threads.emplace_back(entry.path().filename().string(),
+                             value == std::string::npos ? "" : line.substr(value));
+      }
+  }
+  return threads;
+}
+
+TEST(WorkerPool, WorkersStayInsideTheCallersCpuMask) {
+  // Fabric workers inherit the mask of the thread that spawns them: a
+  // process started under taskset (or a narrower cpuset) must never gain
+  // CPUs because its fabric spun up worker threads.
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(original), &original), 0);
+  if (CPU_COUNT(&original) < 2) GTEST_SKIP() << "needs two usable CPUs";
+  int cpu = CPU_SETSIZE - 1;
+  while (!CPU_ISSET(cpu, &original)) --cpu; // the highest CPU in the mask
+  // Threads that existed before the narrowing (a sanitizer's runtime
+  // thread, say) keep their own masks; only the fabric's are checked.
+  std::vector<std::string> before;
+  for (const auto& [tid, cpus] : thread_cpu_lists()) before.push_back(tid);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+
+  std::vector<std::pair<std::string, std::string>> after;
+  {
+    // 4x8 with the forced 1D layout: two row strips, so two workers.
+    Fabric fabric(4, 8, {}, {}, ShardGrid{0, 1});
+    fabric.set_threads(2);
+    ASSERT_EQ(fabric.shard_count(), 2u);
+    fabric.load([](PeCoord) {
+      return bc_program([](ImageBuilder&, bc::Builder& b) {
+        b.halt();
+        b.ret();
+      });
+    });
+    EXPECT_TRUE(fabric.run().all_halted);
+    after = thread_cpu_lists(); // the pool's thread is still alive here
+  }
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(original), &original), 0);
+
+  const std::string self = std::to_string(gettid());
+  u32 spawned = 0;
+  for (const auto& [tid, cpus] : after) {
+    if (tid != self &&
+        std::find(before.begin(), before.end(), tid) != before.end())
+      continue;
+    spawned += tid != self;
+    EXPECT_EQ(cpus, std::to_string(cpu)) << "thread " << tid;
+  }
+  EXPECT_EQ(spawned, 1u); // the one worker besides the calling thread
 }
 
 TEST(WorkerPool, ManyRoundsOnFourWorkersNeverLoseAWakeup) {

@@ -21,9 +21,11 @@
 // solves are single device/host runs and remain uninterruptible.
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "app/scenario.hpp"
@@ -74,7 +76,7 @@ void usage() {
 
 int main(int argc, char** argv) {
   std::string case_path;
-  long sim_threads = -1; // -1 = use the config's value
+  std::optional<fvdf::u32> sim_threads; // unset = use the config's value
   std::string host_profile_dir;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,11 +89,18 @@ int main(int argc, char** argv) {
         usage();
         return 2;
       }
-      sim_threads = std::strtol(argv[++i], nullptr, 10);
-      if (sim_threads < 0) {
-        std::cerr << "error: --sim-threads expects a count >= 0\n";
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      fvdf::u32 count = 0;
+      // A plain decimal count: no sign, no suffix, no overflow.
+      const auto [ptr, ec] = std::from_chars(text, end, count);
+      if (ec != std::errc() || ptr != end) {
+        std::cerr << "error: --sim-threads expects a decimal count, got '" << text
+                  << "'\n";
+        usage();
         return 2;
       }
+      sim_threads = count;
       continue;
     }
     if (arg == "--profile-host") {
@@ -115,8 +124,7 @@ int main(int argc, char** argv) {
   try {
     const auto config = fvdf::Config::parse_file(case_path);
     auto scenario = fvdf::app::scenario_from_config(config);
-    if (sim_threads >= 0)
-      scenario.sim_threads = static_cast<fvdf::u32>(sim_threads);
+    if (sim_threads) scenario.sim_threads = *sim_threads;
     if (!host_profile_dir.empty()) {
       if (scenario.backend != fvdf::app::Backend::Dataflow) {
         std::cerr << "error: --profile-host requires solver.backend = dataflow\n";
