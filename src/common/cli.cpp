@@ -8,6 +8,18 @@
 
 namespace fvdf {
 
+bool parse_extent(std::string_view text, i64& width, i64& height) {
+  const auto x = text.find('x');
+  if (x == std::string_view::npos) return false;
+  i64 w = 0, h = 0;
+  if (!parse_whole(text.substr(0, x), w) || !parse_whole(text.substr(x + 1), h) ||
+      w < 1 || h < 1)
+    return false;
+  width = w;
+  height = h;
+  return true;
+}
+
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 

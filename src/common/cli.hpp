@@ -3,13 +3,29 @@
 // Supports --name value, --name=value, and boolean --flag forms, generates
 // --help text, and validates unknown options (typos fail loudly).
 
+#include <charconv>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace fvdf {
+
+/// Reads all of `text` as a decimal integer into `out`: false (and `out`
+/// untouched) on an empty string, a sign `T` cannot hold, a trailing
+/// character or an overflow. "4x" and "abc" are errors, not 4 and 0.
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads a fabric extent "WxH" whose sides are whole decimal counts >= 1.
+bool parse_extent(std::string_view text, i64& width, i64& height);
 
 class CliParser {
 public:

@@ -106,6 +106,7 @@ DataflowResult read_back(wse::Fabric& fabric, const wse::Fabric::RunResult& run,
   result.device_seconds = fabric.seconds(run.cycles);
   result.fabric = fabric.stats();
   result.counters = fabric.total_counters();
+  result.replayed_periods = fabric.replayed_periods();
 
   const wse::PeMemory& origin = fabric.pe_memory(0, 0);
   const u32 scalars = origin.allocation(PeLayout::kResultName).offset_bytes / 4;
@@ -284,6 +285,7 @@ DataflowResult solve_dataflow(const FlowProblem& problem, const DataflowConfig& 
 
   wse::Fabric fabric(nx, ny, config.timing, config.memory, config.shard_grid);
   fabric.set_threads(config.sim_threads);
+  fabric.set_fast_forward(config.fast_forward);
   if (config.verify_preflight) {
     const analysis::VerifyReport report = fabric.verify(factory);
     FVDF_CHECK_MSG(report.ok(),

@@ -80,6 +80,10 @@ struct DataflowConfig {
   // serial shard). Host-side execution knob: results are bitwise identical
   // under any layout (tested); benchmarks use it to compare layouts.
   wse::ShardGrid shard_grid{};
+  // Steady-state fast-forward (wse/fast_forward.hpp): a one-shard run
+  // replays repeating iterations instead of simulating each. Results are
+  // bitwise identical either way; the switch exists so tests can compare.
+  bool fast_forward = true;
   // Run the static fabric verifier (src/analysis/) over the device program
   // before starting the event loop; throws fvdf::Error with the full
   // diagnostic report if any check fails. Costs one extra program
@@ -121,6 +125,9 @@ struct DataflowResult {
   f64 device_seconds = 0;
   wse::FabricStats fabric;
   OpCounters counters; // aggregated over all PEs
+  // Solver periods (iterations; Chebyshev probe intervals) the fabric's
+  // steady-state fast-forward replayed rather than simulated.
+  u64 replayed_periods = 0;
 };
 
 /// Runs the full device solve. Fabric dimensions = (mesh.nx, mesh.ny);

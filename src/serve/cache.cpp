@@ -26,39 +26,49 @@ ArtifactCache::acquire(const Config& config, bool* was_hit) {
   std::string fingerprint =
       hash_hex(fnv1a64(canonical.data(), canonical.size()));
 
+  std::promise<std::shared_ptr<Entry>> built;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto it = entries_.find(fingerprint);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    const auto pending = building_.find(fingerprint);
+    if (it != entries_.end() || pending != building_.end()) {
       ++stats_.hits;
       count(hit_id_);
       if (was_hit != nullptr) *was_hit = true;
-      return it->second.entry;
+      if (it != entries_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        return it->second.entry;
+      }
+      // Another job is building this case: wait for its entry (or its
+      // exception) instead of building a second copy.
+      const std::shared_future<std::shared_ptr<Entry>> future = pending->second;
+      lock.unlock();
+      return future.get();
     }
+    ++stats_.misses;
+    count(miss_id_);
+    if (was_hit != nullptr) *was_hit = false;
+    building_.emplace(fingerprint, built.get_future().share());
   }
 
   // Miss: build outside the lock so unrelated cases don't serialize on
   // each other's geomodel construction.
   auto entry = std::make_shared<Entry>();
-  entry->fingerprint = fingerprint;
-  entry->canonical_text = std::move(canonical);
-  entry->problem = app::problem_from_config(config);
-  entry->artifacts = std::make_shared<core::CaseArtifacts>();
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  count(miss_id_);
-  if (was_hit != nullptr) *was_hit = false;
-
-  const auto it = entries_.find(fingerprint);
-  if (it != entries_.end()) {
-    // Raced with another builder of the same case; keep the incumbent
-    // (both are identical by deterministic construction).
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.entry;
+  try {
+    entry->fingerprint = fingerprint;
+    entry->canonical_text = std::move(canonical);
+    entry->problem = app::problem_from_config(config);
+    entry->artifacts = std::make_shared<core::CaseArtifacts>();
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    building_.erase(fingerprint);
+    built.set_exception(std::current_exception());
+    throw;
   }
 
+  std::lock_guard<std::mutex> lock(mutex_);
+  building_.erase(fingerprint);
+  built.set_value(entry);
   lru_.push_front(fingerprint);
   entries_.emplace(fingerprint, Slot{entry, lru_.begin()});
   while (entries_.size() > capacity_) {

@@ -23,6 +23,7 @@
 // adds are shard-local, not internally synchronized).
 
 #include <cstddef>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -69,9 +70,11 @@ public:
 
   /// Looks up (or builds) the entry for `config`. The expensive problem
   /// build runs outside the cache lock, so concurrent first requests for
-  /// *different* cases build in parallel; a racing duplicate build of the
-  /// same case is benign (one result wins, both are identical by
-  /// determinism) and each builder counts one miss.
+  /// *different* cases build in parallel. Concurrent first requests for
+  /// the *same* case build it once: the first counts the miss and builds,
+  /// the others wait on its in-flight entry and count hits. A failed build
+  /// rethrows the same exception in the builder and every waiter and
+  /// leaves no entry behind.
   std::shared_ptr<Entry> acquire(const Config& config, bool* was_hit = nullptr);
 
   CacheStats stats() const;
@@ -91,6 +94,9 @@ private:
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Slot> entries_; // by fingerprint
+  // Builds in progress, by fingerprint: later acquirers wait on these.
+  std::unordered_map<std::string, std::shared_future<std::shared_ptr<Entry>>>
+      building_;
   std::list<std::string> lru_; // front = most recently acquired
   mutable CacheStats stats_;
 };

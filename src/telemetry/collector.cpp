@@ -40,6 +40,26 @@ void FabricCollector::bind(i64 width, i64 height, u32 shard_count) {
   task_cycles_.clear();
 }
 
+FabricCollector::Checkpoint FabricCollector::checkpoint() const {
+  Checkpoint out;
+  out.activity = activity_;
+  for (const ShardSlot& slot : shards_) {
+    out.stream_sizes.push_back({slot.phases.size(), slot.progress.size()});
+    out.task_cycles.push_back(slot.task_cycles);
+  }
+  return out;
+}
+
+void FabricCollector::restore(const Checkpoint& checkpoint) {
+  FVDF_CHECK(checkpoint.stream_sizes.size() == shards_.size());
+  activity_ = checkpoint.activity;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].phases.resize(checkpoint.stream_sizes[s][0]);
+    shards_[s].progress.resize(checkpoint.stream_sizes[s][1]);
+    shards_[s].task_cycles = checkpoint.task_cycles[s];
+  }
+}
+
 void FabricCollector::finalize(f64 total_cycles) {
   FVDF_CHECK_MSG(bound(), "finalize() before bind()");
   FVDF_CHECK_MSG(!finalized_, "collector already finalized");

@@ -123,6 +123,16 @@ public:
     shards_[shard].task_cycles.add(cycles);
   }
 
+  /// Everything collected so far, so the fabric's steady-state
+  /// fast-forward (wse/fast_forward.hpp) can roll a replayed period back.
+  struct Checkpoint {
+    std::vector<PeActivity> activity;
+    std::vector<std::array<std::size_t, 2>> stream_sizes; // phases, progress
+    std::vector<StreamingHistogram> task_cycles;
+  };
+  Checkpoint checkpoint() const;
+  void restore(const Checkpoint& checkpoint);
+
   // --- host-side interface (after the run) ---------------------------------
 
   /// Merges shard streams deterministically and computes phase spans.

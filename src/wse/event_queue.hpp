@@ -33,6 +33,8 @@
 // kept at 40 bytes. pop() hands the event out by move, so draining the
 // queue never bumps a payload refcount. visit() shows every pending event,
 // for the tiled engine's emission-bound scan; its order is unspecified.
+// take_all() empties the queue for the steady-state fast-forward
+// (wse/fast_forward.hpp), which rebuilds it later in the future.
 
 #include <array>
 #include <algorithm>
@@ -99,6 +101,35 @@ public:
         bucket.items.clear();
       if (ring_size_ > 0) head_ = next_occupied(head_);
     }
+    return out;
+  }
+
+  /// Event slots the ring's buckets hold allocated (tests and diagnostics).
+  std::size_t reserved() const {
+    std::size_t slots = 0;
+    for (const Bucket& bucket : ring_) slots += bucket.items.capacity();
+    return slots;
+  }
+
+  /// Moves every pending event out, in unspecified order, and resets the
+  /// queue to its empty initial state: the window starts at time 0 again,
+  /// so a later push may precede the last event popped.
+  std::vector<T> take_all() {
+    std::vector<T> out;
+    out.reserve(size());
+    for (Bucket& bucket : ring_) {
+      for (std::size_t i = bucket.read; i < bucket.items.size(); ++i)
+        out.push_back(std::move(bucket.items[i]));
+      bucket.items.clear();
+      bucket.read = 0;
+      bucket.sorted = true;
+    }
+    for (T& event : overflow_) out.push_back(std::move(event));
+    overflow_.clear();
+    occupied_.fill(0);
+    cursor_ = 0;
+    head_ = 0;
+    ring_size_ = 0;
     return out;
   }
 
@@ -171,6 +202,13 @@ private:
     Bucket& slot = ring_[bucket & kMask];
     std::vector<T>& items = slot.items;
     if (items.empty() || !Earlier{}(event, items.back())) {
+      if (slot.read > 0 && items.size() == items.capacity()) {
+        // A bucket pushed to while it drains would otherwise grow to
+        // everything pushed since it was last empty: drop the popped
+        // prefix before growing, so it stays near its pending peak.
+        items.erase(items.begin(), items.begin() + slot.read);
+        slot.read = 0;
+      }
       items.push_back(std::move(event));
     } else if (slot.read > 0) {
       // Being drained: keep the run sorted. The event takes the slot the

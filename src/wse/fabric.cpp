@@ -6,6 +6,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -13,6 +14,7 @@
 #include "telemetry/collector.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "wse/bytecode_interp.hpp"
+#include "wse/fast_forward.hpp"
 
 // Telemetry hot-path hooks: a null-pointer test per site when compiled in,
 // nothing at all under -DFVDF_TELEMETRY=OFF. `stmt` may use `collector`
@@ -76,18 +78,22 @@ public:
   }
 
   void send_control(Color color, ColorMask advance) override {
+    note(FastForward::OpKind::SendControl, color, advance);
     fabric_.ctx_send_control(shard_, pe_, color, advance, cursor_);
   }
 
   void recv(Color color, Dsd dst, Color completion) override {
+    note(FastForward::OpKind::Recv, color, 0, dst, completion);
     fabric_.ctx_recv(shard_, pe_, color, dst, completion, cursor_);
   }
 
   void activate(Color color) override {
+    note(FastForward::OpKind::Activate, color);
     fabric_.ctx_activate(shard_, pe_, color, cursor_);
   }
 
   void advance_local(ColorMask mask) override {
+    note(FastForward::OpKind::Advance, kInvalidColor, mask);
     fabric_.advance_and_release(shard_, pe_, mask, cursor_);
   }
 
@@ -96,10 +102,12 @@ public:
   }
 
   void note_progress(u64 iteration, f64 value) override {
+    note(FastForward::OpKind::Progress);
     fabric_.ctx_note_progress(shard_, pe_, iteration, value, cursor_);
   }
 
   void halt() override {
+    note(FastForward::OpKind::Halt);
     if (!pe_.halted) {
       pe_.halted = true;
       ++shard_.halted;
@@ -107,6 +115,14 @@ public:
   }
 
 private:
+  // Records the call for the fast-forward while it records a period.
+  void note(FastForward::OpKind kind, Color color = kInvalidColor, u32 arg = 0,
+            Dsd dsd = {}, Color completion = kInvalidColor) {
+    if (fabric_.ff_rec_ != nullptr)
+      fabric_.ff_rec_->record(
+          FastForward::Op{cursor_, dsd, pe_.index, arg, kind, color, completion});
+  }
+
   Fabric& fabric_;
   Fabric::Shard& shard_;
   Fabric::PeHot& pe_;
@@ -336,6 +352,14 @@ Fabric::RunResult Fabric::run(f64 max_cycles) {
   }
   if (parallel) pool_->set_profiler(host_prof_);
 #endif
+
+  // Steady-state fast-forward (wse/fast_forward.hpp): one shard, and no
+  // observer that needs every event — a trace sink, a fault plan or a
+  // Trace-level collector.
+  std::optional<FastForward> fast_forward;
+  if (fast_forward_ && shards_.size() == 1 && !trace_ && !faults_active &&
+      (telemetry_ == nullptr || telemetry_->level() != telemetry::Level::Trace))
+    fast_forward.emplace(*this, max_cycles);
 
   last_run_rounds_ = 0;
   // Force a fresh bound pass: timing parameters and the lookahead table may
@@ -618,7 +642,10 @@ void Fabric::process_window(Shard& shard, f64 horizon, f64 max_cycles) {
     any = true;
     switch (event.kind) {
     case EventKind::FlitArrive: handle_flit_arrive(shard, std::move(event)); break;
-    case EventKind::TaskStart: handle_task_start(shard, event); break;
+    case EventKind::TaskStart:
+      handle_task_start(shard, event);
+      if (ff_ != nullptr && ff_->at_boundary()) ff_->on_boundary(event.t);
+      break;
     }
   }
   // A shard idle up to its horizon leaves the queue untouched: its bounds
@@ -786,7 +813,10 @@ void Fabric::advance_and_release(Shard& shard, PeHot& pe, ColorMask mask, f64 t)
         park(pe, std::move(entry));
         continue;
       }
-      FVDF_TELEM(collector.activity(pe.index).stall_cycles += t - entry.parked_at);
+      FVDF_TELEM({
+        collector.activity(pe.index).stall_cycles += t - entry.parked_at;
+        if (ff_rec_ != nullptr) ff_rec_->record_stall_release(pe.index, t - entry.parked_at);
+      });
       dispatch_flit(shard, pe, entry.from, std::move(entry.flit), t);
     }
     // Hand the drained buffer back so the color's next stall reuses it.
@@ -870,6 +900,7 @@ void Fabric::dispatch_flit(Shard& shard, PeHot& pe, Dir from, Flit&& flit, f64 t
 void Fabric::deliver_to_ramp(Shard& shard, PeHot& pe, const Flit& flit, f64 t) {
   if (!flit.data) return; // control-only wavelets carry no payload
   const std::vector<f32>& words = *flit.data;
+  if (ff_rec_ != nullptr) ff_rec_->record_delivery(pe.index, flit.color, &words);
   cold(pe).inbox[flit.color].append(words.data(), words.size());
   emit_trace(shard, TraceEvent::RampDelivery, t, pe, flit.color,
              static_cast<u32>(words.size()));
@@ -886,6 +917,8 @@ void Fabric::feed_recv_descriptors(Shard& shard, PeHot& pe, Color color, f64 t) 
     const u32 take = static_cast<u32>(
         std::min<std::size_t>(want, inbox.size()));
     if (take > 0) {
+      if (ff_rec_ != nullptr)
+        ff_rec_->record_store(pe.index, color, desc.dst.drop(desc.filled), take);
       const f32* words = inbox.data();
       if (desc.dst.stride == 1) {
         state.memory.store_words(desc.dst.offset + desc.filled, words, take);
@@ -933,6 +966,8 @@ void Fabric::handle_task_start(Shard& shard, const Event& event) {
 void Fabric::run_task(Shard& shard, PeHot& pe, Color color, f64 t) {
   f64 cursor = t + timing_.task_dispatch_cycles;
   FabricPeContext ctx(*this, shard, pe, cold(pe), cursor);
+  if (ff_rec_ != nullptr)
+    ff_rec_->record({t, {}, pe.index, 0, FastForward::OpKind::TaskBegin, color});
   ++shard.stats.tasks_run;
   emit_trace(shard, TraceEvent::TaskRun, t, pe, color, 0);
   const bc::Program& program = *pe.stream;
@@ -959,6 +994,8 @@ void Fabric::run_task(Shard& shard, PeHot& pe, Color color, f64 t) {
     bc::run(ctx, vm, program, pc);
 #endif
   }
+  if (ff_rec_ != nullptr)
+    ff_rec_->record({cursor, {}, pe.index, 0, FastForward::OpKind::TaskEnd});
   pe.busy_until = cursor;
   shard.now = std::max(shard.now, cursor);
   FVDF_TELEM({
@@ -989,6 +1026,10 @@ void Fabric::ctx_send(Shard& shard, PeHot& pe, Color color, Dsd src,
     }
   }
   state.counters.record(Opcode::FMOV, src.length, 0, /*fabric_stores=*/src.length);
+  if (ff_rec_ != nullptr)
+    ff_rec_->record_send({cursor, src, pe.index, advance_after,
+                          FastForward::OpKind::Send, color, completion},
+                         &*payload);
 
   // Fault injection (deterministic, counted over data messages; runs with
   // a single worker — see run()).
@@ -1107,10 +1148,11 @@ void Fabric::ctx_mark_phase(Shard& shard, PeHot& pe, u8 phase, f64 cursor) {
 void Fabric::ctx_note_progress(Shard& shard, PeHot& pe, u64 iteration, f64 value,
                                f64 cursor) {
   (void)shard;
-  (void)pe;
   (void)iteration;
   (void)value;
   (void)cursor;
+  // PE (0,0)'s progress report ends a solver period.
+  if (ff_ != nullptr && pe.index == 0) ff_->note_boundary();
   FVDF_TELEM(collector.note_progress(shard.id, pe.index,
                                      iteration, value, cursor));
 }

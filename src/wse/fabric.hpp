@@ -70,6 +70,8 @@ class HostProfiler;
 
 namespace fvdf::wse {
 
+class FastForward;
+
 struct FabricStats {
   u64 messages_sent = 0;   // send()/send_control() calls that left a ramp
   u64 wavelet_hops = 0;    // router-to-router link traversals (per message)
@@ -212,6 +214,15 @@ public:
            col_tile_[static_cast<std::size_t>(x)];
   }
 
+  /// Steady-state fast-forward (wse/fast_forward.hpp), on by default: a
+  /// one-shard run with no trace sink, fault plan or Trace-level collector
+  /// replays repeating solver periods instead of simulating them. Results
+  /// are bitwise identical either way; tests turn it off to compare.
+  void set_fast_forward(bool on) { fast_forward_ = on; }
+
+  /// Solver periods the fast-forward replayed since load().
+  u64 replayed_periods() const { return replayed_periods_; }
+
   /// Window rounds (merge barriers) the last run() executed — a
   /// determinism-safe diagnostic: identical at any thread count for a
   /// given layout. A one-shard fabric, or one whose shards never exchange
@@ -290,6 +301,7 @@ public:
 
 private:
   friend class FabricPeContext;
+  friend class FastForward;
 
   struct Flit {
     PayloadRef data; // null for control-only wavelets
@@ -314,6 +326,7 @@ private:
     bool empty() const { return head_ == buf_.size(); }
     std::size_t size() const { return buf_.size() - head_; }
     T& front() { return buf_[head_]; }
+    T* data() { return buf_.data() + head_; }
     const T* data() const { return buf_.data() + head_; }
     void push_back(T&& item) { buf_.push_back(std::move(item)); }
     void append(const T* items, std::size_t count) {
@@ -330,6 +343,10 @@ private:
         buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
         head_ = 0;
       }
+    }
+    void clear() {
+      buf_.clear();
+      head_ = 0;
     }
     void swap(Fifo& other) noexcept {
       buf_.swap(other.buf_);
@@ -619,6 +636,12 @@ private:
   bool horizons_valid_ = false; // stored horizons match the current bounds
   std::vector<PendingTrace> trace_pending_; // gathered, in trace order
   std::unique_ptr<FabricWorkerPool> pool_; // persists across run() calls
+  // The running fast-forward, and the same pointer while it records a
+  // period (null otherwise): every recording hook tests ff_rec_.
+  FastForward* ff_ = nullptr;
+  FastForward* ff_rec_ = nullptr;
+  bool fast_forward_ = true;
+  u64 replayed_periods_ = 0;
   u32 threads_ = 1;
   u64 last_run_rounds_ = 0;
   f64 now_ = 0;

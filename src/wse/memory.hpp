@@ -120,6 +120,12 @@ public:
   const std::vector<Allocation>& allocations() const { return allocations_; }
   const std::vector<u8>& contents() const { return storage_; }
 
+  /// Overwrites the allocated bytes with `bytes`, a copy of contents()
+  /// taken since the last allocation (the fast-forward's period rollback).
+  void overwrite(const u8* bytes) {
+    std::memcpy(storage_.data(), bytes, storage_.size());
+  }
+
   /// The allocation named `name`; throws naming it when there is none.
   const Allocation& allocation(const std::string& name) const;
 

@@ -137,7 +137,10 @@ TEST(DataflowSolver, ReportsFabricTraffic) {
 // exact bits of its solve: solution and pressure words, final r^T r,
 // iteration count, cycle total, every FabricStats counter, the op ledger,
 // the residual history, the Table-II phase cycles and the Metrics-level
-// telemetry bundle.
+// telemetry bundle. The fabric's steady-state fast-forward stays on with
+// the Metrics collector attached, so each case of four or more iterations
+// on more than one PE also checks that it replayed: the digests pin the
+// replayed runs to the literals full simulation produced.
 
 struct DigestedSolve {
   DataflowResult result;
@@ -172,6 +175,7 @@ TEST(GoldenDigest, CgFused) {
   const auto problem = FlowProblem::quarter_five_spot(6, 5, 8, /*seed=*/42);
   const auto run = golden_cg(problem, tight_config(FluxMode::Fused));
   ASSERT_TRUE(run.result.converged);
+  EXPECT_GT(run.result.replayed_periods, 0u);
   EXPECT_EQ(run.digest, "f07e212a6ac1755a");
 }
 
@@ -179,6 +183,7 @@ TEST(GoldenDigest, CgOnTheFly) {
   const auto problem = FlowProblem::quarter_five_spot(5, 4, 6, /*seed=*/7);
   const auto run = golden_cg(problem, tight_config(FluxMode::OnTheFly));
   ASSERT_TRUE(run.result.converged);
+  EXPECT_GT(run.result.replayed_periods, 0u);
   EXPECT_EQ(run.digest, "a69ad93a3a86692c");
 }
 
@@ -189,6 +194,7 @@ TEST(GoldenDigest, JacobiPreconditionedWithShift) {
   config.diagonal_shift = 0.05f;
   const auto run = golden_cg(problem, config);
   ASSERT_TRUE(run.result.converged);
+  EXPECT_GT(run.result.replayed_periods, 0u);
   EXPECT_EQ(run.digest, "02f26a90d7beac97");
 }
 
@@ -199,6 +205,8 @@ TEST(GoldenDigest, JxOnlyMode) {
   config.max_iterations = 8;
   const auto run = golden_cg(problem, config);
   EXPECT_EQ(run.result.iterations, 8u);
+  // Alg. 2 mode reports no progress, so it has no period boundary.
+  EXPECT_EQ(run.result.replayed_periods, 0u);
   EXPECT_EQ(run.digest, "2ab32a6290f834b6");
 }
 
@@ -218,8 +226,12 @@ TEST(GoldenDigest, FabricShapes) {
   for (const auto& [shape, digest] : kCases) {
     const auto problem = FlowProblem::quarter_five_spot(
         shape.nx, shape.ny, shape.nz, /*seed=*/13, 0.5);
-    EXPECT_EQ(golden_cg(problem, tight_config()).digest, digest)
-        << shape.nx << "x" << shape.ny << "x" << shape.nz;
+    const auto run = golden_cg(problem, tight_config());
+    EXPECT_EQ(run.digest, digest) << shape.nx << "x" << shape.ny << "x" << shape.nz;
+    if (shape.nx * shape.ny > 1 && run.result.iterations >= 4) {
+      EXPECT_GT(run.result.replayed_periods, 0u)
+          << shape.nx << "x" << shape.ny << "x" << shape.nz;
+    }
   }
 }
 
@@ -234,6 +246,7 @@ TEST(GoldenDigest, Chebyshev) {
                                                     const ChebyshevDeviceConfig& c) {
     return solve_dataflow_chebyshev(p, c);
   });
+  EXPECT_GT(run.result.replayed_periods, 0u);
   EXPECT_EQ(run.digest, "4003edb1df6aa95b");
 }
 
@@ -244,8 +257,11 @@ TEST(GoldenDigest, EveryThreadCount) {
   for (u32 threads : {1u, 2u, 3u}) {
     DataflowConfig config = tight_config();
     config.sim_threads = threads;
-    EXPECT_EQ(golden_cg(problem, config).digest, "c1160f552f3b48d4")
-        << "threads=" << threads;
+    const auto run = golden_cg(problem, config);
+    EXPECT_EQ(run.digest, "c1160f552f3b48d4") << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_GT(run.result.replayed_periods, 0u);
+    }
   }
 }
 
@@ -256,9 +272,11 @@ TEST(GoldenDigest, EveryThreadCount) {
 // emitted it. The solves agree bit for bit across layouts, but off the
 // half-cycle grid the Metrics bundle's task-cycle sum is added per shard
 // and reassociates, so the two layouts carry their own literals.
+// Off the grid, the shifted sums of one period round differently in the
+// next, so the one-shard run only replays where `one_shard_replays`.
 void expect_digest_under_layouts(const FlowProblem& problem,
                                  DataflowConfig config, const char* one_shard,
-                                 const char* tiled) {
+                                 const char* tiled, bool one_shard_replays) {
   for (const auto& [grid, digest] :
        {std::pair{wse::ShardGrid{1, 1}, one_shard},
         std::pair{wse::ShardGrid{2, 2}, tiled}}) {
@@ -266,6 +284,8 @@ void expect_digest_under_layouts(const FlowProblem& problem,
     const auto run = golden_cg(problem, config);
     EXPECT_TRUE(run.result.converged);
     EXPECT_EQ(run.digest, digest) << grid.rows << "x" << grid.cols << " tiles";
+    EXPECT_EQ(run.result.replayed_periods > 0, grid.rows == 1 && one_shard_replays)
+        << grid.rows << "x" << grid.cols << " tiles";
   }
 }
 
@@ -276,7 +296,7 @@ TEST(GoldenDigest, OffGridTiming) {
   config.timing.hop_latency_cycles = 1.25;
   config.timing.task_dispatch_cycles = 7.3;
   expect_digest_under_layouts(problem, config, "58a4002cc5fbbecd",
-                              "85d7c56f905d3689");
+                              "85d7c56f905d3689", /*one_shard_replays=*/false);
 }
 
 TEST(GoldenDigest, FarFutureHops) {
@@ -284,7 +304,7 @@ TEST(GoldenDigest, FarFutureHops) {
   DataflowConfig config = tight_config();
   config.timing.hop_latency_cycles = 3000;
   expect_digest_under_layouts(problem, config, "2ecb5b0903d9964d",
-                              "2ecb5b0903d9964d");
+                              "2ecb5b0903d9964d", /*one_shard_replays=*/true);
 }
 
 } // namespace

@@ -172,6 +172,63 @@ TEST(ServeCache, CountsHitsMissesAndEvictions) {
             1u);
 }
 
+TEST(ServeCache, ConcurrentColdAcquiresBuildOnce) {
+  // Eight jobs of one cold case released together: one builds, the rest
+  // wait on its in-flight entry and share it.
+  ArtifactCache cache(4);
+  const Config config = Config::parse_string(
+      "[mesh]\nnx = 64\nny = 64\nnz = 8\n[perm]\nkind = lognormal\n"
+      "sigma = 1.0\nseed = 3\n[solver]\nbackend = dataflow\n");
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<ArtifactCache::Entry>> entries(kThreads);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int waiting = 0;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (++waiting == kThreads) cv.notify_all();
+        cv.wait(lock, [&] { return waiting == kThreads; });
+      }
+      entries[static_cast<std::size_t>(i)] = cache.acquire(config);
+    });
+  for (std::thread& thread : threads) thread.join();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<u64>(kThreads - 1));
+  EXPECT_EQ(stats.entries, 1u);
+  for (const auto& entry : entries) EXPECT_EQ(entry.get(), entries[0].get());
+
+  // A build that throws hands its exception to every waiter and leaves no
+  // entry behind.
+  ArtifactCache failing(4);
+  const Config bad = Config::parse_string("[mesh]\nnx = -3\n");
+  std::vector<std::string> errors(kThreads);
+  waiting = 0;
+  threads.clear();
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (++waiting == kThreads) cv.notify_all();
+        cv.wait(lock, [&] { return waiting == kThreads; });
+      }
+      try {
+        failing.acquire(bad);
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(i)] = e.what();
+      }
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& error : errors) {
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(error, errors[0]);
+  }
+  EXPECT_EQ(failing.stats().entries, 0u);
+}
+
 // ---------- Job manager ----------
 
 struct EventLog {
@@ -510,7 +567,7 @@ TEST(ServeJobs, AcceptedPrecedesEveryOtherEventOfAJob) {
   constexpr int kJobs = 256;
   for (int i = 0; i < kJobs; ++i) {
     JobSpec spec;
-    spec.id = "e" + std::to_string(i);
+    spec.id = std::string("e").append(std::to_string(i));
     spec.case_text = kBaseCase;
     spec.deadline_seconds = 1e-12;
     ASSERT_TRUE(jobs.submit(std::move(spec), log.sink()));

@@ -999,6 +999,40 @@ TEST(EventQueue, PushesIntoTheDrainingBucketKeepItsOrder) {
   diff.drain();
 }
 
+TEST(EventQueue, ADrainingBucketStaysNearItsPendingPeak) {
+  // Pop one, push one into the head bucket, 10,000 times, with at most
+  // four events pending: the popped prefix is compacted before the bucket
+  // grows, so its storage tracks the pending peak, not the push count.
+  QueueDiff diff(808);
+  const f64 t = 3.0;
+  u64 order = 0;
+  for (int i = 0; i < 4; ++i) diff.push(Keyed{t, order++});
+  for (int round = 0; round < 10000; ++round) {
+    diff.pop();
+    diff.push(Keyed{t, order++});
+    ASSERT_LE(diff.size(), 4u);
+  }
+  EXPECT_LE(diff.queue().reserved(), 16u);
+  diff.drain();
+}
+
+TEST(EventQueue, TakeAllEmptiesAndRestartsTheWindow) {
+  QueueDiff diff(909);
+  for (int i = 0; i < 300; ++i) diff.push(diff.rng().uniform(0, 6000));
+  for (int i = 0; i < 100; ++i) diff.pop();
+  const std::size_t pending = diff.size();
+  std::vector<Keyed> taken = diff.queue().take_all();
+  EXPECT_EQ(taken.size(), pending);
+  EXPECT_TRUE(diff.queue().empty());
+  // The window restarted: an event before the last pop is accepted again.
+  EventQueue<Keyed>& queue = diff.queue();
+  queue.push(Keyed{0.5, 1});
+  queue.push(Keyed{0.5, 0});
+  EXPECT_EQ(queue.pop().order, 0u);
+  EXPECT_EQ(queue.pop().order, 1u);
+  EXPECT_TRUE(queue.empty());
+}
+
 TEST(EventQueue, FutureBucketsFilledAsInterleavedRuns) {
   QueueDiff diff(808);
   // The fabric's arrival pattern: PEs in lock-step each emit an ascending

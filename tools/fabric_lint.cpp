@@ -38,6 +38,7 @@
 #include "analysis/fixtures.hpp"
 #include "analysis/verifier.hpp"
 #include "app/scenario.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "core/bytecode_program.hpp"
 #include "core/solver.hpp"
@@ -57,14 +58,6 @@ void usage() {
          "       fabric_lint --demo-defects [--format json]\n"
          "       fabric_lint --dump-program [--fabric WxH] [--nz N]\n"
          "       fabric_lint --dump-cfg [--fabric WxH] [--nz N]\n";
-}
-
-bool parse_fabric(const std::string& arg, i64& width, i64& height) {
-  const auto x = arg.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= arg.size()) return false;
-  width = std::strtol(arg.c_str(), nullptr, 10);
-  height = std::strtol(arg.c_str() + x + 1, nullptr, 10);
-  return width >= 1 && height >= 1;
 }
 
 // ---------- JSON output (--format json) ----------
@@ -374,7 +367,7 @@ int dump_programs(i64 width, i64 height, u32 nz, bool cfg) {
 int main(int argc, char** argv) {
   i64 width = 4;
   i64 height = 4;
-  long nz = 8;
+  i64 nz = 8;
   std::string scenario_path;
   std::string format;
   bool defects = false;
@@ -384,14 +377,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fabric" && i + 1 < argc) {
-      if (!parse_fabric(argv[++i], width, height)) {
-        std::cerr << "error: --fabric expects WxH with W, H >= 1\n";
+      const char* text = argv[++i];
+      if (!parse_extent(text, width, height)) {
+        std::cerr << "error: --fabric expects WxH with W, H >= 1, got '" << text
+                  << "'\n";
+        usage();
         return 2;
       }
     } else if (arg == "--nz" && i + 1 < argc) {
-      nz = std::strtol(argv[++i], nullptr, 10);
-      if (nz < 1) {
-        std::cerr << "error: --nz expects a depth >= 1\n";
+      const char* text = argv[++i];
+      if (!parse_whole(text, nz) || nz < 1) {
+        std::cerr << "error: --nz expects a depth >= 1, got '" << text << "'\n";
+        usage();
         return 2;
       }
     } else if (arg == "--scenario" && i + 1 < argc) {

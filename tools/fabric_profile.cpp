@@ -51,14 +51,6 @@ using namespace fvdf;
 
 namespace {
 
-bool parse_fabric(const std::string& arg, i64& width, i64& height) {
-  const auto x = arg.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= arg.size()) return false;
-  width = std::strtol(arg.c_str(), nullptr, 10);
-  height = std::strtol(arg.c_str() + x + 1, nullptr, 10);
-  return width >= 1 && height >= 1;
-}
-
 void print_summary(const telemetry::Session& session,
                    const core::DataflowResult& result) {
   const auto& info = session.run_info();
@@ -132,8 +124,9 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     i64 width = 0, height = 0;
-    if (!parse_fabric(fabric, width, height)) {
-      std::cerr << "error: bad --fabric '" << fabric << "' (expected WxH)\n";
+    if (!parse_extent(fabric, width, height)) {
+      std::cerr << "error: bad --fabric '" << fabric << "' (expected WxH)\n"
+                << cli.usage();
       return 2;
     }
     if (nz < 1 || iters < 1 || pe_stride < 1 || event_sample < 1 ||

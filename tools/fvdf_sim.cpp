@@ -21,7 +21,6 @@
 // solves are single device/host runs and remain uninterruptible.
 
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include <string>
 
 #include "app/scenario.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 
 namespace {
@@ -90,11 +90,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       const char* text = argv[++i];
-      const char* end = text + std::strlen(text);
       fvdf::u32 count = 0;
       // A plain decimal count: no sign, no suffix, no overflow.
-      const auto [ptr, ec] = std::from_chars(text, end, count);
-      if (ec != std::errc() || ptr != end) {
+      if (!fvdf::parse_whole(text, count)) {
         std::cerr << "error: --sim-threads expects a decimal count, got '" << text
                   << "'\n";
         usage();
